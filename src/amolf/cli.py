@@ -16,17 +16,17 @@ import argparse
 import sys
 
 from . import cost
-from .dataset import Dataset, gen_matrix_inversion, load_tra, normalize_zero_mean, save_tra
+from .dataset import Dataset, gen_matrix_inversion, load_tra, save_tra
 from .experiment import (
+    DEFAULT_PATIENCE,
     ExperimentConfig,
     emit_curve,
     emit_kfold,
     run_kfold,
     run_training,
-    trial_seed,
 )
-from .network import init_net_control, save_mlp
-from .trainers import ALGORITHMS, init_state, iterate
+from .network import save_mlp
+from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD
 
 SYNTHETIC_GENERATORS = ("matinv",)
 
@@ -53,7 +53,7 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--search-period",
         type=int,
-        default=50,
+        default=DEFAULT_SEARCH_PERIOD,
         help="iterations between exhaustive group-count searches (amolf)",
     )
 
@@ -80,12 +80,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
     curve = run_training(dataset, config)
     emit_curve(curve, args.out)
     if args.save_model:
-        data, _ = normalize_zero_mean(dataset)
-        mlp = init_net_control(data, args.nh, trial_seed(args.seed, 0), args.activation)
-        state = init_state(args.algo, mlp, data, search_period=args.search_period)
-        for _ in range(args.iters):
-            state = iterate(state)
-        save_mlp(state.mlp, args.save_model)
+        save_mlp(curve.final_models[0], args.save_model)
     print(f"wrote {args.out}: final mean mse {curve.mean_mse[-1]:.6e}")
 
 
@@ -155,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_kfold)
     _add_train_args(p_kfold)
     p_kfold.add_argument("--k", type=int, default=10)
-    p_kfold.add_argument("--patience", type=int, default=20)
+    p_kfold.add_argument("--patience", type=int, default=DEFAULT_PATIENCE)
     p_kfold.add_argument("--out", required=True, help="output CSV path")
     p_kfold.set_defaults(func=_cmd_kfold)
 

@@ -18,6 +18,13 @@ def _as_int(value: Fraction) -> int:
     return round(value)
 
 
+def _check_sizes(n: int, nh: int, m: int, nv: int) -> None:
+    """Reject sizes no network or dataset has; the formulas would count them."""
+    for name, value in (("n", n), ("nh", nh), ("m", m), ("nv", nv)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def mult_ols(nu: int, m: int) -> int:
     """Solving the output-weight system by orthogonal least squares:
     nu (nu+1) [m + (2 nu + 1)/6 + 3/2]."""
@@ -28,6 +35,7 @@ def mult_ols(nu: int, m: int) -> int:
 def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration of output-weight solving plus gradient descent on the
     input weights with a second-order step size."""
+    _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     f = Fraction(nu * (nu + 1)) * (
         Fraction(m) + Fraction(2 * nu + 1, 6) + Fraction(3, 2) + Fraction(nv, 2)
@@ -37,6 +45,7 @@ def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
 
 def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
     """One damped full-Hessian iteration over every weight in the network."""
+    _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     nw = m * nu + (n + 1) * nh
     f = Fraction(nv) * Fraction(
@@ -56,6 +65,7 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     The nv m / 2 term sits inside a bracket that is itself scaled by nv,
     which makes the count quadratic in nv; evaluated exactly as defined.
     """
+    _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
     inner = Fraction(nv * m, 2) + Fraction(2 * niw + 1, 6) + Fraction(5, 2)
     f = Fraction(nv) * (Fraction(niw * (2 * m + 1)) + Fraction(niw * (niw + 1)) * inner)
@@ -64,6 +74,7 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
 
 def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
     """The output-weight stage on its own (forward pass plus solve)."""
+    _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     f = Fraction(nv) * Fraction(nh * (n + 1) + m * (2 * nu + 1)) + Fraction(
         nu * (nu + 1)
@@ -79,6 +90,7 @@ def mult_owo_newton(n: int, nh: int, m: int, nv: int) -> int:
 def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration with a compressed nh-by-nh step-size system:
     nh (nh+1) [(2 nh + 1)/6 + 5/2] + nv nh [2m + n + 2 + m (nh + 1)/2]."""
+    _check_sizes(n, nh, m, nv)
     f = Fraction(nh * (nh + 1)) * (Fraction(2 * nh + 1, 6) + Fraction(5, 2)) + Fraction(
         nv * nh
     ) * (Fraction(2 * m + n + 2) + Fraction(m * (nh + 1), 2))
@@ -90,6 +102,9 @@ def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     nl = ng * nh learning factors:
     nl (nl+1) [(2 nl + 1)/6 + 5/2 + m nv / 2] + nh (n+1) + nh ng m (nv + 2)
     + nl nv m."""
+    _check_sizes(n, nh, m, nv)
+    if not 1 <= ng <= n:
+        raise ValueError(f"ng must be in 1..{n}, got {ng}")
     nl = ng * nh
     f = (
         Fraction(nl * (nl + 1))
@@ -110,6 +125,7 @@ def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
     unknowns, solving, applying a trial step, and one forward error
     evaluation.
     """
+    _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
     nu = n + nh + 1
     total = Fraction(nv * nh * (n + 1)) + Fraction(nv * m) * Fraction(niw * (niw + 1), 2)
@@ -129,6 +145,7 @@ def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
     direction bookkeeping, the directional curvature pass for the step
     size, and the weight update.
     """
+    _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     nw = m * nu + (n + 1) * nh
     forward = nv * (nh * (n + 1) + m * nu)

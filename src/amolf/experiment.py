@@ -59,12 +59,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrainingCurve:
-    """Per-iteration record of mean error and mean cumulative multiplies."""
+    """Per-iteration record of mean error and mean cumulative multiplies,
+    with each trial's final network (empty when read back from a CSV)."""
 
     algorithm: str
     iterations: np.ndarray  # (n_iterations,) 1-based
     mean_mse: np.ndarray
     cum_multiplies: np.ndarray
+    final_models: tuple[Mlp, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,7 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     data, _ = normalize_zero_mean(dataset)
     errors = np.empty((config.n_trials, config.iterations))
     multiplies = np.empty((config.n_trials, config.iterations))
+    final_models = []
     for trial in range(config.n_trials):
         mlp = init_net_control(
             data, config.n_hidden, trial_seed(config.seed, trial), config.activation
@@ -113,11 +116,13 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
             state = iterate(state)
             errors[trial, it] = state.last_error
         multiplies[trial] = state.ledger.cumulative()
+        final_models.append(state.mlp)
     return TrainingCurve(
         algorithm=config.algorithm,
         iterations=np.arange(1, config.iterations + 1),
         mean_mse=errors.mean(axis=0),
         cum_multiplies=multiplies.mean(axis=0),
+        final_models=tuple(final_models),
     )
 
 

@@ -182,11 +182,27 @@ def gauss_newton_full_hessian(
     h = (2.0 / nv) * (flat.T @ flat)
     if grads is None:
         grads = backprop(mlp, dataset, trace)
-    g = np.concatenate(
+    return h, pack(grads)
+
+
+def pack(grads: GradientBundle) -> np.ndarray:
+    """All three gradient matrices as one vector in the all-weight order:
+    flattened input, then output, then bypass weights."""
+    return np.concatenate(
         (
             grads.input_weights.ravel(),
             grads.output_weights.ravel(),
             grads.bypass_weights.ravel(),
         )
     )
-    return h, g
+
+
+def unpack(vec: np.ndarray, mlp: Mlp) -> GradientBundle:
+    """Inverse of ``pack`` for the weight shapes of ``mlp`` (views, no copy)."""
+    n1, nh, m = mlp.n_inputs + 1, mlp.n_hidden, mlp.n_outputs
+    niw, nwo = nh * n1, m * nh
+    return GradientBundle(
+        input_weights=vec[:niw].reshape(nh, n1),
+        output_weights=vec[niw : niw + nwo].reshape(m, nh),
+        bypass_weights=vec[niw + nwo :].reshape(m, n1),
+    )

@@ -85,8 +85,12 @@ def forward(mlp: Mlp, dataset: Dataset) -> ForwardTrace:
     act = ACTIVATIONS[mlp.activation][0]
     net = dataset.inputs @ mlp.w.T
     activ = act(net)
-    output = dataset.inputs @ mlp.woi.T + activ @ mlp.woh.T
-    return ForwardTrace(net=net, activ=activ, output=output)
+    return ForwardTrace(net=net, activ=activ, output=linear_output(mlp, dataset, activ))
+
+
+def linear_output(mlp: Mlp, dataset: Dataset, activ: np.ndarray) -> np.ndarray:
+    """The forward pass's last stage: linear outputs for given activations."""
+    return dataset.inputs @ mlp.woi.T + activ @ mlp.woh.T
 
 
 def output_mse(dataset: Dataset, output: np.ndarray) -> float:

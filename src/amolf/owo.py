@@ -9,13 +9,13 @@ Newton step on the output weights, and never increases the training error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Dataset
 from .linalg import solve_sym
-from .network import ForwardTrace, Mlp
+from .network import ForwardTrace, Mlp, linear_output
 
 
 def augmented_basis(dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
@@ -76,6 +76,17 @@ def solve_output_weights(corr: Correlations) -> OwoSolution:
 
 
 def install_output_weights(mlp: Mlp, solution: OwoSolution) -> Mlp:
-    from dataclasses import replace
-
     return replace(mlp, woh=solution.woh, woi=solution.woi)
+
+
+def output_weight_step(
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
+) -> tuple[Mlp, ForwardTrace]:
+    """Solve and install the output weights for ``trace``, a forward pass of
+    ``mlp``. Only the outputs of the trace change, computed as ``forward``
+    computes them, so the returned trace equals a fresh forward pass of the
+    returned network bit for bit."""
+    mlp = install_output_weights(
+        mlp, solve_output_weights(accumulate_correlations(dataset, trace))
+    )
+    return mlp, replace(trace, output=linear_output(mlp, dataset, trace.activ))

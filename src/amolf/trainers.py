@@ -4,8 +4,8 @@ Six trainers share the same machinery:
 
 * ``owo-bp``      solve output weights, then one gradient step on the input
                   weights with a second-order optimal step size.
-* ``owo-molf``    one optimal step size per hidden unit, from a compressed
-                  hidden-unit-by-hidden-unit curvature system.
+* ``owo-molf``    one optimal step size per hidden unit: the amolf grouped
+                  step pinned at one group, charged its own cost formula.
 * ``owo-newton``  a full second-order step on the input weights.
 * ``amolf``       the input weights of each hidden unit are split into
                   curvature-ordered groups, one step size per group; the
@@ -14,6 +14,12 @@ Six trainers share the same machinery:
 * ``lm``          damped full-network second-order steps with the classic
                   accept/reject damping schedule.
 * ``cg``          Fletcher-Reeves conjugate gradient over all weights.
+
+owo-molf, owo-newton and amolf take an input-weight step, then solve the
+output weights; owo-bp solves them first. The solve refreshes only the
+outputs of its forward pass, so each of the four runs two forward passes
+per iteration (group-count searches aside). All six end through
+``_advance``.
 
 The grouped step interpolates between one step size per unit (one group)
 and the full input-weight second-order step (all-singleton groups), which
@@ -39,11 +45,12 @@ from .gradients import (
     gn_curvature_along_direction,
     gn_curvature_along_input_direction,
     gauss_newton_full_hessian,
-    hidden_deltas,
+    pack,
+    unpack,
 )
 from .linalg import solve_sym
 from .network import ForwardTrace, Mlp, activation_derivative, forward, mse, output_mse
-from .owo import accumulate_correlations, install_output_weights, solve_output_weights
+from .owo import output_weight_step
 
 ALGORITHMS = ("owo-bp", "owo-molf", "owo-newton", "amolf", "lm", "cg")
 
@@ -51,6 +58,10 @@ ALGORITHMS = ("owo-bp", "owo-molf", "owo-newton", "amolf", "lm", "cg")
 OLF_FALLBACK = 1e-3
 CURVATURE_FLOOR = 1e-12
 LM_MAX_RETRIES = 10
+# LM damping bounds, far outside the 1e-5..1e-2 that training visits on the
+# matrix-inversion benchmarks; unbounded, a stalled run overflows to inf.
+LM_LAMBDA_MIN = 1e-12
+LM_LAMBDA_MAX = 1e12
 DEFAULT_SEARCH_PERIOD = 50
 DEFAULT_LM_LAMBDA = 1e-2
 
@@ -96,16 +107,6 @@ def build_partition(curvature: np.ndarray, n_groups: int) -> GroupPartition:
         sizes=sizes,
         boundaries=boundaries,
         group_of_position=np.repeat(np.arange(n_groups), sizes),
-    )
-
-
-def single_group_partition(n_hidden: int, n_augmented: int) -> GroupPartition:
-    """The one-group-per-unit partition (one step size per hidden unit)."""
-    return GroupPartition(
-        order=np.tile(np.arange(n_augmented), (n_hidden, 1)),
-        sizes=np.array([n_augmented], dtype=np.int64),
-        boundaries=np.array([0, n_augmented], dtype=np.int64),
-        group_of_position=np.zeros(n_augmented, dtype=np.int64),
     )
 
 
@@ -168,23 +169,6 @@ def assemble_grouped_direct(
     return ha.reshape(nh * ng, nh * ng), ga.ravel()
 
 
-def grouped_gradient_from_residuals(
-    mlp: Mlp,
-    dataset: Dataset,
-    trace: ForwardTrace,
-    grads: GradientBundle,
-    part: GroupPartition,
-) -> np.ndarray:
-    """The grouped step-size gradient accumulated from residuals pattern by
-    pattern; equals the group sums of squared weight gradients up to
-    rounding, and exists so that identity can be asserted rather than
-    assumed."""
-    t = _group_weight_tensor(grads.input_weights, part)
-    delta_net = np.tensordot(dataset.inputs, t, axes=([1], [1]))
-    deltas = hidden_deltas(mlp, dataset, trace)
-    return np.einsum("pk,pkc->kc", deltas, delta_net).ravel() / dataset.n_patterns
-
-
 def assemble_grouped_from_hessian(
     hessian: HessianBundle, grads: GradientBundle, part: GroupPartition
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +215,7 @@ def olf(
 def molf_solve(hessian: HessianBundle, grads: GradientBundle) -> np.ndarray:
     """One optimal step size per hidden unit, by compressing the full
     input-weight Hessian onto the per-unit gradient directions."""
-    nh, n1 = grads.input_weights.shape
-    part = single_group_partition(nh, n1)
+    part = build_partition(np.zeros_like(grads.input_weights), 1)
     ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
     return solve_sym(ha, ga).solution
 
@@ -326,12 +309,13 @@ def initial_group_search(
 
 @dataclass(frozen=True)
 class AmolfState:
-    """Adaptive-grouping bookkeeping carried across iterations.
+    """Grouped-step bookkeeping carried across iterations.
 
     ``epm_history`` holds (iteration, error change per multiply) pairs.
     ``fixed_n_groups`` pins the group count and disables both the searches
-    and the adaptation; pinning at 1 reproduces the one-factor-per-unit
-    trainer exactly.
+    and the adaptation. owo-molf is the grouped step pinned at one group
+    (one step size per hidden unit), so its state carries
+    ``fixed_n_groups=1``.
     """
 
     n_groups: int = 1
@@ -372,6 +356,12 @@ def init_state(
 ) -> TrainerState:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if lm_lambda < 0.0:
+        raise ValueError(f"lm_lambda must be non-negative, got {lm_lambda}")
+    if fixed_n_groups is not None and not 1 <= fixed_n_groups <= dataset.n_inputs:
+        raise ValueError(
+            f"fixed_n_groups must be in 1..{dataset.n_inputs}, got {fixed_n_groups}"
+        )
     state = TrainerState(
         mlp=mlp,
         dataset=dataset,
@@ -384,13 +374,9 @@ def init_state(
         state.amolf = AmolfState(
             search_period=search_period, fixed_n_groups=fixed_n_groups
         )
+    elif algorithm == "owo-molf":
+        state.amolf = AmolfState(fixed_n_groups=1)
     return state
-
-
-def _perform_owo(mlp: Mlp, dataset: Dataset) -> Mlp:
-    trace = forward(mlp, dataset)
-    solution = solve_output_weights(accumulate_correlations(dataset, trace))
-    return install_output_weights(mlp, solution)
 
 
 def _dims(state: TrainerState) -> tuple[int, int, int, int]:
@@ -398,42 +384,32 @@ def _dims(state: TrainerState) -> tuple[int, int, int, int]:
     return d.n_inputs, state.mlp.n_hidden, d.n_outputs, d.n_patterns
 
 
+def _advance(
+    state: TrainerState, mlp: Mlp, error: float, multiplies: int, **changes
+) -> TrainerState:
+    """Record one iteration's multiplies and return the state after it;
+    ``error`` is a fresh error evaluation of ``mlp``."""
+    state.ledger.record(multiplies)
+    return replace(
+        state, mlp=mlp, last_error=error, iteration=state.iteration + 1, **changes
+    )
+
+
+def _output_solve(mlp: Mlp, dataset: Dataset) -> tuple[Mlp, float]:
+    """Tail of the trainers that move the input weights first: one forward
+    pass, the output-weight solve, and the error of the result."""
+    mlp, trace = output_weight_step(mlp, dataset, forward(mlp, dataset))
+    return mlp, output_mse(dataset, trace.output)
+
+
 def owo_bp_iteration(state: TrainerState) -> TrainerState:
     """Output-weight solve, then a gradient step with the optimal step size."""
     d = state.dataset
-    mlp = _perform_owo(state.mlp, d)
-    trace = forward(mlp, d)
+    mlp, trace = output_weight_step(state.mlp, d, forward(state.mlp, d))
     grads = backprop(mlp, d, trace)
     z = olf(mlp, d, grads, trace)
     mlp = replace(mlp, w=mlp.w + z * grads.input_weights)
-    state.ledger.record(cost.mult_owo_bp(*_dims(state)))
-    return replace(
-        state, mlp=mlp, iteration=state.iteration + 1, last_error=mse(mlp, d)
-    )
-
-
-def _grouped_input_step(
-    mlp: Mlp, dataset: Dataset, part: GroupPartition
-) -> tuple[Mlp, GradientBundle]:
-    """Shared step of the grouped trainers: backprop, solve the grouped
-    step-size system from per-pattern sums, and move the input weights."""
-    trace = forward(mlp, dataset)
-    grads = backprop(mlp, dataset, trace)
-    ha, ga = assemble_grouped_direct(mlp, dataset, trace, grads, part)
-    z = solve_sym(ha, ga).solution
-    return apply_grouped_step(mlp, grads, part, z), grads
-
-
-def owo_molf_iteration(state: TrainerState) -> TrainerState:
-    """One optimal step size per hidden unit, then the output-weight solve."""
-    d = state.dataset
-    part = single_group_partition(state.mlp.n_hidden, d.n_inputs + 1)
-    mlp, _ = _grouped_input_step(state.mlp, d, part)
-    mlp = _perform_owo(mlp, d)
-    state.ledger.record(cost.mult_owo_molf(*_dims(state)))
-    return replace(
-        state, mlp=mlp, iteration=state.iteration + 1, last_error=mse(mlp, d)
-    )
+    return _advance(state, mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)))
 
 
 def owo_newton_iteration(state: TrainerState) -> TrainerState:
@@ -443,19 +419,17 @@ def owo_newton_iteration(state: TrainerState) -> TrainerState:
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
     hessian = gauss_newton_input_hessian(mlp, d, trace, grads)
-    mlp = replace(mlp, w=mlp.w + newton_input_step(hessian, d.n_inputs))
-    mlp = _perform_owo(mlp, d)
-    state.ledger.record(cost.mult_owo_newton(*_dims(state)))
-    return replace(
-        state, mlp=mlp, iteration=state.iteration + 1, last_error=mse(mlp, d)
-    )
+    step = newton_input_step(hessian, d.n_inputs)
+    mlp, err = _output_solve(replace(mlp, w=mlp.w + step), d)
+    return _advance(state, mlp, err, cost.mult_owo_newton(*_dims(state)))
 
 
 def amolf_iteration(state: TrainerState) -> TrainerState:
-    """Adaptive grouped step: pick the group count (exhaustive search on the
-    first iteration and periodically after, error-per-multiply adaptation
-    otherwise), take the grouped step, solve output weights, record the
-    iteration's error change per multiply."""
+    """Grouped step of amolf and owo-molf: pick the group count (pinned, or
+    an exhaustive search on the first iteration and periodically after, or
+    error-per-multiply adaptation otherwise), take the grouped step, solve
+    output weights, record the iteration's error change per multiply.
+    owo-molf is pinned at one group and charged its own cost formula."""
     d = state.dataset
     mlp = state.mlp
     ast = state.amolf
@@ -486,49 +460,29 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
     part = build_partition(curvature, n_groups)
     ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
     z = solve_sym(ha, ga).solution
-    mlp = apply_grouped_step(mlp, grads, part, z)
-    mlp = _perform_owo(mlp, d)
-    err = mse(mlp, d)
+    mlp, err = _output_solve(apply_grouped_step(mlp, grads, part, z), d)
 
-    multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
+    if state.algorithm == "owo-molf":
+        multiplies = cost.mult_owo_molf(n, nh, m, nv)
+    else:
+        multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
+    surcharge = cost.mult_amolf_search(n, nh, m, nv) if searched else 0
     epm_now = cost.epm(state.last_error, err, multiplies)
-    state.ledger.record(
-        multiplies + (cost.mult_amolf_search(n, nh, m, nv) if searched else 0)
-    )
-    new_amolf = replace(
-        ast,
-        n_groups=n_groups,
-        epm_history=ast.epm_history + ((iteration, epm_now),),
-    )
-    return replace(
-        state,
-        mlp=mlp,
-        iteration=iteration,
-        last_error=err,
-        amolf=new_amolf,
-    )
+    history = ast.epm_history + ((iteration, epm_now),)
+    new_amolf = replace(ast, n_groups=n_groups, epm_history=history)
+    return _advance(state, mlp, err, multiplies + surcharge, amolf=new_amolf)
 
 
-def _pack_direction(grads: GradientBundle) -> np.ndarray:
-    return np.concatenate(
-        (
-            grads.input_weights.ravel(),
-            grads.output_weights.ravel(),
-            grads.bypass_weights.ravel(),
-        )
+def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
+    """``mlp`` with every weight moved by ``step`` times its entry of a
+    direction in the all-weight order of ``gradients.pack``."""
+    d = unpack(packed_direction, mlp)
+    return Mlp(
+        w=mlp.w + step * d.input_weights,
+        woh=mlp.woh + step * d.output_weights,
+        woi=mlp.woi + step * d.bypass_weights,
+        activation=mlp.activation,
     )
-
-
-def _unpack_direction(
-    mlp: Mlp, vec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n1 = mlp.n_inputs + 1
-    nh, m = mlp.n_hidden, mlp.n_outputs
-    niw = nh * n1
-    d_w = vec[:niw].reshape(nh, n1)
-    d_woh = vec[niw : niw + m * nh].reshape(m, nh)
-    d_woi = vec[niw + m * nh :].reshape(m, n1)
-    return d_w, d_woh, d_woi
 
 
 def lm_iteration(state: TrainerState) -> TrainerState:
@@ -536,9 +490,11 @@ def lm_iteration(state: TrainerState) -> TrainerState:
 
     Solves the ridged system at the current damping; on error decrease the
     step is accepted and the damping shrinks tenfold, otherwise it grows
-    tenfold and the solve is retried. After LM_MAX_RETRIES consecutive
-    rejections the iteration ends with the weights unchanged, flagged
-    stalled.
+    tenfold and the solve is retried. The damping stays within
+    [LM_LAMBDA_MIN, LM_LAMBDA_MAX]; a rejection at the cap ends the retries,
+    since another solve at the same damping would repeat the same step.
+    After LM_MAX_RETRIES consecutive rejections, or one at the cap, the
+    iteration ends with the weights unchanged, flagged stalled.
     """
     d = state.dataset
     mlp = state.mlp
@@ -547,33 +503,24 @@ def lm_iteration(state: TrainerState) -> TrainerState:
     hessian, gradient = gauss_newton_full_hessian(mlp, d, trace, grads)
     base_error = output_mse(d, trace.output)
 
-    lam = state.lm_lambda
+    lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
     new_mlp, err = mlp, base_error
     for _ in range(LM_MAX_RETRIES):
         step = solve_sym(hessian, gradient, ridge=lam).solution
-        d_w, d_woh, d_woi = _unpack_direction(mlp, step)
-        candidate = Mlp(
-            w=mlp.w + d_w,
-            woh=mlp.woh + d_woh,
-            woi=mlp.woi + d_woi,
-            activation=mlp.activation,
-        )
+        candidate = _moved(mlp, step, 1.0)
         candidate_error = mse(candidate, d)
         if candidate_error < base_error:
             new_mlp, err, accepted = candidate, candidate_error, True
-            lam /= 10.0
+            lam = max(lam / 10.0, LM_LAMBDA_MIN)
             break
-        lam *= 10.0
+        if lam >= LM_LAMBDA_MAX:
+            break
+        lam = min(lam * 10.0, LM_LAMBDA_MAX)
 
-    state.ledger.record(cost.mult_lm(*_dims(state)))
-    return replace(
-        state,
-        mlp=new_mlp,
-        iteration=state.iteration + 1,
-        last_error=err,
-        lm_lambda=lam,
-        lm_stalled=not accepted,
+    multiplies = cost.mult_lm(*_dims(state))
+    return _advance(
+        state, new_mlp, err, multiplies, lm_lambda=lam, lm_stalled=not accepted
     )
 
 
@@ -583,27 +530,22 @@ def cg_iteration(state: TrainerState) -> TrainerState:
     d = state.dataset
     mlp = state.mlp
     trace = forward(mlp, d)
-    grads = backprop(mlp, d, trace)
-    gradient = _pack_direction(grads)
+    gradient = pack(backprop(mlp, d, trace))
     direction = fletcher_reeves_direction(
         gradient, state.cg_direction, state.cg_gradient_norm_sq
     )
-    d_w, d_woh, d_woi = _unpack_direction(mlp, direction)
-    denominator = gn_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi)
+    along = unpack(direction, mlp)
+    denominator = gn_curvature_along_direction(
+        mlp, d, trace, along.input_weights, along.output_weights, along.bypass_weights
+    )
     slope = float(gradient @ direction)
     step = slope / denominator if denominator > CURVATURE_FLOOR else OLF_FALLBACK
-    mlp = Mlp(
-        w=mlp.w + step * d_w,
-        woh=mlp.woh + step * d_woh,
-        woi=mlp.woi + step * d_woi,
-        activation=mlp.activation,
-    )
-    state.ledger.record(cost.mult_cg(*_dims(state)))
-    return replace(
+    mlp = _moved(mlp, direction, step)
+    return _advance(
         state,
-        mlp=mlp,
-        iteration=state.iteration + 1,
-        last_error=mse(mlp, d),
+        mlp,
+        mse(mlp, d),
+        cost.mult_cg(*_dims(state)),
         cg_direction=direction,
         cg_gradient_norm_sq=float(gradient @ gradient),
     )
@@ -611,7 +553,7 @@ def cg_iteration(state: TrainerState) -> TrainerState:
 
 _ITERATIONS = {
     "owo-bp": owo_bp_iteration,
-    "owo-molf": owo_molf_iteration,
+    "owo-molf": amolf_iteration,
     "owo-newton": owo_newton_iteration,
     "amolf": amolf_iteration,
     "lm": lm_iteration,

@@ -13,7 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from amolf.dataset import Dataset, make_dataset
+from amolf.gradients import hidden_deltas
 from amolf.network import ACTIVATIONS, Mlp, mse
+from amolf.trainers import GroupPartition, build_partition
 
 
 def scalar_forward(mlp: Mlp, dataset: Dataset):
@@ -113,6 +115,32 @@ def gauss_elimination_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x[:, 0] if vector else x
+
+
+def single_group_partition(n_hidden: int, n_augmented: int) -> GroupPartition:
+    """One group per hidden unit (one step size per unit): with equal
+    curvature everywhere, build_partition keeps every unit's inputs in
+    index order."""
+    return build_partition(np.zeros((n_hidden, n_augmented)), 1)
+
+
+def grouped_gradient_from_residuals(
+    mlp: Mlp, dataset: Dataset, trace, grads, part: GroupPartition
+) -> np.ndarray:
+    """The grouped step-size gradient accumulated from the hidden deltas,
+    weight by weight: the residual-side derivation of what the package
+    computes as group sums of squared weight gradients."""
+    deltas = hidden_deltas(mlp, dataset, trace)
+    gw = grads.input_weights
+    nh, n1 = gw.shape
+    out = np.zeros((nh, part.n_groups))
+    for k in range(nh):
+        for pos in range(n1):
+            n = part.order[k, pos]
+            out[k, part.group_of_position[pos]] += gw[k, n] * (
+                deltas[:, k] @ dataset.inputs[:, n]
+            )
+    return out.ravel() / dataset.n_patterns
 
 
 def random_spd(rng: np.random.Generator, n: int, jitter: float = 0.5) -> np.ndarray:

@@ -27,7 +27,6 @@ from amolf.trainers import (
     init_state,
     iterate,
     newton_input_step,
-    single_group_partition,
 )
 from support import (
     fd_gradients,
@@ -37,6 +36,7 @@ from support import (
     random_network,
     random_spd,
     relative_max_error,
+    single_group_partition,
 )
 
 

@@ -1,8 +1,15 @@
 import subprocess
 import sys
 
+import numpy as np
+import pytest
 
+import amolf.trainers
 from amolf.cli import main
+from amolf.dataset import gen_matrix_inversion, normalize_zero_mean
+from amolf.experiment import trial_seed
+from amolf.network import init_net_control, load_mlp
+from amolf.trainers import init_state
 
 
 def run_cli(args):
@@ -117,6 +124,29 @@ def test_count_mults_stdout(capsys):
     assert counts["lm"] == "342657100"
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        ("--ng", "0"),
+        ("--ng", "5"),
+        ("--n", "0"),
+        ("--m", "0"),
+        ("--nh", "0"),
+        ("--nv", "0"),
+        ("--nh", "-3"),
+    ],
+)
+def test_count_mults_rejects_impossible_configurations(change, capsys):
+    args = {"--n": "4", "--m": "4", "--nh": "30", "--nv": "2000", "--ng": "2"}
+    args[change[0]] = change[1]
+    argv = ["count-mults"] + [tok for pair in args.items() for tok in pair]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_missing_file_is_one_line_error(tmp_path):
     result = run_cli(
         ["train", "--data", str(tmp_path / "absent.tra"), "--n", "4", "--m", "4",
@@ -163,8 +193,38 @@ def test_save_model_round_trips(tmp_path):
         ]
     )
     assert code == 0
-    from amolf.network import load_mlp
-
     mlp = load_mlp(str(model))
     assert mlp.n_hidden == 3
     assert mlp.n_inputs == 4
+
+
+def test_save_model_is_trial_zero_without_retraining(tmp_path, monkeypatch):
+    calls = []
+    step = amolf.trainers.amolf_iteration
+
+    def counting_step(state):
+        calls.append(1)
+        return step(state)
+
+    # Counted below every caller of iterate, wherever it was imported.
+    monkeypatch.setitem(amolf.trainers._ITERATIONS, "amolf", counting_step)
+    model = tmp_path / "model.txt"
+    argv = [
+        "train", "--synthetic", "matinv", "--patterns", "60", "--nh", "3",
+        "--algo", "amolf", "--iters", "4", "--trials", "2", "--seed", "3",
+        "--search-period", "2", "--out", str(tmp_path / "curve.csv"),
+        "--save-model", str(model),
+    ]
+    assert main(argv) == 0
+    assert len(calls) == 2 * 4
+
+    data, _ = normalize_zero_mean(gen_matrix_inversion(60, 3))
+    state = init_state(
+        "amolf", init_net_control(data, 3, trial_seed(3, 0)), data, search_period=2
+    )
+    for _ in range(4):
+        state = step(state)
+    saved = load_mlp(str(model))
+    assert np.array_equal(saved.w, state.mlp.w)
+    assert np.array_equal(saved.woh, state.mlp.woh)
+    assert np.array_equal(saved.woi, state.mlp.woi)

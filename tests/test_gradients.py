@@ -13,7 +13,9 @@ from amolf.gradients import (
     gn_curvature_along_direction,
     gn_curvature_along_input_direction,
     output_hessian_gradient,
+    pack,
     unflatten_index,
+    unpack,
 )
 from amolf.linalg import solve_sym
 from amolf.network import Mlp, forward, mse
@@ -102,6 +104,17 @@ def test_flatten_round_trip():
             assert unflatten_index(flat, n_inputs) == (k, n)
     g = np.arange(4 * 7, dtype=float).reshape(4, 7)
     assert np.array_equal(g.ravel().reshape(4, 7), g)
+
+
+def test_pack_unpack_round_trip():
+    mlp, d = random_network(np.random.default_rng(8), 3, 4, 2, 20)
+    grads = backprop(mlp, d, forward(mlp, d))
+    vec = pack(grads)
+    assert vec.shape == (4 * 4 + 2 * 4 + 2 * 4,)
+    back = unpack(vec, mlp)
+    assert np.array_equal(back.input_weights, grads.input_weights)
+    assert np.array_equal(back.output_weights, grads.output_weights)
+    assert np.array_equal(back.bypass_weights, grads.bypass_weights)
 
 
 def test_output_hessian_gradient_zero_weights_single_output():

@@ -8,6 +8,7 @@ from amolf.owo import (
     accumulate_correlations,
     augmented_basis,
     install_output_weights,
+    output_weight_step,
     solve_output_weights,
 )
 from support import random_network, scalar_correlations
@@ -121,3 +122,19 @@ def test_basis_ordering_inputs_then_activations():
     basis = augmented_basis(d, trace)
     assert np.array_equal(basis[:, : d.n_inputs + 1], d.inputs)
     assert np.array_equal(basis[:, d.n_inputs + 1 :], trace.activ)
+
+
+def test_output_weight_step_refreshes_outputs_bit_for_bit():
+    for activation in ("sigmoid", "tanh"):
+        mlp, d = random_network(np.random.default_rng(7), 4, 3, 2, 30, activation)
+        trace = forward(mlp, d)
+        solved, refreshed = output_weight_step(mlp, d, trace)
+        expected = install_output_weights(
+            mlp, solve_output_weights(accumulate_correlations(d, trace))
+        )
+        fresh = forward(solved, d)
+        assert np.array_equal(solved.w, mlp.w)
+        assert np.array_equal(solved.woh, expected.woh)
+        assert np.array_equal(solved.woi, expected.woi)
+        for name in ("net", "activ", "output"):
+            assert np.array_equal(getattr(refreshed, name), getattr(fresh, name))
