@@ -28,7 +28,7 @@ from .experiment import (
     run_kfold,
     run_training,
 )
-from .gradients import GradientBundle, HessianBundle, backprop, curvature_map
+from .gradients import GradientBundle, backprop, curvature_map
 from .linalg import SolveReport, solve_sym
 from .network import ForwardTrace, Mlp, forward, init_net_control, mse
 from .owo import Correlations, accumulate_correlations, solve_output_weights
@@ -55,7 +55,6 @@ __all__ = [
     "ForwardTrace",
     "GradientBundle",
     "GroupPartition",
-    "HessianBundle",
     "KfoldReport",
     "Mlp",
     "NormalizationStats",

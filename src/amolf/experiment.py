@@ -16,16 +16,10 @@ import numpy as np
 
 from .dataset import Dataset, kfold_split, normalize_zero_mean, take
 from .network import Mlp, init_net_control, mse
-from .trainers import (
-    ALGORITHMS,
-    DEFAULT_LM_LAMBDA,
-    DEFAULT_SEARCH_PERIOD,
-    init_state,
-    iterate,
-)
+from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD, init_state, iterate
 
 DEFAULT_PATIENCE = 20
-DEFAULT_MIN_IMPROVEMENT = 1e-6  # relative validation-error improvement
+MIN_IMPROVEMENT = 1e-6  # relative validation-error improvement
 
 
 @dataclass(frozen=True)
@@ -38,9 +32,7 @@ class ExperimentConfig:
     seed: int = 0
     activation: str = "sigmoid"
     search_period: int = DEFAULT_SEARCH_PERIOD
-    lm_lambda: float = DEFAULT_LM_LAMBDA
     patience: int = DEFAULT_PATIENCE
-    min_improvement: float = DEFAULT_MIN_IMPROVEMENT
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -53,6 +45,8 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if self.n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
+        if self.search_period < 0:
+            raise ValueError("search_period must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
@@ -93,11 +87,7 @@ def trial_seed(seed: int, index: int) -> int:
 
 def _new_state(config: ExperimentConfig, mlp: Mlp, data: Dataset):
     return init_state(
-        config.algorithm,
-        mlp,
-        data,
-        search_period=config.search_period,
-        lm_lambda=config.lm_lambda,
+        config.algorithm, mlp, data, search_period=config.search_period
     )
 
 
@@ -130,7 +120,7 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
     """k rounds of train / validation-early-stop / test.
 
     An iteration improves when the validation error drops by at least
-    ``min_improvement`` relative to the best seen; after ``patience``
+    ``MIN_IMPROVEMENT`` relative to the best seen; after ``patience``
     consecutive non-improving iterations training stops, capped at
     ``config.iterations``. The reported errors are those of the
     best-validation model.
@@ -156,7 +146,7 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
         for _ in range(config.iterations):
             state = iterate(state)
             val_error = mse(state.mlp, val_data)
-            if val_error <= best_val * (1.0 - config.min_improvement):
+            if val_error <= best_val * (1.0 - MIN_IMPROVEMENT):
                 best_val = val_error
                 best_mlp = state.mlp
                 stall = 0

@@ -7,7 +7,8 @@ outer products scaled by 2/n_patterns), hence symmetric positive
 semi-definite by construction.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
-k * (n_inputs + 1) + n, and plain reshape inverts the map.
+k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
+builders return the matrix alone; its gradient comes from ``backprop``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .network import ForwardTrace, Mlp, activation_derivative
-from .owo import augmented_basis
 
 
 @dataclass(frozen=True)
@@ -30,31 +30,9 @@ class GradientBundle:
     bypass_weights: np.ndarray  # (n_outputs, n_inputs + 1)
 
 
-@dataclass(frozen=True)
-class HessianBundle:
-    """Flattened Gauss-Newton input-weight Hessian with its gradient vector."""
-
-    matrix: np.ndarray  # (n_iw, n_iw) with n_iw = n_hidden * (n_inputs + 1)
-    gradient: np.ndarray  # (n_iw,) flattened negative gradient
-
-
-def flatten_index(unit: int, input_index: int, n_inputs: int) -> int:
-    """Position of input weight (unit, input_index) in the flattened vector."""
-    return unit * (n_inputs + 1) + input_index
-
-
-def unflatten_index(flat: int, n_inputs: int) -> tuple[int, int]:
-    return divmod(flat, n_inputs + 1)
-
-
 def output_deltas(dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
     """Per-pattern negative-gradient output deltas, 2 * (target - output)."""
     return 2.0 * (dataset.targets - trace.output)
-
-
-def hidden_deltas(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
-    """Output deltas pushed through the output weights and the activation slope."""
-    return activation_derivative(mlp, trace) * (output_deltas(dataset, trace) @ mlp.woh)
 
 
 def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
@@ -70,11 +48,8 @@ def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
 
 
 def gauss_newton_input_hessian(
-    mlp: Mlp,
-    dataset: Dataset,
-    trace: ForwardTrace,
-    grads: GradientBundle | None = None,
-) -> HessianBundle:
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
+) -> np.ndarray:
     """Gauss-Newton Hessian over the input weights, flattened row-major.
 
     Entry ((k, n), (j, m)) is 2/n_patterns times the pattern-and-output sum
@@ -88,9 +63,7 @@ def gauss_newton_input_hessian(
     gram = psi.T @ psi
     s = mlp.woh.T @ mlp.woh
     h = (2.0 / nv) * gram.reshape(nh, n1, nh, n1) * s[:, None, :, None]
-    if grads is None:
-        grads = backprop(mlp, dataset, trace)
-    return HessianBundle(matrix=h.reshape(nh * n1, nh * n1), gradient=grads.input_weights.ravel())
+    return h.reshape(nh * n1, nh * n1)
 
 
 def gn_curvature_along_input_direction(
@@ -120,25 +93,6 @@ def gn_curvature_along_direction(
     return float(2.0 * (u * u).sum() / dataset.n_patterns)
 
 
-def output_hessian_gradient(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton system for the output-side weights at the current point.
-
-    The Hessian is block diagonal: one copy of twice the basis
-    autocorrelation per output. The negative gradient flattens output-major,
-    entry (i, j) at position i * n_basis + j.
-    """
-    nv = dataset.n_patterns
-    basis = augmented_basis(dataset, trace)
-    r = basis.T @ basis / nv
-    m = dataset.n_outputs
-    ho = np.kron(np.eye(m), 2.0 * r)
-    residual = dataset.targets - trace.output
-    go = (2.0 / nv) * (residual.T @ basis)
-    return ho, go.ravel()
-
-
 def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
     """Per-weight diagonal Gauss-Newton curvature of the input weights.
 
@@ -154,16 +108,12 @@ def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray
 
 
 def gauss_newton_full_hessian(
-    mlp: Mlp,
-    dataset: Dataset,
-    trace: ForwardTrace,
-    grads: GradientBundle | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton Hessian and negative gradient over every weight.
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
+) -> np.ndarray:
+    """Gauss-Newton Hessian over every weight, in the order of ``pack``.
 
-    Weight order is the concatenation of the flattened input, output, and
-    bypass matrices. Built from the dense per-pattern output Jacobian, so
-    memory is n_patterns * n_outputs * n_weights; meant for small networks.
+    Built from the dense per-pattern output Jacobian, so memory is
+    n_patterns * n_outputs * n_weights; meant for small networks.
     """
     nv, n1 = dataset.n_patterns, dataset.n_inputs + 1
     nh, m = mlp.n_hidden, mlp.n_outputs
@@ -179,10 +129,7 @@ def gauss_newton_full_hessian(
         off = niw + m * nh
         jac[:, i, off + i * n1 : off + (i + 1) * n1] = dataset.inputs
     flat = jac.reshape(nv * m, nw)
-    h = (2.0 / nv) * (flat.T @ flat)
-    if grads is None:
-        grads = backprop(mlp, dataset, trace)
-    return h, pack(grads)
+    return (2.0 / nv) * (flat.T @ flat)
 
 
 def pack(grads: GradientBundle) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 # Relative tolerance for the symmetry check in solve_sym.
 SYMMETRY_RTOL = 1e-9
 # A pivot counts as zero when its magnitude is below PIVOT_RTOL times the
-# largest diagonal entry of the (possibly ridged) matrix.
+# largest diagonal entry of the matrix.
 PIVOT_RTOL = 1e-10
 
 
@@ -31,26 +31,22 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
 class SolveReport:
     """Outcome of a symmetric solve.
 
-    ``rank_deficient`` is set whenever the returned solution is not a plain
-    full-rank solve of the original matrix: either zero pivots were skipped
-    or a diagonal ridge was applied. ``regularization_used`` echoes the
-    ridge magnitude (0 when none was requested).
+    ``rank_deficient`` is set exactly when zero pivots were skipped, so the
+    returned solution leaves some unknowns at zero.
     """
 
     solution: np.ndarray
     rank_deficient: bool
-    regularization_used: float
 
 
-def solve_sym(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> SolveReport:
+def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     """Solve A·X = B for symmetric positive semi-definite A.
 
     Gaussian elimination with diagonal pivots taken in fixed order. Pivots
     whose magnitude falls below ``PIVOT_RTOL * max(diag)`` are skipped and
     the corresponding solution rows are zero, mirroring the column-dropping
     behaviour of an orthogonal least-squares solve on a rank-deficient
-    system. Passing ``ridge > 0`` solves (A + ridge·I)·X = B instead, which
-    is the damped-Hessian path; a healthy ridged system skips no pivots.
+    system.
 
     B may be a vector or a matrix of right-hand sides; the solution matches
     its shape. Deterministic: identical inputs give bit-identical output.
@@ -66,17 +62,12 @@ def solve_sym(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> SolveReport:
         raise ValueError(
             f"right-hand side shape {b.shape} incompatible with {n}x{n} matrix"
         )
-    if ridge < 0.0:
-        raise ValueError("ridge must be non-negative")
 
     scale = float(np.abs(a).max()) if a.size else 0.0
     if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
 
     u = a.copy()
-    if ridge > 0.0:
-        u[np.diag_indices(n)] += ridge
-
     skipped = np.zeros(n, dtype=bool)
     diag_max = float(u.diagonal().max()) if n else 0.0
     if diag_max <= 0.0:
@@ -105,6 +96,5 @@ def solve_sym(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> SolveReport:
     check_finite(x, "solution")
     return SolveReport(
         solution=x[:, 0] if vector_rhs else x,
-        rank_deficient=bool(skipped.any()) or ridge > 0.0,
-        regularization_used=float(ridge),
+        rank_deficient=bool(skipped.any()),
     )

@@ -38,7 +38,6 @@ from .cost import CostLedger
 from .dataset import Dataset
 from .gradients import (
     GradientBundle,
-    HessianBundle,
     backprop,
     curvature_map,
     gauss_newton_input_hessian,
@@ -63,7 +62,7 @@ LM_MAX_RETRIES = 10
 LM_LAMBDA_MIN = 1e-12
 LM_LAMBDA_MAX = 1e12
 DEFAULT_SEARCH_PERIOD = 50
-DEFAULT_LM_LAMBDA = 1e-2
+LM_LAMBDA_START = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +169,11 @@ def assemble_grouped_direct(
 
 
 def assemble_grouped_from_hessian(
-    hessian: HessianBundle, grads: GradientBundle, part: GroupPartition
+    hessian: np.ndarray, grads: GradientBundle, part: GroupPartition
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped step-size system compressed out of the full input-weight
-    Hessian, so candidate group counts can be evaluated without recomputing
-    any per-pattern sums."""
+    Hessian (``gauss_newton_input_hessian``), so candidate group counts can
+    be evaluated without recomputing any per-pattern sums."""
     gw = grads.input_weights
     nh, n1 = gw.shape
     ng = part.n_groups
@@ -183,7 +182,7 @@ def assemble_grouped_from_hessian(
     units = np.arange(nh)
     p[units, :, units, :] = t
     p = p.reshape(nh * n1, nh * ng)
-    ha = p.T @ (hessian.matrix @ p)
+    ha = p.T @ (hessian @ p)
     ga = _grouped_gradient_squares(gw, t)
     return ha, ga.ravel()
 
@@ -193,7 +192,7 @@ def assemble_grouped_from_hessian(
 
 
 def olf(
-    mlp: Mlp, dataset: Dataset, grads: GradientBundle, trace: ForwardTrace | None = None
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, grads: GradientBundle
 ) -> float:
     """Optimal scalar step size along the input-weight gradient.
 
@@ -201,8 +200,6 @@ def olf(
     Gauss-Newton curvature along the gradient direction, both at step 0.
     Falls back to a small constant when the curvature vanishes.
     """
-    if trace is None:
-        trace = forward(mlp, dataset)
     numerator = float((grads.input_weights * grads.input_weights).sum())
     denominator = gn_curvature_along_input_direction(
         mlp, dataset, trace, grads.input_weights
@@ -212,22 +209,15 @@ def olf(
     return numerator / denominator
 
 
-def molf_solve(hessian: HessianBundle, grads: GradientBundle) -> np.ndarray:
-    """One optimal step size per hidden unit, by compressing the full
-    input-weight Hessian onto the per-unit gradient directions."""
-    part = build_partition(np.zeros_like(grads.input_weights), 1)
-    ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
-    return solve_sym(ha, ga).solution
-
-
-def newton_input_step(hessian: HessianBundle, n_inputs: int) -> np.ndarray:
-    """Full second-order input-weight change, unflattened to matrix shape.
+def newton_input_step(hessian: np.ndarray, grads: GradientBundle) -> np.ndarray:
+    """Full second-order input-weight change from the input-weight Hessian
+    and the gradients, in the shape of the input weights.
 
     Singular Hessians fall back to pivot skipping: excluded weights simply
     do not move.
     """
-    report = solve_sym(hessian.matrix, hessian.gradient)
-    return report.solution.reshape(-1, n_inputs + 1)
+    gw = grads.input_weights
+    return solve_sym(hessian, gw.ravel()).solution.reshape(gw.shape)
 
 
 def fletcher_reeves_direction(
@@ -269,30 +259,20 @@ def adapt_group_count(
 def initial_group_search(
     mlp: Mlp,
     dataset: Dataset,
-    *,
-    trace: ForwardTrace | None = None,
-    grads: GradientBundle | None = None,
-    curvature: np.ndarray | None = None,
-    max_groups: int | None = None,
+    trace: ForwardTrace,
+    grads: GradientBundle,
+    curvature: np.ndarray,
 ) -> int:
-    """Exhaustive group-count selection.
+    """Exhaustive group-count selection over 1..n_inputs groups.
 
     Builds the full input-weight Hessian once, then for every candidate
     count compresses it onto the grouped unknowns, solves, applies the
     trial step to a scratch copy, and evaluates the resulting error. The
     candidate with the lowest error wins; ties go to the smaller count.
     """
-    if trace is None:
-        trace = forward(mlp, dataset)
-    if grads is None:
-        grads = backprop(mlp, dataset, trace)
-    if curvature is None:
-        curvature = curvature_map(mlp, dataset, trace)
-    if max_groups is None:
-        max_groups = dataset.n_inputs
-    hessian = gauss_newton_input_hessian(mlp, dataset, trace, grads)
+    hessian = gauss_newton_input_hessian(mlp, dataset, trace)
     best_count, best_error = 1, np.inf
-    for ng in range(1, max_groups + 1):
+    for ng in range(1, dataset.n_inputs + 1):
         part = build_partition(curvature, ng)
         ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
         z = solve_sym(ha, ga).solution
@@ -312,6 +292,8 @@ class AmolfState:
     """Grouped-step bookkeeping carried across iterations.
 
     ``epm_history`` holds (iteration, error change per multiply) pairs.
+    The group count is searched on iteration 1 and on every multiple of
+    ``search_period`` (only on iteration 1 when it is 0).
     ``fixed_n_groups`` pins the group count and disables both the searches
     and the adaptation. owo-molf is the grouped step pinned at one group
     (one step size per hidden unit), so its state carries
@@ -338,7 +320,7 @@ class TrainerState:
     ledger: CostLedger
     last_error: float
     iteration: int = 0
-    lm_lambda: float = DEFAULT_LM_LAMBDA
+    lm_lambda: float = LM_LAMBDA_START
     lm_stalled: bool = False
     cg_direction: np.ndarray | None = None
     cg_gradient_norm_sq: float | None = None
@@ -352,12 +334,11 @@ def init_state(
     *,
     search_period: int = DEFAULT_SEARCH_PERIOD,
     fixed_n_groups: int | None = None,
-    lm_lambda: float = DEFAULT_LM_LAMBDA,
 ) -> TrainerState:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if lm_lambda < 0.0:
-        raise ValueError(f"lm_lambda must be non-negative, got {lm_lambda}")
+    if search_period < 0:
+        raise ValueError(f"search_period must be >= 0, got {search_period}")
     if fixed_n_groups is not None and not 1 <= fixed_n_groups <= dataset.n_inputs:
         raise ValueError(
             f"fixed_n_groups must be in 1..{dataset.n_inputs}, got {fixed_n_groups}"
@@ -368,7 +349,6 @@ def init_state(
         algorithm=algorithm,
         ledger=CostLedger(algorithm),
         last_error=mse(mlp, dataset),
-        lm_lambda=lm_lambda,
     )
     if algorithm == "amolf":
         state.amolf = AmolfState(
@@ -407,7 +387,7 @@ def owo_bp_iteration(state: TrainerState) -> TrainerState:
     d = state.dataset
     mlp, trace = output_weight_step(state.mlp, d, forward(state.mlp, d))
     grads = backprop(mlp, d, trace)
-    z = olf(mlp, d, grads, trace)
+    z = olf(mlp, d, trace, grads)
     mlp = replace(mlp, w=mlp.w + z * grads.input_weights)
     return _advance(state, mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)))
 
@@ -418,8 +398,8 @@ def owo_newton_iteration(state: TrainerState) -> TrainerState:
     mlp = state.mlp
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
-    hessian = gauss_newton_input_hessian(mlp, d, trace, grads)
-    step = newton_input_step(hessian, d.n_inputs)
+    hessian = gauss_newton_input_hessian(mlp, d, trace)
+    step = newton_input_step(hessian, grads)
     mlp, err = _output_solve(replace(mlp, w=mlp.w + step), d)
     return _advance(state, mlp, err, cost.mult_owo_newton(*_dims(state)))
 
@@ -438,17 +418,15 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
 
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
-    curvature = curvature_map(mlp, d, trace)
 
-    searched = False
+    searched, curvature = False, None
     if ast.fixed_n_groups is not None:
         n_groups = ast.fixed_n_groups
     elif iteration == 1 or (
         ast.search_period > 0 and iteration % ast.search_period == 0
     ):
-        n_groups = initial_group_search(
-            mlp, d, trace=trace, grads=grads, curvature=curvature
-        )
+        curvature = curvature_map(mlp, d, trace)
+        n_groups = initial_group_search(mlp, d, trace, grads, curvature)
         searched = True
     elif len(ast.epm_history) >= 2:
         n_groups = adapt_group_count(
@@ -456,6 +434,12 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
         )
     else:
         n_groups = ast.n_groups
+    if curvature is None:
+        # One group holds all of a unit's inputs in any order, so its
+        # partition does not depend on the curvature.
+        curvature = (
+            np.zeros_like(mlp.w) if n_groups == 1 else curvature_map(mlp, d, trace)
+        )
 
     part = build_partition(curvature, n_groups)
     ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
@@ -488,26 +472,31 @@ def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
 def lm_iteration(state: TrainerState) -> TrainerState:
     """Damped full-network second-order step.
 
-    Solves the ridged system at the current damping; on error decrease the
-    step is accepted and the damping shrinks tenfold, otherwise it grows
-    tenfold and the solve is retried. The damping stays within
-    [LM_LAMBDA_MIN, LM_LAMBDA_MAX]; a rejection at the cap ends the retries,
-    since another solve at the same damping would repeat the same step.
-    After LM_MAX_RETRIES consecutive rejections, or one at the cap, the
-    iteration ends with the weights unchanged, flagged stalled.
+    Solves the Gauss-Newton system with the current damping added to a copy
+    of its diagonal; on error decrease the step is accepted and the damping
+    shrinks tenfold, otherwise it grows tenfold and the solve is retried.
+    The damping stays within [LM_LAMBDA_MIN, LM_LAMBDA_MAX]; a rejection at
+    the cap ends the retries, since another solve at the same damping would
+    repeat the same step. After LM_MAX_RETRIES consecutive rejections, or
+    one at the cap, the iteration ends with the weights unchanged, flagged
+    stalled. The damping lives here, not in the solver, so a solve reports
+    rank deficiency only when it skipped pivots.
     """
     d = state.dataset
     mlp = state.mlp
     trace = forward(mlp, d)
-    grads = backprop(mlp, d, trace)
-    hessian, gradient = gauss_newton_full_hessian(mlp, d, trace, grads)
+    gradient = pack(backprop(mlp, d, trace))
+    hessian = gauss_newton_full_hessian(mlp, d, trace)
+    diagonal = np.diag_indices_from(hessian)
     base_error = output_mse(d, trace.output)
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
     new_mlp, err = mlp, base_error
     for _ in range(LM_MAX_RETRIES):
-        step = solve_sym(hessian, gradient, ridge=lam).solution
+        damped = hessian.copy()
+        damped[diagonal] += lam
+        step = solve_sym(damped, gradient).solution
         candidate = _moved(mlp, step, 1.0)
         candidate_error = mse(candidate, d)
         if candidate_error < base_error:

@@ -13,9 +13,15 @@ from dataclasses import replace
 import numpy as np
 
 from amolf.dataset import Dataset, make_dataset
-from amolf.gradients import hidden_deltas
-from amolf.network import ACTIVATIONS, Mlp, mse
-from amolf.trainers import GroupPartition, build_partition
+from amolf.gradients import output_deltas
+from amolf.linalg import solve_sym
+from amolf.network import ACTIVATIONS, Mlp, activation_derivative, mse
+from amolf.owo import augmented_basis
+from amolf.trainers import (
+    GroupPartition,
+    assemble_grouped_from_hessian,
+    build_partition,
+)
 
 
 def scalar_forward(mlp: Mlp, dataset: Dataset):
@@ -117,6 +123,47 @@ def gauss_elimination_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if vector else x
 
 
+def flatten_index(unit: int, input_index: int, n_inputs: int) -> int:
+    """Position of input weight (unit, input_index) in the flattened vector."""
+    return unit * (n_inputs + 1) + input_index
+
+
+def unflatten_index(flat: int, n_inputs: int) -> tuple[int, int]:
+    return divmod(flat, n_inputs + 1)
+
+
+def hidden_deltas(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
+    """Output deltas pushed through the output weights and the activation slope."""
+    return activation_derivative(mlp, trace) * (output_deltas(dataset, trace) @ mlp.woh)
+
+
+def output_hessian_gradient(
+    mlp: Mlp, dataset: Dataset, trace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton system for the output-side weights at the current point.
+
+    The Hessian is block diagonal: one copy of twice the basis
+    autocorrelation per output. The negative gradient flattens output-major,
+    entry (i, j) at position i * n_basis + j.
+    """
+    nv = dataset.n_patterns
+    basis = augmented_basis(dataset, trace)
+    r = basis.T @ basis / nv
+    m = dataset.n_outputs
+    ho = np.kron(np.eye(m), 2.0 * r)
+    residual = dataset.targets - trace.output
+    go = (2.0 / nv) * (residual.T @ basis)
+    return ho, go.ravel()
+
+
+def molf_solve(hessian: np.ndarray, grads) -> np.ndarray:
+    """One optimal step size per hidden unit, by compressing the full
+    input-weight Hessian onto the per-unit gradient directions."""
+    part = single_group_partition(*grads.input_weights.shape)
+    ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
+    return solve_sym(ha, ga).solution
+
+
 def single_group_partition(n_hidden: int, n_augmented: int) -> GroupPartition:
     """One group per hidden unit (one step size per unit): with equal
     curvature everywhere, build_partition keeps every unit's inputs in
@@ -156,8 +203,6 @@ def grouped_quadratic_drop(h: np.ndarray, g: np.ndarray, groups) -> float:
     (non-positive when the model is consistent), evaluated directly from
     the quadratic, not through any trainer code path.
     """
-    from amolf.linalg import solve_sym
-
     basis = np.zeros((len(g), len(groups)))
     for c, idx in enumerate(groups):
         basis[idx, c] = g[idx]

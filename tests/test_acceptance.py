@@ -33,6 +33,7 @@ from support import (
     grouped_quadratic_drop,
     matrix_relative_error,
     nested_split_chain,
+    output_hessian_gradient,
     random_network,
     random_spd,
     relative_max_error,
@@ -72,7 +73,7 @@ def test_criterion_02_hessian_compression_identities():
         mlp, d = random_network(rng, 4, 3, 2, 25)
         trace = forward(mlp, d)
         grads = backprop(mlp, d, trace)
-        hessian = gauss_newton_input_hessian(mlp, d, trace, grads)
+        hessian = gauss_newton_input_hessian(mlp, d, trace)
         hw = curvature_map(mlp, d, trace)
 
         # one group per unit: compressed system vs direct accumulation
@@ -121,9 +122,9 @@ def test_criterion_03_limiting_cases():
     net, d = random_network(rng, 3, 3, 2, 40)
     trace = forward(net, d)
     grads = backprop(net, d, trace)
-    hessian = gauss_newton_input_hessian(net, d, trace, grads)
+    hessian = gauss_newton_input_hessian(net, d, trace)
     assert np.abs(grads.input_weights).min() > 0.0
-    dw_newton = newton_input_step(hessian, d.n_inputs)
+    dw_newton = newton_input_step(hessian, grads)
     part = build_partition(curvature_map(net, d, trace), d.n_inputs + 1)
     ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
     z = solve_sym(ha, ga).solution
@@ -162,8 +163,6 @@ def test_criterion_05_output_solve_equals_newton_step():
         trace = forward(mlp, d)
         corr = accumulate_correlations(d, trace)
         solution = solve_output_weights(corr)
-        from amolf.gradients import output_hessian_gradient
-
         ho, go = output_hessian_gradient(mlp, d, trace)
         step = solve_sym(ho, go).solution
         newton_wo = np.hstack((mlp.woi, mlp.woh)).ravel() + step
@@ -185,8 +184,8 @@ def test_criterion_06_linear_dependence_guard():
     )
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
-    hessian = gauss_newton_input_hessian(mlp, d, trace, grads)
-    full_report = solve_sym(hessian.matrix, hessian.gradient)
+    hessian = gauss_newton_input_hessian(mlp, d, trace)
+    full_report = solve_sym(hessian, grads.input_weights.ravel())
     assert full_report.rank_deficient
 
     hw = curvature_map(mlp, d, trace)

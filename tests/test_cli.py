@@ -157,6 +157,18 @@ def test_missing_file_is_one_line_error(tmp_path):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+def test_negative_search_period_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["train", "--synthetic", "matinv", "--patterns", "40", "--nh", "3",
+            "--algo", "amolf", "--iters", "1", "--search-period", "-1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "search_period" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_data_requires_dimensions(tmp_path):
     data = tmp_path / "d.tra"
     data.write_text("1 2 3 4 5 6 7 8\n")

@@ -183,3 +183,6 @@ def test_config_validation():
         ExperimentConfig(algorithm="cg", n_hidden=3, iterations=0)
     with pytest.raises(ValueError):
         ExperimentConfig(algorithm="cg", n_hidden=3, iterations=1, n_trials=0)
+    with pytest.raises(ValueError, match="search_period"):
+        ExperimentConfig(algorithm="amolf", n_hidden=3, iterations=1, search_period=-1)
+    ExperimentConfig(algorithm="amolf", n_hidden=3, iterations=1, search_period=0)

@@ -10,7 +10,6 @@ def test_identity_system():
     report = solve_sym(np.eye(3), b)
     assert np.array_equal(report.solution, b)
     assert not report.rank_deficient
-    assert report.regularization_used == 0.0
 
 
 def test_zero_pivot_skipped_minimum_norm():
@@ -78,23 +77,24 @@ def test_zero_matrix_gives_zero_solution():
     assert report.rank_deficient
 
 
-def test_ridge_solves_damped_system():
-    a = np.eye(3)
+def test_damped_system_is_a_full_rank_solve():
+    # LM adds its damping to the diagonal itself, so the solver sees a plain
+    # positive definite system and skips no pivot.
     v = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(solve_sym(a, v, ridge=0.0).solution, v)
-    report = solve_sym(a, v, ridge=1.0)
+    report = solve_sym(np.eye(3) + 1.0 * np.eye(3), v)
     assert np.allclose(report.solution, v / 2.0)
-    assert report.regularization_used == 1.0
-    assert report.rank_deficient  # damped solve is not a plain full-rank solve
+    assert not report.rank_deficient
 
 
-def test_report_invariant_no_regularization_when_full_rank():
-    rng = np.random.default_rng(13)
+def test_rank_deficient_exactly_when_a_pivot_is_skipped():
     for seed in range(8):
         a = random_spd(np.random.default_rng(seed), 4)
+        assert not solve_sym(a, np.ones(4)).rank_deficient
+        a[2, :] = 0.0
+        a[:, 2] = 0.0
         report = solve_sym(a, np.ones(4))
-        if not report.rank_deficient:
-            assert report.regularization_used == 0.0
+        assert report.rank_deficient
+        assert report.solution[2] == 0.0
 
 
 def test_rejects_non_symmetric():

@@ -6,7 +6,14 @@ import pytest
 import amolf.network
 import amolf.trainers
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
-from amolf.gradients import backprop, curvature_map, gauss_newton_input_hessian
+from amolf.gradients import (
+    GradientBundle,
+    backprop,
+    curvature_map,
+    gauss_newton_full_hessian,
+    gauss_newton_input_hessian,
+    pack,
+)
 from amolf.linalg import solve_sym
 from amolf.network import Mlp, forward, init_net_control, mse
 from amolf.trainers import (
@@ -21,7 +28,6 @@ from amolf.trainers import (
     init_state,
     initial_group_search,
     iterate,
-    molf_solve,
     newton_input_step,
     olf,
 )
@@ -30,6 +36,7 @@ from support import (
     grouped_gradient_from_residuals,
     grouped_quadratic_drop,
     matrix_relative_error,
+    molf_solve,
     near_interpolating_network,
     nested_split_chain,
     quadratic_line_minimum,
@@ -99,10 +106,11 @@ def test_olf_bilinear_form_two_ways():
     mlp, d = random_network(rng, 4, 3, 2, 20)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
+    h = gauss_newton_input_hessian(mlp, d, trace)
     numerator = float((g.input_weights**2).sum())
-    z = olf(mlp, d, g, trace)
-    quad = float(h.gradient @ h.matrix @ h.gradient)
+    z = olf(mlp, d, trace, g)
+    gv = g.input_weights.ravel()
+    quad = float(gv @ h @ gv)
     assert abs(z - numerator / quad) <= 1e-10 * (1.0 + abs(z))
 
 
@@ -111,7 +119,7 @@ def test_olf_exact_on_linear_single_unit():
     mlp, d = random_network(rng, 3, 1, 1, 25, activation="linear")
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    z = olf(mlp, d, g, trace)
+    z = olf(mlp, d, trace, g)
 
     def along(step):
         return mse(replace(mlp, w=mlp.w + step * g.input_weights), d)
@@ -124,7 +132,7 @@ def test_olf_brackets_the_minimum_near_quadratic():
     mlp, d = near_interpolating_network(rng, 4, 3, 2, 30, noise=1e-4)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    z = olf(mlp, d, g, trace)
+    z = olf(mlp, d, trace, g)
 
     def along(step):
         return mse(replace(mlp, w=mlp.w + step * g.input_weights), d)
@@ -139,7 +147,7 @@ def test_olf_fallback_on_zero_curvature():
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh))
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    assert olf(mlp, d, g, trace) == 1e-3
+    assert olf(mlp, d, trace, g) == 1e-3
 
 
 def test_molf_single_unit_equals_olf():
@@ -147,10 +155,10 @@ def test_molf_single_unit_equals_olf():
     mlp, d = random_network(rng, 4, 1, 2, 30)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
+    h = gauss_newton_input_hessian(mlp, d, trace)
     z = molf_solve(h, g)
     assert z.shape == (1,)
-    assert abs(z[0] - olf(mlp, d, g, trace)) <= 1e-10
+    assert abs(z[0] - olf(mlp, d, trace, g)) <= 1e-10
 
 
 def test_molf_dual_construction():
@@ -158,7 +166,7 @@ def test_molf_dual_construction():
     mlp, d = random_network(rng, 4, 3, 2, 25)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
+    h = gauss_newton_input_hessian(mlp, d, trace)
     part = single_group_partition(mlp.n_hidden, d.n_inputs + 1)
     ha_direct, ga_direct = assemble_grouped_direct(mlp, d, trace, g, part)
     ha_comp, ga_comp = assemble_grouped_from_hessian(h, g, part)
@@ -172,24 +180,26 @@ def test_molf_zero_gradient_gives_zero_steps():
     exact = make_dataset(d.inputs[:, :-1], forward(mlp, d).output)
     trace = forward(mlp, exact)
     g = backprop(mlp, exact, trace)
-    h = gauss_newton_input_hessian(mlp, exact, trace, g)
+    h = gauss_newton_input_hessian(mlp, exact, trace)
     assert np.array_equal(molf_solve(h, g), np.zeros(mlp.n_hidden))
+
+
+def _input_gradients(input_weights: np.ndarray) -> GradientBundle:
+    """Gradients of a one-output net whose input weights are given."""
+    nh, n1 = input_weights.shape
+    return GradientBundle(input_weights, np.zeros((1, nh)), np.zeros((1, n1)))
 
 
 def test_newton_step_identity_hessian():
     rng = np.random.default_rng(10)
     g = rng.standard_normal(6)
-    from amolf.gradients import HessianBundle
-
-    h = HessianBundle(matrix=np.eye(6), gradient=g)
-    assert np.allclose(newton_input_step(h, 2), g.reshape(2, 3))
+    grads = _input_gradients(g.reshape(2, 3))
+    assert np.allclose(newton_input_step(np.eye(6), grads), g.reshape(2, 3))
 
 
 def test_newton_step_zero_gradient():
-    from amolf.gradients import HessianBundle
-
-    h = HessianBundle(matrix=np.eye(6), gradient=np.zeros(6))
-    assert np.array_equal(newton_input_step(h, 2), np.zeros((2, 3)))
+    grads = _input_gradients(np.zeros((2, 3)))
+    assert np.array_equal(newton_input_step(np.eye(6), grads), np.zeros((2, 3)))
 
 
 def test_newton_step_near_quadratic_captures_gap():
@@ -197,8 +207,8 @@ def test_newton_step_near_quadratic_captures_gap():
     mlp, d = near_interpolating_network(rng, 3, 2, 2, 40, noise=1e-4)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
-    dw = newton_input_step(h, d.n_inputs)
+    h = gauss_newton_input_hessian(mlp, d, trace)
+    dw = newton_input_step(h, g)
     e0 = mse(mlp, d)
     e1 = mse(replace(mlp, w=mlp.w + dw), d)
     grid = np.linspace(0.0, 2.0, 401)
@@ -227,7 +237,7 @@ def test_grouped_assembly_matches_hessian_compression():
     mlp, d = random_network(rng, 4, 3, 2, 25)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
+    h = gauss_newton_input_hessian(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
     for ng in (1, 2, 3, 5):
         part = build_partition(hw, ng)
@@ -264,8 +274,8 @@ def test_grouped_step_all_singletons_is_newton():
     mlp, d = random_network(rng, 3, 3, 2, 40)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
-    dw_newton = newton_input_step(h, d.n_inputs)
+    h = gauss_newton_input_hessian(mlp, d, trace)
+    dw_newton = newton_input_step(h, g)
     part = build_partition(curvature_map(mlp, d, trace), d.n_inputs + 1)
     ha, ga = assemble_grouped_from_hessian(h, g, part)
     z = solve_sym(ha, ga).solution
@@ -294,7 +304,7 @@ def test_refining_per_unit_groups_never_hurts_on_quadratic_model():
     mlp, d = random_network(rng, 4, 3, 2, 30)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g).matrix
+    h = gauss_newton_input_hessian(mlp, d, trace)
     gv = g.input_weights.ravel()
     hw = curvature_map(mlp, d, trace)
     n1 = d.n_inputs + 1
@@ -338,7 +348,9 @@ def test_search_ties_resolve_to_one_group():
         woi=np.zeros((1, 4)),
         activation="linear",
     )
-    assert initial_group_search(mlp, d) == 1
+    trace = forward(mlp, d)
+    g = backprop(mlp, d, trace)
+    assert initial_group_search(mlp, d, trace, g, curvature_map(mlp, d, trace)) == 1
 
 
 def test_search_returns_argmin_of_candidates():
@@ -347,8 +359,8 @@ def test_search_returns_argmin_of_candidates():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace, g)
-    chosen = initial_group_search(mlp, d, trace=trace, grads=g, curvature=hw)
+    h = gauss_newton_input_hessian(mlp, d, trace)
+    chosen = initial_group_search(mlp, d, trace, g, hw)
     errors = []
     for ng in range(1, d.n_inputs + 1):
         part = build_partition(hw, ng)
@@ -365,7 +377,7 @@ def test_search_interpolated_matches_direct_assembly_selection():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
-    chosen = initial_group_search(mlp, d, trace=trace, grads=g, curvature=hw)
+    chosen = initial_group_search(mlp, d, trace, g, hw)
     errors = []
     for ng in range(1, d.n_inputs + 1):
         part = build_partition(hw, ng)
@@ -478,6 +490,21 @@ def test_amolf_search_iterations_carry_surcharge():
         assert per == expected
 
 
+def test_search_period_zero_searches_only_on_the_first_iteration():
+    state = _matinv_setup(algo="amolf", nh=6, nv=200, seed=1, search_period=0)
+    group_counts = []
+    for _ in range(6):
+        state = iterate(state)
+        group_counts.append(state.amolf.n_groups)
+    d = state.dataset
+    surcharge = cost.mult_amolf_search(d.n_inputs, 6, d.n_outputs, d.n_patterns)
+    charged = [
+        per - cost.mult_amolf(d.n_inputs, 6, d.n_outputs, d.n_patterns, ng)
+        for per, ng in zip(state.ledger.per_iteration, group_counts)
+    ]
+    assert charged == [surcharge] + [0] * 5
+
+
 def test_owo_newton_identity_cases_and_descent():
     state = _matinv_setup(algo="owo-newton", nh=6, nv=300, seed=2)
     before = state.last_error
@@ -488,22 +515,21 @@ def test_owo_newton_identity_cases_and_descent():
 
 def test_lm_fixture_steps():
     v = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(solve_sym(np.eye(3), v, ridge=0.0).solution, v)
-    assert np.allclose(solve_sym(np.eye(3), v, ridge=1.0).solution, v / 2.0)
+    assert np.allclose(solve_sym(np.eye(3), v).solution, v)
+    assert np.allclose(solve_sym(np.eye(3) + 1.0 * np.eye(3), v).solution, v / 2.0)
 
 
 def test_lm_large_damping_turns_into_steepest_descent():
     rng = np.random.default_rng(55)
     mlp, d = random_network(rng, 3, 2, 2, 20)
     trace = forward(mlp, d)
-    from amolf.gradients import gauss_newton_full_hessian
-
-    h, g = gauss_newton_full_hessian(mlp, d, trace)
+    h = gauss_newton_full_hessian(mlp, d, trace)
+    g = pack(backprop(mlp, d, trace))
     lam = 100.0 * np.abs(h).max()
     norms = []
     angle = None
     for factor in (1.0, 100.0, 10000.0):
-        e = solve_sym(h, g, ridge=lam * factor).solution
+        e = solve_sym(h + lam * factor * np.eye(len(g)), g).solution
         norms.append(float(np.linalg.norm(e)))
         cosine = float(e @ g / (np.linalg.norm(e) * np.linalg.norm(g)))
         angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
@@ -537,7 +563,7 @@ def test_lm_damping_stays_finite_when_every_step_is_rejected(lm_lambda):
     rng = np.random.default_rng(20)
     mlp, d = random_network(rng, 3, 2, 1, 15)
     exact = make_dataset(d.inputs[:, :-1], forward(mlp, d).output)
-    state = init_state("lm", mlp, exact, lm_lambda=lm_lambda)
+    state = replace(init_state("lm", mlp, exact), lm_lambda=lm_lambda)
     with np.errstate(all="raise"):
         for _ in range(40):
             state = iterate(state)
@@ -640,8 +666,29 @@ def test_init_state_rejects_out_of_range_settings():
     for fixed in (0, data.n_inputs + 1):
         with pytest.raises(ValueError, match="fixed_n_groups"):
             init_state("amolf", mlp, data, fixed_n_groups=fixed)
-    with pytest.raises(ValueError, match="lm_lambda"):
-        init_state("lm", mlp, data, lm_lambda=-1.0)
+    with pytest.raises(ValueError, match="search_period"):
+        init_state("amolf", mlp, data, search_period=-1)
+
+
+@pytest.mark.parametrize("algo, calls_per_iteration", [("owo-molf", 0), ("amolf", 1)])
+def test_curvature_map_only_where_the_partition_needs_it(
+    algo, calls_per_iteration, monkeypatch
+):
+    # A one-group partition does not depend on the curvature; amolf pinned
+    # at two groups does, once per iteration.
+    fixed = {"fixed_n_groups": 2} if algo == "amolf" else {}
+    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **fixed)
+    calls = []
+    counted = amolf.trainers.curvature_map
+
+    def counting_curvature_map(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(amolf.trainers, "curvature_map", counting_curvature_map)
+    for _ in range(3):
+        state = iterate(state)
+    assert len(calls) == calls_per_iteration * 3
 
 
 def test_owo_molf_is_the_grouped_step_pinned_at_one_group():
