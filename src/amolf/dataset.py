@@ -85,8 +85,11 @@ def load_tra(path: str, n_inputs: int, n_outputs: int) -> Dataset:
 
     Each non-empty line must carry exactly ``n_inputs + n_outputs`` decimal
     numbers; the final ``n_outputs`` columns are the targets. Malformed
-    lines raise ValueError naming the offending line number.
+    lines raise ValueError naming the offending line number, and so do
+    input or output counts under 1.
     """
+    if n_inputs < 1 or n_outputs < 1:
+        raise ValueError(f"need n_inputs, n_outputs >= 1, got {n_inputs}, {n_outputs}")
     expected = n_inputs + n_outputs
     rows: list[list[float]] = []
     with open(path, "r", encoding="ascii") as fh:

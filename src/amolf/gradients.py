@@ -47,6 +47,21 @@ def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
     )
 
 
+def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
+    """Gauss-Newton Hessian over q unknowns per hidden unit, unit-major.
+
+    ``features[p, k, c]`` is f'(net_k) times the change of unit k's net
+    value along unknown (k, c) for pattern p. Entry ((k, c), (j, d)) is
+    2/n_patterns times the pattern sum of features (k, c) and (j, d) times
+    sum_i woh(i,k) woh(i,j); the matrix is exactly symmetric.
+    """
+    nv, nh, q = features.shape
+    flat = features.reshape(nv, nh * q)
+    gram = (flat.T @ flat).reshape(nh, q, nh, q)
+    s = mlp.woh.T @ mlp.woh
+    return ((2.0 / nv) * gram * s[:, None, :, None]).reshape(nh * q, nh * q)
+
+
 def gauss_newton_input_hessian(
     mlp: Mlp, dataset: Dataset, trace: ForwardTrace
 ) -> np.ndarray:
@@ -54,16 +69,10 @@ def gauss_newton_input_hessian(
 
     Entry ((k, n), (j, m)) is 2/n_patterns times the pattern-and-output sum
     of products of output sensitivities woh(i,k) f'(net_k) x(n) and
-    woh(i,j) f'(net_j) x(m). The matrix is exactly symmetric.
+    woh(i,j) f'(net_j) x(m): ``gauss_newton_gram`` of the features f'·x.
     """
-    nv, n1 = dataset.n_patterns, dataset.n_inputs + 1
-    nh = mlp.n_hidden
     fprime = activation_derivative(mlp, trace)
-    psi = (fprime[:, :, None] * dataset.inputs[:, None, :]).reshape(nv, nh * n1)
-    gram = psi.T @ psi
-    s = mlp.woh.T @ mlp.woh
-    h = (2.0 / nv) * gram.reshape(nh, n1, nh, n1) * s[:, None, :, None]
-    return h.reshape(nh * n1, nh * n1)
+    return gauss_newton_gram(mlp, fprime[:, :, None] * dataset.inputs[:, None, :])
 
 
 def gn_curvature_along_input_direction(

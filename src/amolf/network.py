@@ -68,7 +68,6 @@ class Mlp:
 class ForwardTrace:
     """Per-pattern intermediates of one forward pass."""
 
-    net: np.ndarray  # (n_patterns, n_hidden)
     activ: np.ndarray  # (n_patterns, n_hidden)
     output: np.ndarray  # (n_patterns, n_outputs)
 
@@ -79,13 +78,11 @@ def activation_derivative(mlp: Mlp, trace: ForwardTrace) -> np.ndarray:
 
 
 def forward(mlp: Mlp, dataset: Dataset) -> ForwardTrace:
-    """Batch forward pass: net, hidden activations, and linear outputs."""
+    """Batch forward pass: hidden activations and linear outputs."""
     if dataset.n_inputs != mlp.n_inputs:
         raise ValueError("dataset and network disagree on input count")
-    act = ACTIVATIONS[mlp.activation][0]
-    net = dataset.inputs @ mlp.w.T
-    activ = act(net)
-    return ForwardTrace(net=net, activ=activ, output=linear_output(mlp, dataset, activ))
+    activ = ACTIVATIONS[mlp.activation][0](dataset.inputs @ mlp.w.T)
+    return ForwardTrace(activ=activ, output=linear_output(mlp, dataset, activ))
 
 
 def linear_output(mlp: Mlp, dataset: Dataset, activ: np.ndarray) -> np.ndarray:

@@ -21,10 +21,12 @@ outputs of its forward pass, so each of the four runs two forward passes
 per iteration (group-count searches aside). All six end through
 ``_advance``.
 
+A grouping is one group id per input weight (``GroupPartition.group``).
 The grouped step interpolates between one step size per unit (one group)
 and the full input-weight second-order step (all-singleton groups), which
-is why the compressed systems can be read off either directly from
-per-pattern sums or from the full input-weight Hessian.
+is why its system can be read off either directly from per-pattern sums or
+from the full input-weight Hessian; both are ``gradients.gauss_newton_gram``
+of per-unit features.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .gradients import (
     GradientBundle,
     backprop,
     curvature_map,
+    gauss_newton_gram,
     gauss_newton_input_hessian,
     gn_curvature_along_direction,
     gn_curvature_along_input_direction,
@@ -71,21 +74,15 @@ LM_LAMBDA_START = 1e-2
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Per-unit grouping of input indices by descending curvature.
+    """Per-unit grouping of input weights by descending curvature.
 
-    ``order[k]`` permutes the augmented input indices of hidden unit k so
-    that higher-curvature weights come first (ties by ascending index).
-    All units share the same group sizes; groups never span units.
+    ``group[k, n]`` is the group of input weight (k, n). Group 0 holds each
+    unit's highest-curvature weights (ties by ascending index). All units
+    share the same group sizes; groups never span units.
     """
 
-    order: np.ndarray  # (n_hidden, n_inputs + 1) int
-    sizes: np.ndarray  # (n_groups,) int, summing to n_inputs + 1
-    boundaries: np.ndarray  # (n_groups + 1,) prefix offsets into order rows
-    group_of_position: np.ndarray  # (n_inputs + 1,) group id of each order slot
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.sizes)
+    group: np.ndarray  # (n_hidden, n_inputs + 1) int, values in 0..n_groups-1
+    n_groups: int
 
 
 def build_partition(curvature: np.ndarray, n_groups: int) -> GroupPartition:
@@ -94,32 +91,28 @@ def build_partition(curvature: np.ndarray, n_groups: int) -> GroupPartition:
     Sizes are an equal split of n_inputs + 1 with the remainder going to the
     earliest (highest-curvature) groups.
     """
-    nh, n1 = curvature.shape
+    n1 = curvature.shape[1]
     if not 1 <= n_groups <= n1:
         raise ValueError(f"n_groups must be in 1..{n1}, got {n_groups}")
     order = np.argsort(-curvature, axis=1, kind="stable")
     base, extra = divmod(n1, n_groups)
-    sizes = np.array([base + 1] * extra + [base] * (n_groups - extra), dtype=np.int64)
-    boundaries = np.concatenate(([0], np.cumsum(sizes)))
-    return GroupPartition(
-        order=order,
-        sizes=sizes,
-        boundaries=boundaries,
-        group_of_position=np.repeat(np.arange(n_groups), sizes),
-    )
+    sizes = [base + 1] * extra + [base] * (n_groups - extra)
+    group_of_rank = np.repeat(np.arange(n_groups), sizes)
+    group = np.empty_like(order)
+    np.put_along_axis(group, order, group_of_rank[None, :], axis=1)
+    return GroupPartition(group=group, n_groups=n_groups)
 
 
-def _group_weight_tensor(grads_w: np.ndarray, part: GroupPartition) -> np.ndarray:
+def _grouped_gradient(
+    grads_w: np.ndarray, part: GroupPartition
+) -> tuple[np.ndarray, np.ndarray]:
     """Tensor t with t[k, n, c] = gradient(k, n) if input n is in group c of
-    unit k, else 0. Sums over n of t against per-pattern inputs give the
-    grouped net-change factors."""
-    nh, n1 = grads_w.shape
-    t = np.zeros((nh, n1, part.n_groups))
-    rows = np.repeat(np.arange(nh), n1)
-    cols = part.order.ravel()
-    groups = np.tile(part.group_of_position, nh)
-    t[rows, cols, groups] = grads_w[rows, cols]
-    return t
+    unit k, else 0 (sums over n against per-pattern inputs give the grouped
+    net changes), and the group sums of squared gradients: the negative
+    gradient wrt each group's step size at step 0, flattened unit-major."""
+    in_group = part.group[..., None] == np.arange(part.n_groups)
+    t = np.where(in_group, grads_w[..., None], 0.0)
+    return t, (t * grads_w[:, :, None]).sum(axis=1).ravel()
 
 
 def apply_grouped_step(
@@ -128,19 +121,8 @@ def apply_grouped_step(
     """Update every input weight once: weight (k, n) moves by the group's
     step size times its own negative gradient."""
     gw = grads.input_weights
-    nh, n1 = gw.shape
-    z = np.asarray(z, dtype=np.float64).reshape(nh, part.n_groups)
-    per_weight = np.empty_like(gw)
-    rows = np.repeat(np.arange(nh), n1)
-    cols = part.order.ravel()
-    per_weight[rows, cols] = z[:, part.group_of_position].ravel()
-    return replace(mlp, w=mlp.w + per_weight * gw)
-
-
-def _grouped_gradient_squares(grads_w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Negative gradient of the error wrt each group's step size at step 0,
-    which reduces to the group sum of squared weight gradients."""
-    return (t * grads_w[:, :, None]).sum(axis=1)
+    z = np.asarray(z, dtype=np.float64).reshape(gw.shape[0], part.n_groups)
+    return replace(mlp, w=mlp.w + np.take_along_axis(z, part.group, axis=1) * gw)
 
 
 def assemble_grouped_direct(
@@ -153,19 +135,13 @@ def assemble_grouped_direct(
     """Grouped step-size system accumulated from per-pattern sums.
 
     Returns the Gauss-Newton Hessian over the n_hidden * n_groups step
-    sizes (flattened unit-major) and the matching negative gradient.
+    sizes (flattened unit-major), ``gauss_newton_gram`` of the features
+    f'·(x·t), and the matching negative gradient.
     """
-    nv = dataset.n_patterns
-    nh, ng = mlp.n_hidden, part.n_groups
-    t = _group_weight_tensor(grads.input_weights, part)
+    t, ga = _grouped_gradient(grads.input_weights, part)
     delta_net = np.tensordot(dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
-    phi = activation_derivative(mlp, trace)[:, :, None] * delta_net
-    phi_flat = phi.reshape(nv, nh * ng)
-    gram = phi_flat.T @ phi_flat
-    s = mlp.woh.T @ mlp.woh
-    ha = (2.0 / nv) * gram.reshape(nh, ng, nh, ng) * s[:, None, :, None]
-    ga = _grouped_gradient_squares(grads.input_weights, t)
-    return ha.reshape(nh * ng, nh * ng), ga.ravel()
+    fprime = activation_derivative(mlp, trace)[:, :, None]
+    return gauss_newton_gram(mlp, fprime * delta_net), ga
 
 
 def assemble_grouped_from_hessian(
@@ -176,37 +152,35 @@ def assemble_grouped_from_hessian(
     be evaluated without recomputing any per-pattern sums."""
     gw = grads.input_weights
     nh, n1 = gw.shape
-    ng = part.n_groups
-    t = _group_weight_tensor(gw, part)
-    p = np.zeros((nh, n1, nh, ng))
-    units = np.arange(nh)
-    p[units, :, units, :] = t
-    p = p.reshape(nh * n1, nh * ng)
-    ha = p.T @ (hessian @ p)
-    ga = _grouped_gradient_squares(gw, t)
-    return ha, ga.ravel()
+    # Block-diagonal projector: row (k, n) holds gradient(k, n) in the
+    # column of unknown (k, group of (k, n)).
+    p = np.zeros((nh * n1, nh * part.n_groups))
+    columns = np.arange(nh)[:, None] * part.n_groups + part.group
+    p[np.arange(nh * n1), columns.ravel()] = gw.ravel()
+    return p.T @ (hessian @ p), _grouped_gradient(gw, part)[1]
 
 
 # ---------------------------------------------------------------------------
 # Step-size and direction primitives
 
 
+def _optimal_step(slope: float, curvature: float) -> float:
+    """Minimizer of the quadratic model along a direction: the negative
+    slope over the curvature, both at step 0, or ``OLF_FALLBACK`` when the
+    curvature is at or under ``CURVATURE_FLOOR``."""
+    if curvature <= CURVATURE_FLOOR:
+        return OLF_FALLBACK
+    return slope / curvature
+
+
 def olf(
     mlp: Mlp, dataset: Dataset, trace: ForwardTrace, grads: GradientBundle
 ) -> float:
-    """Optimal scalar step size along the input-weight gradient.
-
-    Ratio of the negative slope (the squared gradient norm) to the
-    Gauss-Newton curvature along the gradient direction, both at step 0.
-    Falls back to a small constant when the curvature vanishes.
-    """
-    numerator = float((grads.input_weights * grads.input_weights).sum())
-    denominator = gn_curvature_along_input_direction(
-        mlp, dataset, trace, grads.input_weights
-    )
-    if denominator <= CURVATURE_FLOOR:
-        return OLF_FALLBACK
-    return numerator / denominator
+    """Optimal scalar step size along the input-weight gradient: the
+    squared gradient norm over the Gauss-Newton curvature along it."""
+    gw = grads.input_weights
+    curvature = gn_curvature_along_input_direction(mlp, dataset, trace, gw)
+    return _optimal_step(float((gw * gw).sum()), curvature)
 
 
 def newton_input_step(hessian: np.ndarray, grads: GradientBundle) -> np.ndarray:
@@ -333,16 +307,11 @@ def init_state(
     dataset: Dataset,
     *,
     search_period: int = DEFAULT_SEARCH_PERIOD,
-    fixed_n_groups: int | None = None,
 ) -> TrainerState:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if search_period < 0:
         raise ValueError(f"search_period must be >= 0, got {search_period}")
-    if fixed_n_groups is not None and not 1 <= fixed_n_groups <= dataset.n_inputs:
-        raise ValueError(
-            f"fixed_n_groups must be in 1..{dataset.n_inputs}, got {fixed_n_groups}"
-        )
     state = TrainerState(
         mlp=mlp,
         dataset=dataset,
@@ -351,9 +320,7 @@ def init_state(
         last_error=mse(mlp, dataset),
     )
     if algorithm == "amolf":
-        state.amolf = AmolfState(
-            search_period=search_period, fixed_n_groups=fixed_n_groups
-        )
+        state.amolf = AmolfState(search_period=search_period)
     elif algorithm == "owo-molf":
         state.amolf = AmolfState(fixed_n_groups=1)
     return state
@@ -524,11 +491,10 @@ def cg_iteration(state: TrainerState) -> TrainerState:
         gradient, state.cg_direction, state.cg_gradient_norm_sq
     )
     along = unpack(direction, mlp)
-    denominator = gn_curvature_along_direction(
+    curvature = gn_curvature_along_direction(
         mlp, d, trace, along.input_weights, along.output_weights, along.bypass_weights
     )
-    slope = float(gradient @ direction)
-    step = slope / denominator if denominator > CURVATURE_FLOOR else OLF_FALLBACK
+    step = _optimal_step(float(gradient @ direction), curvature)
     mlp = _moved(mlp, direction, step)
     return _advance(
         state,

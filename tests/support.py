@@ -182,12 +182,33 @@ def grouped_gradient_from_residuals(
     nh, n1 = gw.shape
     out = np.zeros((nh, part.n_groups))
     for k in range(nh):
-        for pos in range(n1):
-            n = part.order[k, pos]
-            out[k, part.group_of_position[pos]] += gw[k, n] * (
-                deltas[:, k] @ dataset.inputs[:, n]
-            )
+        for n in range(n1):
+            out[k, part.group[k, n]] += gw[k, n] * (deltas[:, k] @ dataset.inputs[:, n])
     return out.ravel() / dataset.n_patterns
+
+
+def rank_partition(curvature: np.ndarray, n_groups: int) -> np.ndarray:
+    """Group of every weight, by brute force: a weight's rank within its
+    unit counts the weights ahead of it (higher curvature, or equal
+    curvature at a lower index); ranks are then cut into ``n_groups`` runs
+    whose sizes differ by at most one, the larger runs first."""
+    nh, n1 = curvature.shape
+    sizes = [n1 // n_groups + (c < n1 % n_groups) for c in range(n_groups)]
+    group = np.zeros((nh, n1), dtype=int)
+    for k in range(nh):
+        for n in range(n1):
+            rank = 0
+            for j in range(n1):
+                if curvature[k, j] > curvature[k, n] or (
+                    curvature[k, j] == curvature[k, n] and j < n
+                ):
+                    rank += 1
+            c, end = 0, sizes[0]
+            while rank >= end:
+                c += 1
+                end += sizes[c]
+            group[k, n] = c
+    return group
 
 
 def random_spd(rng: np.random.Generator, n: int, jitter: float = 0.5) -> np.ndarray:

@@ -8,6 +8,7 @@ iterations twice and takes a few tens of seconds; everything else is fast.
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from amolf.linalg import solve_sym
 from amolf.network import Mlp, forward, init_net_control, mse
 from amolf.owo import accumulate_correlations, solve_output_weights
 from amolf.trainers import (
+    AmolfState,
     apply_grouped_step,
     assemble_grouped_direct,
     assemble_grouped_from_hessian,
@@ -108,7 +110,7 @@ def test_criterion_03_limiting_cases():
     # (a) pinned single group reproduces the per-unit-factor trainer
     data, _ = normalize_zero_mean(gen_matrix_inversion(300, 5))
     mlp = init_net_control(data, 8, 11)
-    state_a = init_state("amolf", mlp, data, fixed_n_groups=1)
+    state_a = replace(init_state("amolf", mlp, data), amolf=AmolfState(fixed_n_groups=1))
     state_m = init_state("owo-molf", mlp, data)
     worst_gap = 0.0
     for _ in range(20):

@@ -47,16 +47,18 @@ def _differs(reason: str):
         pytest.param(
             "owo-newton", 30, 5,
             marks=_differs(
-                "the psi.T @ psi Gram in gauss_newton_input_hessian sums in a "
-                "thread-dependent order; curves differ from iteration 2"
+                "the Gram in gradients.gauss_newton_gram, called by "
+                "gauss_newton_input_hessian, sums in a thread-dependent "
+                "order; curves differ from iteration 2"
             ),
         ),
         pytest.param(
             "amolf", 29, 20,
             marks=_differs(
-                "the phi_flat.T @ phi_flat Gram in assemble_grouped_direct sums "
-                "in a thread-dependent order at 116 columns (29 units x 4 "
-                "groups); curves differ from iteration 19"
+                "the Gram in gradients.gauss_newton_gram, called by "
+                "assemble_grouped_direct, sums in a thread-dependent order at "
+                "116 columns (29 units x 4 groups); curves differ from "
+                "iteration 19"
             ),
         ),
     ],

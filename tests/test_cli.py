@@ -169,6 +169,21 @@ def test_negative_search_period_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "kfold"])
+def test_non_positive_data_dimensions_are_one_line_error(tmp_path, capsys, verb):
+    data = tmp_path / "d.tra"
+    data.write_text("".join(f"{p} {2 * p}\n" for p in range(12)))
+    out = tmp_path / "x.csv"
+    argv = [verb, "--data", str(data), "--n", "-1", "--m", "3", "--nh", "2",
+            "--algo", "owo-bp", "--iters", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_data_requires_dimensions(tmp_path):
     data = tmp_path / "d.tra"
     data.write_text("1 2 3 4 5 6 7 8\n")

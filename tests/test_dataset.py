@@ -39,6 +39,15 @@ def test_load_tra_column_mismatch_names_line(tmp_path):
         load_tra(str(path), 2, 1)
 
 
+@pytest.mark.parametrize("n_inputs, n_outputs", [(-1, 3), (0, 2), (2, 0), (3, -1)])
+def test_load_tra_rejects_non_positive_counts(tmp_path, n_inputs, n_outputs):
+    # Each pair sums to 2, the column count, so only the range check fails.
+    path = tmp_path / "two.tra"
+    path.write_text("1 2\n3 4\n")
+    with pytest.raises(ValueError, match=">= 1"):
+        load_tra(str(path), n_inputs, n_outputs)
+
+
 def test_load_tra_bad_token_names_line(tmp_path):
     path = tmp_path / "bad.tra"
     path.write_text("1 2 3\n4 x 6\n")

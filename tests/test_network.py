@@ -25,8 +25,9 @@ def _zero_mlp(n, nh, m, activation="sigmoid"):
 
 def test_zero_weights_sigmoid():
     d = make_dataset(np.array([[0.3, -0.2], [1.0, 2.0]]), np.zeros((2, 1)))
-    trace = forward(_zero_mlp(2, 3, 1), d)
-    assert np.array_equal(trace.net, np.zeros((2, 3)))
+    mlp = _zero_mlp(2, 3, 1)
+    trace = forward(mlp, d)
+    assert np.array_equal(d.inputs @ mlp.w.T, np.zeros((2, 3)))
     assert np.array_equal(trace.activ, 0.5 * np.ones((2, 3)))
     assert np.array_equal(trace.output, np.zeros((2, 1)))
 
@@ -50,7 +51,7 @@ def test_forward_matches_scalar_oracle(activation):
     mlp, d = random_network(rng, 3, 4, 2, 12, activation=activation)
     trace = forward(mlp, d)
     net, activ, output = scalar_forward(mlp, d)
-    assert np.abs(trace.net - net).max() <= 1e-12
+    assert np.abs(d.inputs @ mlp.w.T - net).max() <= 1e-12
     assert np.abs(trace.activ - activ).max() <= 1e-12
     assert np.abs(trace.output - output).max() <= 1e-12
 
@@ -104,9 +105,9 @@ def test_batch_equals_per_pattern():
 def test_init_net_control_statistics():
     data, _ = normalize_zero_mean(gen_matrix_inversion(500, 8))
     mlp = init_net_control(data, 12, seed=21)
-    trace = forward(mlp, data)
-    assert np.abs(trace.net.mean(axis=0) - 0.5).max() <= 1e-6
-    assert np.abs(trace.net.var(axis=0) - 1.0).max() <= 1e-3
+    net = data.inputs @ mlp.w.T
+    assert np.abs(net.mean(axis=0) - 0.5).max() <= 1e-6
+    assert np.abs(net.var(axis=0) - 1.0).max() <= 1e-3
     assert np.array_equal(mlp.woh, np.zeros_like(mlp.woh))
     assert np.array_equal(mlp.woi, np.zeros_like(mlp.woi))
 

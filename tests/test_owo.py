@@ -136,5 +136,5 @@ def test_output_weight_step_refreshes_outputs_bit_for_bit():
         assert np.array_equal(solved.w, mlp.w)
         assert np.array_equal(solved.woh, expected.woh)
         assert np.array_equal(solved.woi, expected.woi)
-        for name in ("net", "activ", "output"):
+        for name in ("activ", "output"):
             assert np.array_equal(getattr(refreshed, name), getattr(fresh, name))

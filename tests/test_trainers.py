@@ -42,6 +42,7 @@ from support import (
     quadratic_line_minimum,
     random_network,
     random_spd,
+    rank_partition,
     single_group_partition,
 )
 
@@ -53,30 +54,31 @@ from support import (
 def test_build_partition_forced_example():
     hw = np.array([[5.0, 1.0, 4.0, 2.0, 3.0]])
     part = build_partition(hw, 2)
-    assert np.array_equal(part.order[0], [0, 2, 4, 3, 1])
-    assert np.array_equal(part.sizes, [3, 2])
-    assert set(part.order[0, :3]) == {0, 2, 4}
-    assert set(part.order[0, 3:]) == {3, 1}
+    assert part.n_groups == 2
+    assert np.array_equal(part.group[0], [0, 1, 0, 1, 0])
+    assert np.array_equal(np.bincount(part.group[0]), [3, 2])
+    assert set(np.flatnonzero(part.group[0] == 0)) == {0, 2, 4}
+    assert set(np.flatnonzero(part.group[0] == 1)) == {3, 1}
 
 
 def test_build_partition_single_group():
     hw = np.random.default_rng(0).random((3, 5))
     part = build_partition(hw, 1)
     assert part.n_groups == 1
-    assert np.array_equal(np.sort(part.order, axis=1), np.tile(np.arange(5), (3, 1)))
+    assert np.array_equal(part.group, np.zeros((3, 5), dtype=int))
 
 
 def test_build_partition_all_singletons():
     hw = np.array([[1.0, 3.0, 2.0]])
     part = build_partition(hw, 3)
-    assert np.array_equal(part.sizes, [1, 1, 1])
-    assert np.array_equal(part.order[0], [1, 2, 0])
+    assert np.array_equal(np.bincount(part.group[0]), [1, 1, 1])
+    assert np.array_equal(part.group[0], [2, 0, 1])
 
 
 def test_build_partition_ties_break_ascending():
     hw = np.array([[2.0, 2.0, 2.0, 2.0]])
     part = build_partition(hw, 2)
-    assert np.array_equal(part.order[0], [0, 1, 2, 3])
+    assert np.array_equal(part.group[0], [0, 0, 1, 1])
 
 
 def test_build_partition_range_check():
@@ -92,9 +94,25 @@ def test_partition_covers_each_index_once():
     hw = rng.random((4, 7))
     for ng in range(1, 8):
         part = build_partition(hw, ng)
-        assert int(part.sizes.sum()) == 7
+        assert part.group.shape == (4, 7)
+        assert part.group.min() == 0 and part.group.max() == ng - 1
         for k in range(4):
-            assert sorted(part.order[k]) == list(range(7))
+            sizes = np.bincount(part.group[k], minlength=ng)
+            assert int(sizes.sum()) == 7
+            assert sizes.max() - sizes.min() <= 1
+            assert np.all(np.diff(sizes) <= 0)  # larger groups first
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_build_partition_matches_sorted_rank_oracle(seed):
+    # Curvatures drawn from three values, so most rows carry ties.
+    rng = np.random.default_rng(seed)
+    nh, n1 = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    hw = rng.integers(0, 3, size=(nh, n1)).astype(float)
+    for ng in range(1, n1 + 1):
+        part = build_partition(hw, ng)
+        assert part.n_groups == ng
+        assert np.array_equal(part.group, rank_partition(hw, ng))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +332,7 @@ def test_refining_per_unit_groups_never_hurts_on_quadratic_model():
         groups = []
         for k in range(mlp.n_hidden):
             for c in range(ng):
-                members = part.order[k, part.boundaries[c] : part.boundaries[c + 1]]
+                members = np.flatnonzero(part.group[k] == c)
                 groups.append(k * n1 + members)
         return groups
 
@@ -446,7 +464,7 @@ def test_owo_molf_matrix_inversion_converges():
 def test_amolf_pinned_single_group_matches_owo_molf():
     data, _ = normalize_zero_mean(gen_matrix_inversion(300, 5))
     mlp = init_net_control(data, 8, 11)
-    state_a = init_state("amolf", mlp, data, fixed_n_groups=1)
+    state_a = replace(init_state("amolf", mlp, data), amolf=AmolfState(fixed_n_groups=1))
     state_m = init_state("owo-molf", mlp, data)
     for _ in range(10):
         state_a = iterate(state_a)
@@ -663,11 +681,18 @@ def test_trainers_deterministic(algo):
 def test_init_state_rejects_out_of_range_settings():
     data, _ = normalize_zero_mean(gen_matrix_inversion(50, 0))
     mlp = init_net_control(data, 3, 0)
-    for fixed in (0, data.n_inputs + 1):
-        with pytest.raises(ValueError, match="fixed_n_groups"):
-            init_state("amolf", mlp, data, fixed_n_groups=fixed)
     with pytest.raises(ValueError, match="search_period"):
         init_state("amolf", mlp, data, search_period=-1)
+
+
+@pytest.mark.parametrize("fixed", [0, 5, 6])
+def test_out_of_range_pinned_group_count_is_rejected(fixed):
+    # matinv has 4 inputs, so a pin must lie in 1..4: build_partition
+    # rejects counts outside 1..5 and the cost model the all-singleton 5.
+    state = _matinv_setup(algo="amolf", nh=3, nv=50, seed=0)
+    state = replace(state, amolf=AmolfState(fixed_n_groups=fixed))
+    with pytest.raises(ValueError, match=r"must be in 1\.\."):
+        iterate(state)
 
 
 @pytest.mark.parametrize("algo, calls_per_iteration", [("owo-molf", 0), ("amolf", 1)])
@@ -676,8 +701,9 @@ def test_curvature_map_only_where_the_partition_needs_it(
 ):
     # A one-group partition does not depend on the curvature; amolf pinned
     # at two groups does, once per iteration.
-    fixed = {"fixed_n_groups": 2} if algo == "amolf" else {}
-    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **fixed)
+    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8)
+    if algo == "amolf":
+        state = replace(state, amolf=AmolfState(fixed_n_groups=2))
     calls = []
     counted = amolf.trainers.curvature_map
 
