@@ -13,7 +13,6 @@ from .cost import CostLedger, epm
 from .dataset import (
     Dataset,
     FoldPlan,
-    NormalizationStats,
     gen_matrix_inversion,
     kfold_split,
     load_tra,
@@ -57,7 +56,6 @@ __all__ = [
     "GroupPartition",
     "KfoldReport",
     "Mlp",
-    "NormalizationStats",
     "SolveReport",
     "TrainerState",
     "TrainingCurve",

@@ -66,18 +66,22 @@ def _load_data(args: argparse.Namespace) -> Dataset:
     return gen_matrix_inversion(args.patterns, args.seed)
 
 
-def _cmd_train(args: argparse.Namespace) -> None:
-    dataset = _load_data(args)
-    config = ExperimentConfig(
+def _config(args: argparse.Namespace, **verb_fields) -> ExperimentConfig:
+    """The experiment settings shared by ``train`` and ``kfold``, plus the
+    verb's own fields."""
+    return ExperimentConfig(
         algorithm=args.algo,
         n_hidden=args.nh,
         iterations=args.iters,
-        n_trials=args.trials,
         seed=args.seed,
         activation=args.activation,
         search_period=args.search_period,
+        **verb_fields,
     )
-    curve = run_training(dataset, config)
+
+
+def _cmd_train(args: argparse.Namespace) -> None:
+    curve = run_training(_load_data(args), _config(args, n_trials=args.trials))
     emit_curve(curve, args.out)
     if args.save_model:
         save_mlp(curve.final_models[0], args.save_model)
@@ -86,17 +90,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 def _cmd_kfold(args: argparse.Namespace) -> None:
     dataset = _load_data(args)
-    config = ExperimentConfig(
-        algorithm=args.algo,
-        n_hidden=args.nh,
-        iterations=args.iters,
-        k_folds=args.k,
-        seed=args.seed,
-        activation=args.activation,
-        search_period=args.search_period,
-        patience=args.patience,
-    )
-    report = run_kfold(dataset, config)
+    report = run_kfold(dataset, _config(args, k_folds=args.k, patience=args.patience))
     emit_kfold(report, args.out)
     print(
         f"wrote {args.out}: mean train mse {report.mean_train_error:.6e}, "

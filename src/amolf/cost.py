@@ -34,13 +34,9 @@ def mult_ols(nu: int, m: int) -> int:
 
 def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration of output-weight solving plus gradient descent on the
-    input weights with a second-order step size."""
-    _check_sizes(n, nh, m, nv)
-    nu = n + nh + 1
-    f = Fraction(nu * (nu + 1)) * (
-        Fraction(m) + Fraction(2 * nu + 1, 6) + Fraction(3, 2) + Fraction(nv, 2)
-    ) + Fraction(nv) * Fraction(nh * (m + 2 * n + 3) + m * (2 * nu + 1))
-    return _as_int(f)
+    input weights with a second-order step size: the output-weight stage
+    plus nv nh (m + n + 2) for the gradient step."""
+    return mult_owo(n, nh, m, nv) + nv * nh * (m + n + 2)
 
 
 def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
@@ -73,13 +69,13 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
 
 
 def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
-    """The output-weight stage on its own (forward pass plus solve)."""
+    """The output-weight stage on its own (forward pass plus solve):
+    nv [nh (n+1) + m (2 nu + 1) + nu (nu+1) / 2] + mult_ols(nu, m)."""
     _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
-    f = Fraction(nv) * Fraction(nh * (n + 1) + m * (2 * nu + 1)) + Fraction(
-        nu * (nu + 1)
-    ) * (Fraction(m) + Fraction(nv, 2) + Fraction(2 * nu + 1, 6) + Fraction(3, 2))
-    return _as_int(f)
+    # nu (nu+1) is even, so the count is an integer without rounding.
+    per_pattern = nh * (n + 1) + m * (2 * nu + 1) + nu * (nu + 1) // 2
+    return nv * per_pattern + mult_ols(nu, m)
 
 
 def mult_owo_newton(n: int, nh: int, m: int, nv: int) -> int:

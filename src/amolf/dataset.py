@@ -60,13 +60,6 @@ class Dataset:
         return self.targets.shape[1]
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-input means subtracted by normalize_zero_mean (bias excluded)."""
-
-    input_means: np.ndarray
-
-
 def make_dataset(raw_inputs: np.ndarray, targets: np.ndarray) -> Dataset:
     """Build a Dataset from un-augmented inputs, appending the bias column."""
     raw = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
@@ -122,17 +115,10 @@ def save_tra(dataset: Dataset, path: str) -> None:
             fh.write("\n")
 
 
-def normalize_zero_mean(dataset: Dataset) -> tuple[Dataset, NormalizationStats]:
+def normalize_zero_mean(dataset: Dataset) -> Dataset:
     """Subtract each input column's sample mean; bias and targets untouched."""
     raw = dataset.inputs[:, :-1]
-    means = raw.mean(axis=0)
-    return make_dataset(raw - means, dataset.targets), NormalizationStats(means)
-
-
-def denormalize(dataset: Dataset, stats: NormalizationStats) -> Dataset:
-    """Undo normalize_zero_mean by adding the stored means back."""
-    raw = dataset.inputs[:, :-1]
-    return make_dataset(raw + stats.input_means, dataset.targets)
+    return make_dataset(raw - raw.mean(axis=0), dataset.targets)
 
 
 def gen_matrix_inversion(n_patterns: int, seed: int) -> Dataset:
@@ -172,29 +158,17 @@ class FoldPlan:
     k: int
     assignments: np.ndarray
 
-    def test_fold(self, round_index: int) -> int:
-        self._check_round(round_index)
-        return round_index
-
-    def validation_fold(self, round_index: int) -> int:
-        self._check_round(round_index)
-        return (round_index % self.k) + 1
-
-    def test_indices(self, round_index: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == self.test_fold(round_index))
-
-    def validation_indices(self, round_index: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == self.validation_fold(round_index))
-
-    def train_indices(self, round_index: int) -> np.ndarray:
-        keep = (self.assignments != self.test_fold(round_index)) & (
-            self.assignments != self.validation_fold(round_index)
-        )
-        return np.flatnonzero(keep)
-
-    def _check_round(self, round_index: int) -> None:
+    def split(self, round_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pattern indices (train, validation, test) of round ``round_index``."""
         if not 1 <= round_index <= self.k:
             raise ValueError(f"round must be in 1..{self.k}")
+        test = self.assignments == round_index
+        validation = self.assignments == round_index % self.k + 1
+        return (
+            np.flatnonzero(~(test | validation)),
+            np.flatnonzero(validation),
+            np.flatnonzero(test),
+        )
 
 
 def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldPlan:

@@ -85,15 +85,9 @@ def trial_seed(seed: int, index: int) -> int:
     return seed ^ index
 
 
-def _new_state(config: ExperimentConfig, mlp: Mlp, data: Dataset):
-    return init_state(
-        config.algorithm, mlp, data, search_period=config.search_period
-    )
-
-
 def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     """Normalize, train ``n_trials`` independent nets, average per iteration."""
-    data, _ = normalize_zero_mean(dataset)
+    data = normalize_zero_mean(dataset)
     errors = np.empty((config.n_trials, config.iterations))
     multiplies = np.empty((config.n_trials, config.iterations))
     final_models = []
@@ -101,7 +95,7 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
         mlp = init_net_control(
             data, config.n_hidden, trial_seed(config.seed, trial), config.activation
         )
-        state = _new_state(config, mlp, data)
+        state = init_state(config.algorithm, mlp, data, search_period=config.search_period)
         for it in range(config.iterations):
             state = iterate(state)
             errors[trial, it] = state.last_error
@@ -125,21 +119,23 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
     ``config.iterations``. The reported errors are those of the
     best-validation model.
     """
-    data, _ = normalize_zero_mean(dataset)
+    data = normalize_zero_mean(dataset)
     plan = kfold_split(data, config.k_folds, config.seed)
     train_errors: list[float] = []
     test_errors: list[float] = []
     for round_index in range(1, config.k_folds + 1):
-        train_data = take(data, plan.train_indices(round_index))
-        val_data = take(data, plan.validation_indices(round_index))
-        test_data = take(data, plan.test_indices(round_index))
+        train_data, val_data, test_data = (
+            take(data, idx) for idx in plan.split(round_index)
+        )
         mlp = init_net_control(
             train_data,
             config.n_hidden,
             trial_seed(config.seed, round_index - 1),
             config.activation,
         )
-        state = _new_state(config, mlp, train_data)
+        state = init_state(
+            config.algorithm, mlp, train_data, search_period=config.search_period
+        )
         best_val = np.inf
         best_mlp = state.mlp
         stall = 0

@@ -382,6 +382,8 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
     ast = state.amolf
     n, nh, m, nv = _dims(state)
     iteration = state.iteration + 1
+    if ast.fixed_n_groups is not None and not 1 <= ast.fixed_n_groups <= n:
+        raise ValueError(f"fixed_n_groups must be in 1..{n}, got {ast.fixed_n_groups}")
 
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
@@ -409,6 +411,8 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
         )
 
     part = build_partition(curvature, n_groups)
+    # Not the search's own step: its Hessian-compressed systems change bits
+    # with the BLAS thread count, while the per-pattern sums do not.
     ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
     z = solve_sym(ha, ga).solution
     mlp, err = _output_solve(apply_grouped_step(mlp, grads, part, z), d)

@@ -108,7 +108,7 @@ def test_criterion_02_hessian_compression_identities():
 
 def test_criterion_03_limiting_cases():
     # (a) pinned single group reproduces the per-unit-factor trainer
-    data, _ = normalize_zero_mean(gen_matrix_inversion(300, 5))
+    data = normalize_zero_mean(gen_matrix_inversion(300, 5))
     mlp = init_net_control(data, 8, 11)
     state_a = replace(init_state("amolf", mlp, data), amolf=AmolfState(fixed_n_groups=1))
     state_m = init_state("owo-molf", mlp, data)
@@ -168,7 +168,7 @@ def test_criterion_05_output_solve_equals_newton_step():
         ho, go = output_hessian_gradient(mlp, d, trace)
         step = solve_sym(ho, go).solution
         newton_wo = np.hstack((mlp.woi, mlp.woh)).ravel() + step
-        worst = max(worst, float(np.abs(newton_wo - solution.wo.ravel()).max()))
+        worst = max(worst, float(np.abs(newton_wo - solution.solution.T.ravel()).max()))
     assert worst <= 1e-8
     _report("criterion-5 output solve vs newton", f"max gap {worst:.2e}")
 

@@ -1,18 +1,32 @@
 """The package surface that the benchmark in ``bench/`` drives.
 
 The benchmark traces the functions named in ``bench/instrument.py``'s
-``TRACED`` and builds an ``ExperimentConfig`` for each workload in
-``bench/workloads.py``. Both files are only read here, never changed, so a
-change to amolf's names or config fields that would break a benchmark run
-fails this test instead.
+``TRACED``, builds an ``ExperimentConfig`` for each workload in
+``bench/workloads.py``, and reads fields of the states and results these
+return. The bench files are only read here, never changed, so a change to
+amolf's names, config fields or state fields that would break a benchmark
+run fails this test instead.
 """
 
 import importlib
 import importlib.util
+import math
 import os
 import sys
 
-from amolf import ExperimentConfig
+import numpy as np
+
+import amolf
+import amolf.trainers
+from amolf import (
+    Correlations,
+    ExperimentConfig,
+    gen_matrix_inversion,
+    init_net_control,
+    init_state,
+    normalize_zero_mean,
+    solve_output_weights,
+)
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -49,4 +63,41 @@ def test_every_workload_config_builds(monkeypatch):
     for workload in workloads.values():
         config = ExperimentConfig(**workload.config_kwargs(0))
         assert config.algorithm == workload.algorithm
+        assert isinstance(config.search_period, int)
+
+
+def test_one_iteration_has_the_fields_the_bench_reads(monkeypatch):
+    # IterationRecorder reads each iteration's state; expected_ledger_total
+    # reads the final state's dataset sizes and ledger total.
+    instrument = _load("instrument", monkeypatch)
+    for workload in _load("workloads", monkeypatch).WORKLOADS.values():
+        config = ExperimentConfig(**workload.config_kwargs(0))
+        data = normalize_zero_mean(gen_matrix_inversion(40, 0))
+        state = init_state(
+            config.algorithm,
+            init_net_control(data, 3, 0),
+            data,
+            search_period=config.search_period,
+        )
+        recorder = instrument.IterationRecorder(amolf.trainers)
+        out = recorder(state)
+        assert recorder.failed == 0
+        assert out.iteration == 1
+        assert out.algorithm == workload.algorithm
+        assert math.isfinite(out.last_error)
+        d = out.dataset
+        assert (d.n_inputs, d.n_outputs, d.n_patterns) == (4, 4, 40)
+        assert out.ledger.total() > 0
+        assert out.lm_lambda > 0.0 and isinstance(out.lm_stalled, bool)
+        if workload.algorithm == "amolf":
+            assert recorder.trials[0].n_groups == [out.amolf.n_groups]
+
+
+def test_output_solve_reports_rank_deficiency_as_a_bool():
+    report = solve_output_weights(Correlations(r=np.eye(2), c=np.ones((2, 1))))
+    assert type(report.rank_deficient) is bool
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in amolf.__all__ if not hasattr(amolf, name)] == []
 

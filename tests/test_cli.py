@@ -245,7 +245,7 @@ def test_save_model_is_trial_zero_without_retraining(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(calls) == 2 * 4
 
-    data, _ = normalize_zero_mean(gen_matrix_inversion(60, 3))
+    data = normalize_zero_mean(gen_matrix_inversion(60, 3))
     state = init_state(
         "amolf", init_net_control(data, 3, trial_seed(3, 0)), data, search_period=2
     )

@@ -42,7 +42,7 @@ def test_curve_is_mean_over_trials_any_order():
     d = gen_matrix_inversion(100, 1)
     config = _config(n_trials=3, iterations=4)
     curve = run_training(d, config)
-    data, _ = normalize_zero_mean(d)
+    data = normalize_zero_mean(d)
     per_trial = []
     for trial in range(3):
         mlp = init_net_control(data, 4, trial_seed(config.seed, trial))
@@ -71,7 +71,7 @@ def test_amolf_cumulative_multiplies_reconstruct_from_group_counts():
     d = gen_matrix_inversion(120, 3)
     config = _config(algorithm="amolf", iterations=6, n_trials=1, search_period=4)
     curve = run_training(d, config)
-    data, _ = normalize_zero_mean(d)
+    data = normalize_zero_mean(d)
     state = init_state("amolf", init_net_control(data, 4, trial_seed(0, 0)), data, search_period=4)
     expected = []
     total = 0
@@ -98,7 +98,7 @@ def test_kfold_round_sizes():
     d = gen_matrix_inversion(2000, 0)
     plan = kfold_split(d, 10, 0)
     for r in range(1, 11):
-        assert len(plan.train_indices(r)) == 1600
+        assert len(plan.split(r)[0]) == 1600
 
 
 def test_kfold_report_has_one_entry_per_round():
@@ -131,9 +131,7 @@ def test_kfold_test_patterns_unseen_in_training():
     d = gen_matrix_inversion(90, 6)
     plan = kfold_split(d, 5, 6)
     for r in range(1, 6):
-        train = set(plan.train_indices(r))
-        val = set(plan.validation_indices(r))
-        test = set(plan.test_indices(r))
+        train, val, test = (set(idx) for idx in plan.split(r))
         assert not test & train
         assert not test & val
 

@@ -103,7 +103,7 @@ def test_batch_equals_per_pattern():
 
 
 def test_init_net_control_statistics():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(500, 8))
+    data = normalize_zero_mean(gen_matrix_inversion(500, 8))
     mlp = init_net_control(data, 12, seed=21)
     net = data.inputs @ mlp.w.T
     assert np.abs(net.mean(axis=0) - 0.5).max() <= 1e-6
@@ -113,7 +113,7 @@ def test_init_net_control_statistics():
 
 
 def test_init_net_control_deterministic():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(100, 8))
+    data = normalize_zero_mean(gen_matrix_inversion(100, 8))
     a = init_net_control(data, 5, seed=3)
     b = init_net_control(data, 5, seed=3)
     assert np.array_equal(a.w, b.w)

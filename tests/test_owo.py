@@ -7,7 +7,6 @@ from amolf.owo import (
     Correlations,
     accumulate_correlations,
     augmented_basis,
-    install_output_weights,
     output_weight_step,
     solve_output_weights,
 )
@@ -52,11 +51,9 @@ def test_correlations_match_scalar_oracle():
 
 def test_identity_correlation_solve():
     c = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    corr = Correlations(r=np.eye(3), c=c, n_inputs=1)
-    sol = solve_output_weights(corr)
-    assert np.array_equal(sol.wo, c.T)
+    sol = solve_output_weights(Correlations(r=np.eye(3), c=c))
+    assert np.array_equal(sol.solution, c)
     assert not sol.rank_deficient
-    assert sol.woi.shape == (2, 2) and sol.woh.shape == (2, 1)
 
 
 def test_collinear_activations_rank_deficient_but_consistent():
@@ -73,14 +70,14 @@ def test_collinear_activations_rank_deficient_but_consistent():
     corr = accumulate_correlations(d, trace)
     sol = solve_output_weights(corr)
     assert sol.rank_deficient
-    residual = corr.r @ sol.wo.T - corr.c
+    residual = corr.r @ sol.solution - corr.c
     assert np.abs(residual).max() <= 1e-8 * (1.0 + np.abs(corr.c).max())
 
 
 def test_owo_is_minimum_under_perturbations():
     rng = np.random.default_rng(3)
     mlp, d = random_network(rng, 3, 3, 2, 40)
-    solved = install_output_weights(mlp, solve_output_weights(accumulate_correlations(d, forward(mlp, d))))
+    solved, _ = output_weight_step(mlp, d, forward(mlp, d))
     base = mse(solved, d)
     from dataclasses import replace
 
@@ -98,17 +95,16 @@ def test_owo_never_increases_error():
     for seed in range(5):
         mlp, d = random_network(np.random.default_rng(seed), 3, 3, 2, 30)
         before = mse(mlp, d)
-        solved = install_output_weights(
-            mlp, solve_output_weights(accumulate_correlations(d, forward(mlp, d)))
-        )
+        solved, _ = output_weight_step(mlp, d, forward(mlp, d))
         assert mse(solved, d) <= before + 1e-12
 
 
 def test_output_gradients_vanish_after_owo():
     rng = np.random.default_rng(5)
     mlp, d = random_network(rng, 3, 3, 2, 40)
-    corr = accumulate_correlations(d, forward(mlp, d))
-    solved = install_output_weights(mlp, solve_output_weights(corr))
+    trace = forward(mlp, d)
+    corr = accumulate_correlations(d, trace)
+    solved, _ = output_weight_step(mlp, d, trace)
     g = backprop(solved, d, forward(solved, d))
     bound = 1e-6 * (1.0 + np.abs(corr.c).max())
     assert np.abs(g.output_weights).max() <= bound
@@ -129,12 +125,11 @@ def test_output_weight_step_refreshes_outputs_bit_for_bit():
         mlp, d = random_network(np.random.default_rng(7), 4, 3, 2, 30, activation)
         trace = forward(mlp, d)
         solved, refreshed = output_weight_step(mlp, d, trace)
-        expected = install_output_weights(
-            mlp, solve_output_weights(accumulate_correlations(d, trace))
-        )
+        wo = solve_output_weights(accumulate_correlations(d, trace)).solution.T
         fresh = forward(solved, d)
         assert np.array_equal(solved.w, mlp.w)
-        assert np.array_equal(solved.woh, expected.woh)
-        assert np.array_equal(solved.woi, expected.woi)
+        # Bypass weights first, then hidden, as in augmented_basis.
+        assert solved.woi.shape == mlp.woi.shape and solved.woh.shape == mlp.woh.shape
+        assert np.array_equal(np.hstack((solved.woi, solved.woh)), wo)
         for name in ("activ", "output"):
             assert np.array_equal(getattr(refreshed, name), getattr(fresh, name))

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amolf.network
 import amolf.trainers
@@ -17,6 +19,7 @@ from amolf.gradients import (
 from amolf.linalg import solve_sym
 from amolf.network import Mlp, forward, init_net_control, mse
 from amolf.trainers import (
+    ALGORITHMS,
     LM_LAMBDA_MAX,
     AmolfState,
     adapt_group_count,
@@ -410,7 +413,7 @@ def test_search_interpolated_matches_direct_assembly_selection():
 
 
 def _matinv_setup(nh=10, nv=300, seed=0, algo="owo-molf", **kwargs):
-    data, _ = normalize_zero_mean(gen_matrix_inversion(nv, seed))
+    data = normalize_zero_mean(gen_matrix_inversion(nv, seed))
     mlp = init_net_control(data, nh, seed)
     return init_state(algo, mlp, data, **kwargs)
 
@@ -433,7 +436,7 @@ def test_owo_bp_converged_input_weights_unchanged():
 
 
 def test_owo_bp_mostly_decreases_on_matrix_inversion():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
     state = init_state("owo-bp", init_net_control(data, 30, 0), data)
     decreases = 0
     prev = state.last_error
@@ -454,7 +457,7 @@ def test_owo_molf_zero_step_when_converged():
 
 
 def test_owo_molf_matrix_inversion_converges():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
     state = init_state("owo-molf", init_net_control(data, 30, 0), data)
     for _ in range(100):
         state = iterate(state)
@@ -462,7 +465,7 @@ def test_owo_molf_matrix_inversion_converges():
 
 
 def test_amolf_pinned_single_group_matches_owo_molf():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(300, 5))
+    data = normalize_zero_mean(gen_matrix_inversion(300, 5))
     mlp = init_net_control(data, 8, 11)
     state_a = replace(init_state("amolf", mlp, data), amolf=AmolfState(fixed_n_groups=1))
     state_m = init_state("owo-molf", mlp, data)
@@ -679,20 +682,30 @@ def test_trainers_deterministic(algo):
 
 
 def test_init_state_rejects_out_of_range_settings():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(50, 0))
+    data = normalize_zero_mean(gen_matrix_inversion(50, 0))
     mlp = init_net_control(data, 3, 0)
     with pytest.raises(ValueError, match="search_period"):
         init_state("amolf", mlp, data, search_period=-1)
 
 
 @pytest.mark.parametrize("fixed", [0, 5, 6])
-def test_out_of_range_pinned_group_count_is_rejected(fixed):
-    # matinv has 4 inputs, so a pin must lie in 1..4: build_partition
-    # rejects counts outside 1..5 and the cost model the all-singleton 5.
+def test_out_of_range_pinned_group_count_is_rejected(fixed, monkeypatch):
+    # matinv has 4 inputs, so a pin must lie in 1..4; 5, the all-singleton
+    # count, is one build_partition would accept. The pin is checked before
+    # any system is assembled or solved.
     state = _matinv_setup(algo="amolf", nh=3, nv=50, seed=0)
     state = replace(state, amolf=AmolfState(fixed_n_groups=fixed))
-    with pytest.raises(ValueError, match=r"must be in 1\.\."):
+    calls = []
+    counted = amolf.trainers.solve_sym
+
+    def counting_solve_sym(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(amolf.trainers, "solve_sym", counting_solve_sym)
+    with pytest.raises(ValueError, match=r"fixed_n_groups must be in 1\.\.4"):
         iterate(state)
+    assert calls == []
 
 
 @pytest.mark.parametrize("algo, calls_per_iteration", [("owo-molf", 0), ("amolf", 1)])
@@ -729,7 +742,7 @@ def test_owo_molf_is_the_grouped_step_pinned_at_one_group():
 
 
 def test_init_state_rejects_unknown_algorithm():
-    data, _ = normalize_zero_mean(gen_matrix_inversion(50, 0))
+    data = normalize_zero_mean(gen_matrix_inversion(50, 0))
     mlp = init_net_control(data, 3, 0)
     with pytest.raises(ValueError, match="unknown algorithm"):
         init_state("adam", mlp, data)
@@ -740,3 +753,28 @@ def test_amolf_state_defaults():
     assert isinstance(state.amolf, AmolfState)
     assert state.amolf.n_groups == 1
     assert state.amolf.search_period == 50
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 2),
+    nv=st.integers(20, 40),
+    input_exponent=st.integers(-6, 6),
+    target_exponent=st.integers(-6, 6),
+)
+@settings(max_examples=30, deadline=None)
+def test_trainers_stay_finite_on_badly_scaled_data(
+    algo, seed, n, m, nv, input_exponent, target_exponent
+):
+    rng = np.random.default_rng(seed)
+    raw = make_dataset(
+        10.0**input_exponent * rng.standard_normal((nv, n)),
+        10.0**target_exponent * rng.standard_normal((nv, m)),
+    )
+    data = normalize_zero_mean(raw)
+    state = init_state(algo, init_net_control(data, 3, seed), data, search_period=3)
+    for _ in range(6):
+        state = iterate(state)
+        assert np.isfinite(state.last_error)
