@@ -54,7 +54,7 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class TrainingCurve:
     """Per-iteration record of mean error and mean cumulative multiplies,
-    with each trial's final network (empty when read back from a CSV)."""
+    with each trial's final network."""
 
     algorithm: str
     iterations: np.ndarray  # (n_iterations,) 1-based
@@ -169,21 +169,6 @@ def emit_curve(curve: TrainingCurve, path: str) -> None:
         fh.write("iteration,mean_mse,cum_multiplies\n")
         for it, err, mult in zip(curve.iterations, curve.mean_mse, curve.cum_multiplies):
             fh.write(f"{it},{err:.16e},{mult:.16e}\n")
-
-
-def read_curve(path: str) -> TrainingCurve:
-    """Parse a CSV written by emit_curve."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "iteration,mean_mse,cum_multiplies":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return TrainingCurve(
-        algorithm="",
-        iterations=np.array([int(r[0]) for r in rows]),
-        mean_mse=np.array([float(r[1]) for r in rows]),
-        cum_multiplies=np.array([float(r[2]) for r in rows]),
-    )
 
 
 def emit_kfold(report: KfoldReport, path: str) -> None:

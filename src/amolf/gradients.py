@@ -20,6 +20,14 @@ import numpy as np
 from .dataset import Dataset
 from .network import ForwardTrace, Mlp, activation_derivative
 
+# OpenBLAS runs a GEMM of m·n·k at or under 2**18 multiplies on one thread
+# (65536 times its default multithread threshold of 4); a larger product
+# splits across threads, and how it splits changes its bits. The Gram is
+# summed from column tiles over pattern chunks that stay at or under that
+# size, in a fixed order, so its bits do not depend on the thread count.
+GEMM_SINGLE_THREAD_SIZE = 2**18
+GRAM_TILE = 64
+
 
 @dataclass(frozen=True)
 class GradientBundle:
@@ -53,11 +61,25 @@ def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     ``features[p, k, c]`` is f'(net_k) times the change of unit k's net
     value along unknown (k, c) for pattern p. Entry ((k, c), (j, d)) is
     2/n_patterns times the pattern sum of features (k, c) and (j, d) times
-    sum_i woh(i,k) woh(i,j); the matrix is exactly symmetric.
+    sum_i woh(i,k) woh(i,j); the matrix is exactly symmetric, and its bits
+    do not depend on the BLAS thread count.
     """
     nv, nh, q = features.shape
     flat = features.reshape(nv, nh * q)
-    gram = (flat.T @ flat).reshape(nh, q, nh, q)
+    gram = np.empty((nh * q, nh * q))
+    for a in range(0, nh * q, GRAM_TILE):
+        fa = flat[:, a : a + GRAM_TILE]
+        for b in range(a, nh * q, GRAM_TILE):
+            fb = flat[:, b : b + GRAM_TILE]
+            chunk = GEMM_SINGLE_THREAD_SIZE // (fa.shape[1] * fb.shape[1])
+            tile = fa[:chunk].T @ fb[:chunk]
+            for p in range(chunk, nv, chunk):
+                tile += fa[p : p + chunk].T @ fb[p : p + chunk]
+            # numpy forms a diagonal tile (x.T @ x) with SYRK, already
+            # symmetric; the mirror makes each off-diagonal pair match.
+            gram[a : a + GRAM_TILE, b : b + GRAM_TILE] = tile
+            gram[b : b + GRAM_TILE, a : a + GRAM_TILE] = tile.T
+    gram = gram.reshape(nh, q, nh, q)
     s = mlp.woh.T @ mlp.woh
     return ((2.0 / nv) * gram * s[:, None, :, None]).reshape(nh * q, nh * q)
 

@@ -23,10 +23,12 @@ per iteration (group-count searches aside). All six end through
 
 A grouping is one group id per input weight (``GroupPartition.group``).
 The grouped step interpolates between one step size per unit (one group)
-and the full input-weight second-order step (all-singleton groups), which
-is why its system can be read off either directly from per-pattern sums or
-from the full input-weight Hessian; both are ``gradients.gauss_newton_gram``
-of per-unit features.
+and the full input-weight second-order step (all-singleton groups), so its
+system can be read off the full input-weight Hessian. A search iteration
+does so for every candidate count, and the winning candidate's step is the
+iteration's step; other iterations read their one system directly off
+per-pattern sums. Both come from ``gradients.gauss_newton_gram``, whose
+bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -149,15 +151,14 @@ def assemble_grouped_from_hessian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped step-size system compressed out of the full input-weight
     Hessian (``gauss_newton_input_hessian``), so candidate group counts can
-    be evaluated without recomputing any per-pattern sums."""
-    gw = grads.input_weights
-    nh, n1 = gw.shape
-    # Block-diagonal projector: row (k, n) holds gradient(k, n) in the
-    # column of unknown (k, group of (k, n)).
-    p = np.zeros((nh * n1, nh * part.n_groups))
-    columns = np.arange(nh)[:, None] * part.n_groups + part.group
-    p[np.arange(nh * n1), columns.ravel()] = gw.ravel()
-    return p.T @ (hessian @ p), _grouped_gradient(gw, part)[1]
+    be evaluated without recomputing any per-pattern sums. Entry
+    ((k, c), (j, d)) is t[k, :, c] · H_kj · t[j, :, d] for the unit-pair
+    block H_kj, one tiny product per unit pair."""
+    t, ga = _grouped_gradient(grads.input_weights, part)
+    nh, n1, ng = t.shape
+    blocks = hessian.reshape(nh, n1, nh, n1).transpose(0, 2, 1, 3)
+    ha = t.transpose(0, 2, 1)[:, None] @ blocks @ t[None]  # (nh, nh, ng, ng)
+    return ha.transpose(0, 2, 1, 3).reshape(nh * ng, nh * ng), ga
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +237,26 @@ def initial_group_search(
     trace: ForwardTrace,
     grads: GradientBundle,
     curvature: np.ndarray,
-) -> int:
+) -> tuple[int, Mlp]:
     """Exhaustive group-count selection over 1..n_inputs groups.
 
     Builds the full input-weight Hessian once, then for every candidate
     count compresses it onto the grouped unknowns, solves, applies the
     trial step to a scratch copy, and evaluates the resulting error. The
     candidate with the lowest error wins; ties go to the smaller count.
+    Returns the winning count and the winning stepped network.
     """
     hessian = gauss_newton_input_hessian(mlp, dataset, trace)
-    best_count, best_error = 1, np.inf
+    best_count, best_mlp, best_error = 1, mlp, np.inf
     for ng in range(1, dataset.n_inputs + 1):
         part = build_partition(curvature, ng)
         ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
         z = solve_sym(ha, ga).solution
         candidate = apply_grouped_step(mlp, grads, part, z)
         err = mse(candidate, dataset)
-        if err < best_error:
-            best_count, best_error = ng, err
-    return best_count
+        if ng == 1 or err < best_error:
+            best_count, best_mlp, best_error = ng, candidate, err
+    return best_count, best_mlp
 
 
 # ---------------------------------------------------------------------------
@@ -388,34 +390,30 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
 
-    searched, curvature = False, None
-    if ast.fixed_n_groups is not None:
-        n_groups = ast.fixed_n_groups
-    elif iteration == 1 or (
-        ast.search_period > 0 and iteration % ast.search_period == 0
-    ):
+    searched = ast.fixed_n_groups is None and (
+        iteration == 1 or (ast.search_period > 0 and iteration % ast.search_period == 0)
+    )
+    if searched:
         curvature = curvature_map(mlp, d, trace)
-        n_groups = initial_group_search(mlp, d, trace, grads, curvature)
-        searched = True
-    elif len(ast.epm_history) >= 2:
-        n_groups = adapt_group_count(
-            ast.n_groups, ast.epm_history[-2][1], ast.epm_history[-1][1], n
-        )
+        n_groups, stepped = initial_group_search(mlp, d, trace, grads, curvature)
     else:
-        n_groups = ast.n_groups
-    if curvature is None:
+        if ast.fixed_n_groups is not None:
+            n_groups = ast.fixed_n_groups
+        elif len(ast.epm_history) >= 2:
+            n_groups = adapt_group_count(
+                ast.n_groups, ast.epm_history[-2][1], ast.epm_history[-1][1], n
+            )
+        else:
+            n_groups = ast.n_groups
         # One group holds all of a unit's inputs in any order, so its
         # partition does not depend on the curvature.
         curvature = (
             np.zeros_like(mlp.w) if n_groups == 1 else curvature_map(mlp, d, trace)
         )
-
-    part = build_partition(curvature, n_groups)
-    # Not the search's own step: its Hessian-compressed systems change bits
-    # with the BLAS thread count, while the per-pattern sums do not.
-    ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
-    z = solve_sym(ha, ga).solution
-    mlp, err = _output_solve(apply_grouped_step(mlp, grads, part, z), d)
+        part = build_partition(curvature, n_groups)
+        ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
+        stepped = apply_grouped_step(mlp, grads, part, solve_sym(ha, ga).solution)
+    mlp, err = _output_solve(stepped, d)
 
     if state.algorithm == "owo-molf":
         multiplies = cost.mult_owo_molf(n, nh, m, nv)

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from amolf.dataset import Dataset, make_dataset
+from amolf.experiment import TrainingCurve
 from amolf.gradients import output_deltas
 from amolf.linalg import solve_sym
 from amolf.network import ACTIVATIONS, Mlp, activation_derivative, mse
@@ -22,6 +23,22 @@ from amolf.trainers import (
     assemble_grouped_from_hessian,
     build_partition,
 )
+
+
+def read_curve(path: str) -> TrainingCurve:
+    """Parse a CSV written by ``emit_curve``; the algorithm and final
+    networks are not in the file and come back empty."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != "iteration,mean_mse,cum_multiplies":
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    return TrainingCurve(
+        algorithm="",
+        iterations=np.array([int(r[0]) for r in rows]),
+        mean_mse=np.array([float(r[1]) for r in rows]),
+        cum_multiplies=np.array([float(r[2]) for r in rows]),
+    )
 
 
 def scalar_forward(mlp: Mlp, dataset: Dataset):
@@ -121,6 +138,15 @@ def gauss_elimination_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x[:, 0] if vector else x
+
+
+def untiled_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
+    """``gauss_newton_gram`` as one untiled product: 2/n_patterns times the
+    feature Gram, times sum_i woh(i,k) woh(i,j) on every (unit k, unit j)
+    block."""
+    nv, nh, q = features.shape
+    flat = features.reshape(nv, nh * q)
+    return (2.0 / nv) * (flat.T @ flat) * np.kron(mlp.woh.T @ mlp.woh, np.ones((q, q)))
 
 
 def flatten_index(unit: int, input_index: int, n_inputs: int) -> int:

@@ -7,13 +7,13 @@ from amolf.experiment import (
     ExperimentConfig,
     emit_curve,
     emit_kfold,
-    read_curve,
     run_kfold,
     run_training,
     trial_seed,
 )
 from amolf.network import init_net_control
 from amolf.trainers import init_state, iterate
+from support import read_curve
 
 
 def _config(**kwargs):

@@ -5,9 +5,12 @@ import pytest
 
 from amolf.dataset import make_dataset
 from amolf.gradients import (
+    GEMM_SINGLE_THREAD_SIZE,
+    GRAM_TILE,
     backprop,
     curvature_map,
     gauss_newton_full_hessian,
+    gauss_newton_gram,
     gauss_newton_input_hessian,
     gn_curvature_along_direction,
     gn_curvature_along_input_direction,
@@ -26,6 +29,7 @@ from support import (
     random_network,
     relative_max_error,
     unflatten_index,
+    untiled_gram,
 )
 
 
@@ -94,6 +98,27 @@ def test_input_hessian_symmetric_psd():
     probes = rng.standard_normal((100, h.shape[0]))
     quad = np.einsum("ri,ij,rj->r", probes, h, probes)
     assert quad.min() >= -1e-10
+
+
+@pytest.mark.parametrize("width", [1, GRAM_TILE - 1, GRAM_TILE, GRAM_TILE + 1, 2 * GRAM_TILE + 1])
+def test_gram_tiles_and_chunks_cover_every_column_and_pattern(width):
+    # Pattern counts sit at the edges of the first tile's chunk, so its
+    # last chunk is full, one short, or holds a single pattern.
+    chunk = GEMM_SINGLE_THREAD_SIZE // min(width, GRAM_TILE) ** 2
+    rng = np.random.default_rng(width)
+    q = next(q for q in (5, 4, 3, 1) if width % q == 0)
+    mlp = Mlp(
+        w=np.zeros((width // q, 2)),
+        woh=rng.standard_normal((3, width // q)),
+        woi=np.zeros((3, 2)),
+        activation="sigmoid",
+    )
+    for nv in (1, chunk - 1, chunk, chunk + 1):
+        features = rng.standard_normal((nv, width // q, q))
+        h = gauss_newton_gram(mlp, features)
+        expected = untiled_gram(mlp, features)
+        assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(h, h.T)
 
 
 def test_flatten_round_trip():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amolf.network
+import amolf.owo
 import amolf.trainers
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
 from amolf.gradients import (
@@ -358,9 +359,9 @@ def test_adapt_group_count_rules():
 
 
 def test_search_ties_resolve_to_one_group():
-    # Orthogonal design with dyadic weights: the grouped-step system is an
-    # exact multiple of the identity, so every candidate count produces the
-    # same step and the tie resolves to the smallest.
+    # Orthogonal design with dyadic weights: the input-weight Hessian is
+    # exactly 2·I, so every candidate count steps to w + g/2 and the tie
+    # resolves to the smallest count, whose network is returned.
     x = np.array([[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]], dtype=float)
     d = make_dataset(x, np.array([[1.0], [-0.5], [0.25], [2.0]]))
     mlp = Mlp(
@@ -371,7 +372,10 @@ def test_search_ties_resolve_to_one_group():
     )
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    assert initial_group_search(mlp, d, trace, g, curvature_map(mlp, d, trace)) == 1
+    chosen, stepped = initial_group_search(mlp, d, trace, g, curvature_map(mlp, d, trace))
+    assert chosen == 1
+    assert np.array_equal(stepped.w, mlp.w + 0.5 * g.input_weights)
+    assert np.array_equal(stepped.woh, mlp.woh) and np.array_equal(stepped.woi, mlp.woi)
 
 
 def test_search_returns_argmin_of_candidates():
@@ -381,15 +385,17 @@ def test_search_returns_argmin_of_candidates():
     g = backprop(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
-    chosen = initial_group_search(mlp, d, trace, g, hw)
-    errors = []
+    chosen, stepped = initial_group_search(mlp, d, trace, g, hw)
+    candidates = []
     for ng in range(1, d.n_inputs + 1):
         part = build_partition(hw, ng)
         ha, ga = assemble_grouped_from_hessian(h, g, part)
         z = solve_sym(ha, ga).solution
-        errors.append(mse(apply_grouped_step(mlp, g, part, z), d))
+        candidates.append(apply_grouped_step(mlp, g, part, z))
+    errors = [mse(candidate, d) for candidate in candidates]
     assert chosen == 1 + int(np.argmin(errors))
     assert errors[chosen - 1] == min(errors)
+    assert np.array_equal(stepped.w, candidates[chosen - 1].w)
 
 
 def test_search_interpolated_matches_direct_assembly_selection():
@@ -398,7 +404,7 @@ def test_search_interpolated_matches_direct_assembly_selection():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
-    chosen = initial_group_search(mlp, d, trace, g, hw)
+    chosen, _ = initial_group_search(mlp, d, trace, g, hw)
     errors = []
     for ng in range(1, d.n_inputs + 1):
         part = build_partition(hw, ng)
@@ -728,6 +734,38 @@ def test_curvature_map_only_where_the_partition_needs_it(
     for _ in range(3):
         state = iterate(state)
     assert len(calls) == calls_per_iteration * 3
+
+
+def test_a_search_iteration_does_its_work_once(monkeypatch):
+    # The winning candidate's step is the iteration's step: a search
+    # iteration solves each candidate count's system and the output weights,
+    # and assembles nothing from per-pattern sums; an adapting iteration
+    # assembles and solves its one grouped system.
+    state = _matinv_setup(algo="amolf", nh=4, nv=120, seed=8, search_period=3)
+    n = state.dataset.n_inputs
+    solves, assemblies = [], []
+    counted_solve = amolf.trainers.solve_sym
+    counted_assemble = amolf.trainers.assemble_grouped_direct
+
+    def counting_solve_sym(*args):
+        solves.append(1)
+        return counted_solve(*args)
+
+    def counting_assemble(*args):
+        assemblies.append(1)
+        return counted_assemble(*args)
+
+    monkeypatch.setattr(amolf.trainers, "solve_sym", counting_solve_sym)
+    monkeypatch.setattr(amolf.owo, "solve_sym", counting_solve_sym)
+    monkeypatch.setattr(amolf.trainers, "assemble_grouped_direct", counting_assemble)
+    for searched in (True, False, True, False):  # iterations 1 to 4
+        solves.clear()
+        assemblies.clear()
+        state = iterate(state)
+        if searched:
+            assert (len(assemblies), len(solves)) == (0, n + 1)
+        else:
+            assert (len(assemblies), len(solves)) == (1, 2)
 
 
 def test_owo_molf_is_the_grouped_step_pinned_at_one_group():
