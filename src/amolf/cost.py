@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-
-def _as_int(value: Fraction) -> int:
-    return round(value)
+from itertools import accumulate
 
 
 def _check_sizes(n: int, nh: int, m: int, nv: int) -> None:
@@ -29,7 +26,7 @@ def mult_ols(nu: int, m: int) -> int:
     """Solving the output-weight system by orthogonal least squares:
     nu (nu+1) [m + (2 nu + 1)/6 + 3/2]."""
     f = Fraction(nu * (nu + 1)) * (Fraction(m) + Fraction(2 * nu + 1, 6) + Fraction(3, 2))
-    return _as_int(f)
+    return round(f)
 
 
 def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
@@ -51,7 +48,7 @@ def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
         + m * nu * (nu + 3 * nh * (n + 1))
         + 4 * nh * nh * (n + 1) * (n + 1)
     ) + Fraction(nw**3 + nw**2)
-    return _as_int(f)
+    return round(f)
 
 
 def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
@@ -65,7 +62,7 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     niw = nh * (n + 1)
     inner = Fraction(nv * m, 2) + Fraction(2 * niw + 1, 6) + Fraction(5, 2)
     f = Fraction(nv) * (Fraction(niw * (2 * m + 1)) + Fraction(niw * (niw + 1)) * inner)
-    return _as_int(f)
+    return round(f)
 
 
 def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
@@ -90,7 +87,7 @@ def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     f = Fraction(nh * (nh + 1)) * (Fraction(2 * nh + 1, 6) + Fraction(5, 2)) + Fraction(
         nv * nh
     ) * (Fraction(2 * m + n + 2) + Fraction(m * (nh + 1), 2))
-    return _as_int(f)
+    return round(f)
 
 
 def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
@@ -109,7 +106,7 @@ def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
         + Fraction(nh * ng * m * (nv + 2))
         + Fraction(nl * nv * m)
     )
-    return _as_int(f)
+    return round(f)
 
 
 def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
@@ -130,7 +127,7 @@ def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
         nl = ng * nh
         solve = Fraction(nl * (nl + 1)) * (Fraction(2 * nl + 1, 6) + Fraction(5, 2))
         total += Fraction(2 * niw * niw) + solve + Fraction(niw) + trial_eval
-    return _as_int(total)
+    return round(total)
 
 
 def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
@@ -163,7 +160,6 @@ def epm(e_prev: float, e_now: float, m_it: int) -> float:
 class CostLedger:
     """Per-iteration multiply counts for one training run."""
 
-    algorithm: str
     per_iteration: list[int] = field(default_factory=list)
 
     def record(self, multiplies: int) -> None:
@@ -172,12 +168,7 @@ class CostLedger:
         self.per_iteration.append(int(multiplies))
 
     def cumulative(self) -> list[int]:
-        out: list[int] = []
-        total = 0
-        for count in self.per_iteration:
-            total += count
-            out.append(total)
-        return out
+        return list(accumulate(self.per_iteration))
 
     def total(self) -> int:
         return sum(self.per_iteration)

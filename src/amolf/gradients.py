@@ -4,7 +4,8 @@ Sign convention: every gradient object here is a NEGATIVE gradient of the
 mean squared error, so adding ``step * gradient`` with a small positive step
 decreases the error. Hessians are Gauss-Newton (sums of output-Jacobian
 outer products scaled by 2/n_patterns), hence symmetric positive
-semi-definite by construction.
+semi-definite by construction; each takes its pattern sums from one Gram
+of per-pattern features, ``_tiled_gram``, never from a Jacobian in memory.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
 k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
@@ -55,6 +56,26 @@ def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
     )
 
 
+def _tiled_gram(flat: np.ndarray) -> np.ndarray:
+    """``flat.T @ flat``, exactly symmetric, summed from column tiles over
+    pattern chunks in a fixed order, so its bits do not depend on BLAS threads."""
+    nv, q = flat.shape
+    gram = np.empty((q, q))
+    for a in range(0, q, GRAM_TILE):
+        fa = flat[:, a : a + GRAM_TILE]
+        for b in range(a, q, GRAM_TILE):
+            fb = flat[:, b : b + GRAM_TILE]
+            chunk = GEMM_SINGLE_THREAD_SIZE // (fa.shape[1] * fb.shape[1])
+            tile = fa[:chunk].T @ fb[:chunk]
+            for p in range(chunk, nv, chunk):
+                tile += fa[p : p + chunk].T @ fb[p : p + chunk]
+            # numpy forms a diagonal tile (x.T @ x) with SYRK, already
+            # symmetric; the mirror makes each off-diagonal pair match.
+            gram[a : a + GRAM_TILE, b : b + GRAM_TILE] = tile
+            gram[b : b + GRAM_TILE, a : a + GRAM_TILE] = tile.T
+    return gram
+
+
 def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     """Gauss-Newton Hessian over q unknowns per hidden unit, unit-major.
 
@@ -65,21 +86,7 @@ def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     do not depend on the BLAS thread count.
     """
     nv, nh, q = features.shape
-    flat = features.reshape(nv, nh * q)
-    gram = np.empty((nh * q, nh * q))
-    for a in range(0, nh * q, GRAM_TILE):
-        fa = flat[:, a : a + GRAM_TILE]
-        for b in range(a, nh * q, GRAM_TILE):
-            fb = flat[:, b : b + GRAM_TILE]
-            chunk = GEMM_SINGLE_THREAD_SIZE // (fa.shape[1] * fb.shape[1])
-            tile = fa[:chunk].T @ fb[:chunk]
-            for p in range(chunk, nv, chunk):
-                tile += fa[p : p + chunk].T @ fb[p : p + chunk]
-            # numpy forms a diagonal tile (x.T @ x) with SYRK, already
-            # symmetric; the mirror makes each off-diagonal pair match.
-            gram[a : a + GRAM_TILE, b : b + GRAM_TILE] = tile
-            gram[b : b + GRAM_TILE, a : a + GRAM_TILE] = tile.T
-    gram = gram.reshape(nh, q, nh, q)
+    gram = _tiled_gram(features.reshape(nv, nh * q)).reshape(nh, q, nh, q)
     s = mlp.woh.T @ mlp.woh
     return ((2.0 / nv) * gram * s[:, None, :, None]).reshape(nh * q, nh * q)
 
@@ -143,24 +150,24 @@ def gauss_newton_full_hessian(
 ) -> np.ndarray:
     """Gauss-Newton Hessian over every weight, in the order of ``pack``.
 
-    Built from the dense per-pattern output Jacobian, so memory is
-    n_patterns * n_outputs * n_weights; meant for small networks.
+    Output i's Jacobian is the per-pattern features [f'·x, activations,
+    inputs] times s_i = [woh(i,k) at weight (k,n), 1, 1], over the input
+    weights and output i's own output and bypass weights. So the Hessian is
+    2/n_patterns times the feature Gram times s_i s_iᵀ (exactly symmetric),
+    added at those rows for each output i.
     """
-    nv, n1 = dataset.n_patterns, dataset.n_inputs + 1
-    nh, m = mlp.n_hidden, mlp.n_outputs
+    nv, n1, nh, m = dataset.n_patterns, dataset.n_inputs + 1, mlp.n_hidden, mlp.n_outputs
     niw = nh * n1
-    nw = niw + m * nh + m * n1
     fprime = activation_derivative(mlp, trace)
-    jac = np.zeros((nv, m, nw))
-    jac[:, :, :niw] = np.einsum(
-        "ik,pk,pn->pikn", mlp.woh, fprime, dataset.inputs
-    ).reshape(nv, m, niw)
+    fx = (fprime[:, :, None] * dataset.inputs[:, None, :]).reshape(nv, niw)
+    gram = (2.0 / nv) * _tiled_gram(np.hstack((fx, trace.activ, dataset.inputs)))
+    hessian = np.zeros((niw + m * (nh + n1),) * 2)
+    woh_rows, woi_rows = niw + np.arange(nh), niw + m * nh + np.arange(n1)
     for i in range(m):
-        jac[:, i, niw + i * nh : niw + (i + 1) * nh] = trace.activ
-        off = niw + m * nh
-        jac[:, i, off + i * n1 : off + (i + 1) * n1] = dataset.inputs
-    flat = jac.reshape(nv * m, nw)
-    return (2.0 / nv) * (flat.T @ flat)
+        scale = np.concatenate((np.repeat(mlp.woh[i], n1), np.ones(nh + n1)))
+        rows = np.r_[:niw, woh_rows + i * nh, woi_rows + i * n1]
+        hessian[np.ix_(rows, rows)] += gram * np.outer(scale, scale)
+    return hessian
 
 
 def pack(grads: GradientBundle) -> np.ndarray:

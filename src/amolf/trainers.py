@@ -18,8 +18,8 @@ Six trainers share the same machinery:
 owo-molf, owo-newton and amolf take an input-weight step, then solve the
 output weights; owo-bp solves them first. The solve refreshes only the
 outputs of its forward pass, so each of the four runs two forward passes
-per iteration (group-count searches aside). All six end through
-``_advance``.
+per iteration; a search iteration runs one per candidate count instead of
+the second, and solves for the winner's. All six end through ``_advance``.
 
 A grouping is one group id per input weight (``GroupPartition.group``).
 The grouped step interpolates between one step size per unit (one group)
@@ -237,26 +237,27 @@ def initial_group_search(
     trace: ForwardTrace,
     grads: GradientBundle,
     curvature: np.ndarray,
-) -> tuple[int, Mlp]:
+) -> tuple[int, Mlp, ForwardTrace]:
     """Exhaustive group-count selection over 1..n_inputs groups.
 
     Builds the full input-weight Hessian once, then for every candidate
     count compresses it onto the grouped unknowns, solves, applies the
-    trial step to a scratch copy, and evaluates the resulting error. The
-    candidate with the lowest error wins; ties go to the smaller count.
-    Returns the winning count and the winning stepped network.
+    trial step to a scratch copy, and runs it forward for its error. The
+    lowest error wins; ties go to the smaller count. Returns the winning
+    count, stepped network and forward pass.
     """
     hessian = gauss_newton_input_hessian(mlp, dataset, trace)
-    best_count, best_mlp, best_error = 1, mlp, np.inf
+    best, best_error = None, np.inf
     for ng in range(1, dataset.n_inputs + 1):
         part = build_partition(curvature, ng)
         ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
         z = solve_sym(ha, ga).solution
         candidate = apply_grouped_step(mlp, grads, part, z)
-        err = mse(candidate, dataset)
+        candidate_trace = forward(candidate, dataset)
+        err = output_mse(dataset, candidate_trace.output)
         if ng == 1 or err < best_error:
-            best_count, best_mlp, best_error = ng, candidate, err
-    return best_count, best_mlp
+            best, best_error = (ng, candidate, candidate_trace), err
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,7 @@ def init_state(
         mlp=mlp,
         dataset=dataset,
         algorithm=algorithm,
-        ledger=CostLedger(algorithm),
+        ledger=CostLedger(),
         last_error=mse(mlp, dataset),
     )
     if algorithm == "amolf":
@@ -344,10 +345,10 @@ def _advance(
     )
 
 
-def _output_solve(mlp: Mlp, dataset: Dataset) -> tuple[Mlp, float]:
-    """Tail of the trainers that move the input weights first: one forward
-    pass, the output-weight solve, and the error of the result."""
-    mlp, trace = output_weight_step(mlp, dataset, forward(mlp, dataset))
+def _output_solve(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> tuple[Mlp, float]:
+    """Tail of the trainers that move the input weights first: the output
+    solve for ``trace``, a forward pass of ``mlp``, and the resulting error."""
+    mlp, trace = output_weight_step(mlp, dataset, trace)
     return mlp, output_mse(dataset, trace.output)
 
 
@@ -368,8 +369,8 @@ def owo_newton_iteration(state: TrainerState) -> TrainerState:
     trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
     hessian = gauss_newton_input_hessian(mlp, d, trace)
-    step = newton_input_step(hessian, grads)
-    mlp, err = _output_solve(replace(mlp, w=mlp.w + step), d)
+    stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, grads))
+    mlp, err = _output_solve(stepped, d, forward(stepped, d))
     return _advance(state, mlp, err, cost.mult_owo_newton(*_dims(state)))
 
 
@@ -395,7 +396,7 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
     )
     if searched:
         curvature = curvature_map(mlp, d, trace)
-        n_groups, stepped = initial_group_search(mlp, d, trace, grads, curvature)
+        n_groups, stepped, stepped_trace = initial_group_search(mlp, d, trace, grads, curvature)
     else:
         if ast.fixed_n_groups is not None:
             n_groups = ast.fixed_n_groups
@@ -413,7 +414,8 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
         part = build_partition(curvature, n_groups)
         ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
         stepped = apply_grouped_step(mlp, grads, part, solve_sym(ha, ga).solution)
-    mlp, err = _output_solve(stepped, d)
+        stepped_trace = forward(stepped, d)
+    mlp, err = _output_solve(stepped, d, stepped_trace)
 
     if state.algorithm == "owo-molf":
         multiplies = cost.mult_owo_molf(n, nh, m, nv)

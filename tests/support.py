@@ -149,6 +149,26 @@ def untiled_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     return (2.0 / nv) * (flat.T @ flat) * np.kron(mlp.woh.T @ mlp.woh, np.ones((q, q)))
 
 
+def dense_full_hessian(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
+    """``gauss_newton_full_hessian`` from the dense per-pattern output
+    Jacobian, n_patterns x n_outputs x n_weights, as one untiled product."""
+    nv, n1 = dataset.n_patterns, dataset.n_inputs + 1
+    nh, m = mlp.n_hidden, mlp.n_outputs
+    niw = nh * n1
+    nw = niw + m * nh + m * n1
+    fprime = activation_derivative(mlp, trace)
+    jac = np.zeros((nv, m, nw))
+    jac[:, :, :niw] = np.einsum(
+        "ik,pk,pn->pikn", mlp.woh, fprime, dataset.inputs
+    ).reshape(nv, m, niw)
+    for i in range(m):
+        jac[:, i, niw + i * nh : niw + (i + 1) * nh] = trace.activ
+        off = niw + m * nh
+        jac[:, i, off + i * n1 : off + (i + 1) * n1] = dataset.inputs
+    flat = jac.reshape(nv * m, nw)
+    return (2.0 / nv) * (flat.T @ flat)
+
+
 def flatten_index(unit: int, input_index: int, n_inputs: int) -> int:
     """Position of input weight (unit, input_index) in the flattened vector."""
     return unit * (n_inputs + 1) + input_index

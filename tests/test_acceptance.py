@@ -253,7 +253,7 @@ def test_criterion_08_cost_formulas_and_ledger():
         )
         assert actual == EXPECTED_COUNTS[name], name
 
-    ledger = cost.CostLedger("amolf")
+    ledger = cost.CostLedger()
     rng = np.random.default_rng(8)
     entries = [int(v) for v in rng.integers(1, 10**9, size=50)]
     for value in entries:

@@ -134,7 +134,7 @@ def test_epm_rejects_non_positive_multiplies():
 
 
 def test_ledger_cumulative_reconstruction():
-    ledger = cost.CostLedger("amolf")
+    ledger = cost.CostLedger()
     for value in (10, 20, 5, 7):
         ledger.record(value)
     assert ledger.per_iteration == [10, 20, 5, 7]
@@ -147,7 +147,7 @@ def test_ledger_cumulative_reconstruction():
 
 
 def test_ledger_rejects_non_positive_counts():
-    ledger = cost.CostLedger("cg")
+    ledger = cost.CostLedger()
     with pytest.raises(ValueError):
         ledger.record(0)
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from amolf.dataset import make_dataset
+from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
 from amolf.gradients import (
     GEMM_SINGLE_THREAD_SIZE,
     GRAM_TILE,
@@ -18,9 +20,10 @@ from amolf.gradients import (
     unpack,
 )
 from amolf.linalg import solve_sym
-from amolf.network import Mlp, forward, mse
-from amolf.owo import accumulate_correlations
+from amolf.network import Mlp, forward, init_net_control, mse
+from amolf.owo import accumulate_correlations, output_weight_step
 from support import (
+    dense_full_hessian,
     fd_gradients,
     fd_second_derivative,
     flatten_index,
@@ -237,21 +240,45 @@ def test_directional_curvature_matches_fd_second_derivative():
 
 
 def test_full_hessian_layout_and_quadratic_form():
+    # One and three outputs; feature widths nh·(n+1) + nh + n + 1 of 14, 69
+    # and 131, so an output's own rows straddle a partial last Gram tile,
+    # and 150 patterns, so full tiles sum over three pattern chunks.
     rng = np.random.default_rng(12)
-    mlp, d = random_network(rng, 3, 2, 2, 15)
-    trace = forward(mlp, d)
-    g = backprop(mlp, d, trace)
-    h_full = gauss_newton_full_hessian(mlp, d, trace)
-    g_full = pack(g)
-    niw = mlp.n_hidden * (mlp.n_inputs + 1)
-    h_in = gauss_newton_input_hessian(mlp, d, trace)
-    assert np.abs(h_full[:niw, :niw] - h_in).max() <= 1e-12
-    assert np.abs(g_full[:niw] - g.input_weights.ravel()).max() == 0.0
-    direction = rng.standard_normal(h_full.shape[0])
-    quad = float(direction @ h_full @ direction)
-    nh, m, n1 = mlp.n_hidden, mlp.n_outputs, mlp.n_inputs + 1
-    d_w = direction[:niw].reshape(nh, n1)
-    d_woh = direction[niw : niw + m * nh].reshape(m, nh)
-    d_woi = direction[niw + m * nh :].reshape(m, n1)
-    direct = gn_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi)
-    assert abs(direct - quad) <= 1e-10 * (1.0 + abs(quad))
+    for (n, nh), m in itertools.product(((3, 2), (3, 13), (4, 21)), (1, 3)):
+        mlp, d = random_network(rng, n, nh, m, 150)
+        trace = forward(mlp, d)
+        g = backprop(mlp, d, trace)
+        h_full = gauss_newton_full_hessian(mlp, d, trace)
+        expected = dense_full_hessian(mlp, d, trace)
+        assert np.abs(h_full - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(h_full, h_full.T)
+        g_full = pack(g)
+        niw = nh * (n + 1)
+        h_in = gauss_newton_input_hessian(mlp, d, trace)
+        assert np.abs(h_full[:niw, :niw] - h_in).max() <= 1e-12
+        assert np.abs(g_full[:niw] - g.input_weights.ravel()).max() == 0.0
+        direction = rng.standard_normal(h_full.shape[0])
+        quad = float(direction @ h_full @ direction)
+        d_w = direction[:niw].reshape(nh, n + 1)
+        d_woh = direction[niw : niw + m * nh].reshape(m, nh)
+        d_woi = direction[niw + m * nh :].reshape(m, n + 1)
+        direct = gn_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi)
+        assert abs(direct - quad) <= 1e-10 * (1.0 + abs(quad))
+
+
+def test_full_hessian_peak_allocation():
+    # Matrix inversion at the benchmark's size: 2000 patterns, nh=30, four
+    # outputs, 290 weights. A dense per-pattern output Jacobian alone would
+    # take 2000·4·290·8 bytes = 18.6 MB; the 2000x185 features take 3.0 MB.
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    mlp = init_net_control(data, 30, 0)
+    mlp, trace = output_weight_step(mlp, data, forward(mlp, data))
+    assert np.all(mlp.woh != 0.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gauss_newton_full_hessian(mlp, data, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -372,7 +372,7 @@ def test_search_ties_resolve_to_one_group():
     )
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    chosen, stepped = initial_group_search(mlp, d, trace, g, curvature_map(mlp, d, trace))
+    chosen, stepped, _ = initial_group_search(mlp, d, trace, g, curvature_map(mlp, d, trace))
     assert chosen == 1
     assert np.array_equal(stepped.w, mlp.w + 0.5 * g.input_weights)
     assert np.array_equal(stepped.woh, mlp.woh) and np.array_equal(stepped.woi, mlp.woi)
@@ -385,7 +385,7 @@ def test_search_returns_argmin_of_candidates():
     g = backprop(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
-    chosen, stepped = initial_group_search(mlp, d, trace, g, hw)
+    chosen, stepped, stepped_trace = initial_group_search(mlp, d, trace, g, hw)
     candidates = []
     for ng in range(1, d.n_inputs + 1):
         part = build_partition(hw, ng)
@@ -396,6 +396,10 @@ def test_search_returns_argmin_of_candidates():
     assert chosen == 1 + int(np.argmin(errors))
     assert errors[chosen - 1] == min(errors)
     assert np.array_equal(stepped.w, candidates[chosen - 1].w)
+    # The returned trace is the winner's forward pass, bit for bit.
+    fresh = forward(stepped, d)
+    assert np.array_equal(stepped_trace.activ, fresh.activ)
+    assert np.array_equal(stepped_trace.output, fresh.output)
 
 
 def test_search_interpolated_matches_direct_assembly_selection():
@@ -404,7 +408,7 @@ def test_search_interpolated_matches_direct_assembly_selection():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
-    chosen, _ = initial_group_search(mlp, d, trace, g, hw)
+    chosen, _, _ = initial_group_search(mlp, d, trace, g, hw)
     errors = []
     for ng in range(1, d.n_inputs + 1):
         part = build_partition(hw, ng)
@@ -739,13 +743,15 @@ def test_curvature_map_only_where_the_partition_needs_it(
 def test_a_search_iteration_does_its_work_once(monkeypatch):
     # The winning candidate's step is the iteration's step: a search
     # iteration solves each candidate count's system and the output weights,
-    # and assembles nothing from per-pattern sums; an adapting iteration
-    # assembles and solves its one grouped system.
+    # assembles nothing from per-pattern sums, and runs one forward pass per
+    # candidate besides its first, the winner's reused by the output solve;
+    # an adapting iteration assembles and solves its one grouped system.
     state = _matinv_setup(algo="amolf", nh=4, nv=120, seed=8, search_period=3)
     n = state.dataset.n_inputs
-    solves, assemblies = [], []
+    solves, assemblies, forwards = [], [], []
     counted_solve = amolf.trainers.solve_sym
     counted_assemble = amolf.trainers.assemble_grouped_direct
+    counted_forward = amolf.network.forward
 
     def counting_solve_sym(*args):
         solves.append(1)
@@ -755,17 +761,25 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
         assemblies.append(1)
         return counted_assemble(*args)
 
+    def counting_forward(*args):
+        forwards.append(1)
+        return counted_forward(*args)
+
     monkeypatch.setattr(amolf.trainers, "solve_sym", counting_solve_sym)
     monkeypatch.setattr(amolf.owo, "solve_sym", counting_solve_sym)
     monkeypatch.setattr(amolf.trainers, "assemble_grouped_direct", counting_assemble)
+    # ``mse`` calls the network module's ``forward``; the trainers call their own.
+    monkeypatch.setattr(amolf.network, "forward", counting_forward)
+    monkeypatch.setattr(amolf.trainers, "forward", counting_forward)
     for searched in (True, False, True, False):  # iterations 1 to 4
         solves.clear()
         assemblies.clear()
+        forwards.clear()
         state = iterate(state)
         if searched:
-            assert (len(assemblies), len(solves)) == (0, n + 1)
+            assert (len(assemblies), len(solves), len(forwards)) == (0, n + 1, n + 1)
         else:
-            assert (len(assemblies), len(solves)) == (1, 2)
+            assert (len(assemblies), len(solves), len(forwards)) == (1, 2, 2)
 
 
 def test_owo_molf_is_the_grouped_step_pinned_at_one_group():
