@@ -178,13 +178,10 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     nv = dataset.n_patterns
     if nv < k:
         raise ValueError(f"cannot split {nv} patterns into {k} folds")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(nv)
-    assignments = np.empty(nv, dtype=np.int64)
+    perm = np.random.default_rng(seed).permutation(nv)
+    # Fold f takes the next ``base`` patterns of perm, one more if f <= extra.
     base, extra = divmod(nv, k)
-    start = 0
-    for fold in range(1, k + 1):
-        size = base + (1 if fold <= extra else 0)
-        assignments[perm[start : start + size]] = fold
-        start += size
+    folds = np.arange(1, k + 1)
+    assignments = np.empty(nv, dtype=np.int64)
+    assignments[perm] = np.repeat(folds, base + (folds <= extra))
     return FoldPlan(k=k, assignments=assignments)

@@ -116,8 +116,8 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
     An iteration improves when the validation error drops by at least
     ``MIN_IMPROVEMENT`` relative to the best seen; after ``patience``
     consecutive non-improving iterations training stops, capped at
-    ``config.iterations``. The reported errors are those of the
-    best-validation model.
+    ``config.iterations``. The reported errors are the best-validation
+    model's; its training error is the trainer's own ``last_error``.
     """
     data = normalize_zero_mean(dataset)
     plan = kfold_split(data, config.k_folds, config.seed)
@@ -137,21 +137,21 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
             config.algorithm, mlp, train_data, search_period=config.search_period
         )
         best_val = np.inf
-        best_mlp = state.mlp
+        best = state
         stall = 0
         for _ in range(config.iterations):
             state = iterate(state)
             val_error = mse(state.mlp, val_data)
             if val_error <= best_val * (1.0 - MIN_IMPROVEMENT):
                 best_val = val_error
-                best_mlp = state.mlp
+                best = state
                 stall = 0
             else:
                 stall += 1
                 if stall >= config.patience:
                     break
-        train_errors.append(mse(best_mlp, train_data))
-        test_errors.append(mse(best_mlp, test_data))
+        train_errors.append(best.last_error)
+        test_errors.append(mse(best.mlp, test_data))
     return KfoldReport(
         algorithm=config.algorithm,
         train_errors=tuple(train_errors),

@@ -4,8 +4,9 @@ Sign convention: every gradient object here is a NEGATIVE gradient of the
 mean squared error, so adding ``step * gradient`` with a small positive step
 decreases the error. Hessians are Gauss-Newton (sums of output-Jacobian
 outer products scaled by 2/n_patterns), hence symmetric positive
-semi-definite by construction; each takes its pattern sums from one Gram
-of per-pattern features, ``_tiled_gram``, never from a Jacobian in memory.
+semi-definite by construction; each is one ``linalg.pattern_sum`` Gram of
+per-pattern features, never a Jacobian in memory. Gradients sum over
+patterns with ``pattern_sum`` too, so no result depends on BLAS threads.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
 k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
@@ -19,15 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .linalg import pattern_sum
 from .network import ForwardTrace, Mlp, activation_derivative
-
-# OpenBLAS runs a GEMM of m·n·k at or under 2**18 multiplies on one thread
-# (65536 times its default multithread threshold of 4); a larger product
-# splits across threads, and how it splits changes its bits. The Gram is
-# summed from column tiles over pattern chunks that stay at or under that
-# size, in a fixed order, so its bits do not depend on the thread count.
-GEMM_SINGLE_THREAD_SIZE = 2**18
-GRAM_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -50,30 +44,10 @@ def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
     d_out = output_deltas(dataset, trace)
     d_hid = activation_derivative(mlp, trace) * (d_out @ mlp.woh)
     return GradientBundle(
-        input_weights=d_hid.T @ dataset.inputs / nv,
-        output_weights=d_out.T @ trace.activ / nv,
-        bypass_weights=d_out.T @ dataset.inputs / nv,
+        input_weights=pattern_sum(d_hid, dataset.inputs) / nv,
+        output_weights=pattern_sum(d_out, trace.activ) / nv,
+        bypass_weights=pattern_sum(d_out, dataset.inputs) / nv,
     )
-
-
-def _tiled_gram(flat: np.ndarray) -> np.ndarray:
-    """``flat.T @ flat``, exactly symmetric, summed from column tiles over
-    pattern chunks in a fixed order, so its bits do not depend on BLAS threads."""
-    nv, q = flat.shape
-    gram = np.empty((q, q))
-    for a in range(0, q, GRAM_TILE):
-        fa = flat[:, a : a + GRAM_TILE]
-        for b in range(a, q, GRAM_TILE):
-            fb = flat[:, b : b + GRAM_TILE]
-            chunk = GEMM_SINGLE_THREAD_SIZE // (fa.shape[1] * fb.shape[1])
-            tile = fa[:chunk].T @ fb[:chunk]
-            for p in range(chunk, nv, chunk):
-                tile += fa[p : p + chunk].T @ fb[p : p + chunk]
-            # numpy forms a diagonal tile (x.T @ x) with SYRK, already
-            # symmetric; the mirror makes each off-diagonal pair match.
-            gram[a : a + GRAM_TILE, b : b + GRAM_TILE] = tile
-            gram[b : b + GRAM_TILE, a : a + GRAM_TILE] = tile.T
-    return gram
 
 
 def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
@@ -82,11 +56,12 @@ def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     ``features[p, k, c]`` is f'(net_k) times the change of unit k's net
     value along unknown (k, c) for pattern p. Entry ((k, c), (j, d)) is
     2/n_patterns times the pattern sum of features (k, c) and (j, d) times
-    sum_i woh(i,k) woh(i,j); the matrix is exactly symmetric, and its bits
-    do not depend on the BLAS thread count.
+    sum_i woh(i,k) woh(i,j): a ``pattern_sum`` Gram, exactly symmetric and
+    independent of the BLAS thread count.
     """
     nv, nh, q = features.shape
-    gram = _tiled_gram(features.reshape(nv, nh * q)).reshape(nh, q, nh, q)
+    flat = features.reshape(nv, nh * q)
+    gram = pattern_sum(flat, flat).reshape(nh, q, nh, q)
     s = mlp.woh.T @ mlp.woh
     return ((2.0 / nv) * gram * s[:, None, :, None]).reshape(nh * q, nh * q)
 
@@ -141,7 +116,7 @@ def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray
     nv = dataset.n_patterns
     fprime = activation_derivative(mlp, trace)
     weight_sq = (mlp.woh * mlp.woh).sum(axis=0)
-    pattern_sums = (fprime * fprime).T @ (dataset.inputs * dataset.inputs)
+    pattern_sums = pattern_sum(fprime * fprime, dataset.inputs * dataset.inputs)
     return (2.0 / nv) * weight_sq[:, None] * pattern_sums
 
 
@@ -153,14 +128,16 @@ def gauss_newton_full_hessian(
     Output i's Jacobian is the per-pattern features [f'·x, activations,
     inputs] times s_i = [woh(i,k) at weight (k,n), 1, 1], over the input
     weights and output i's own output and bypass weights. So the Hessian is
-    2/n_patterns times the feature Gram times s_i s_iᵀ (exactly symmetric),
-    added at those rows for each output i.
+    2/n_patterns times the feature Gram (one ``pattern_sum``) times s_i s_iᵀ
+    (exactly symmetric), added at those rows for each output i.
     """
     nv, n1, nh, m = dataset.n_patterns, dataset.n_inputs + 1, mlp.n_hidden, mlp.n_outputs
     niw = nh * n1
     fprime = activation_derivative(mlp, trace)
     fx = (fprime[:, :, None] * dataset.inputs[:, None, :]).reshape(nv, niw)
-    gram = (2.0 / nv) * _tiled_gram(np.hstack((fx, trace.activ, dataset.inputs)))
+    flat = np.hstack((fx, trace.activ, dataset.inputs))
+    gram = (2.0 / nv) * pattern_sum(flat, flat)
+    del flat  # the largest array here; not held through the per-output loop
     hessian = np.zeros((niw + m * (nh + n1),) * 2)
     woh_rows, woi_rows = niw + np.arange(nh), niw + m * nh + np.arange(n1)
     for i in range(m):

@@ -1,9 +1,11 @@
-"""Dense linear algebra for small symmetric positive semi-definite systems.
+"""Dense linear algebra: pattern sums and small symmetric PSD solves.
 
 Storage is plain float64 numpy throughout: a matrix is a 2-D C-contiguous
 array, a vector is 1-D. Every system solved in this package is at most a
 few hundred rows, so dense row-major storage and a fixed-order elimination
-win on simplicity and cache behaviour.
+win on simplicity and cache behaviour. This module owns the rule that keeps
+BLAS threads out of the bits: every product in the package that sums over
+patterns is a ``pattern_sum``, and no solve calls LAPACK.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ SYMMETRY_RTOL = 1e-9
 # A pivot counts as zero when its magnitude is below PIVOT_RTOL times the
 # largest diagonal entry of the matrix.
 PIVOT_RTOL = 1e-10
+# OpenBLAS runs a GEMM of m·n·k at or under 2**18 multiplies on one thread
+# (65536 times its default multithread threshold of 4); a larger product
+# splits across threads, and how it splits changes its bits. A pattern sum
+# is summed from column tiles over pattern chunks that stay at or under
+# that size, in a fixed order, so its bits do not depend on the thread count.
+GEMM_SINGLE_THREAD_SIZE = 2**18
+GRAM_TILE = 64
 
 
 def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
@@ -24,6 +33,27 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
+    return out
+
+
+def pattern_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b``, the sum over patterns (axis 0), from column tiles summed
+    over pattern chunks in a fixed order. When ``b is a`` one triangle of
+    tiles is formed and mirrored, so the Gram is exactly symmetric."""
+    out = np.empty((a.shape[1], b.shape[1]))
+    for i in range(0, a.shape[1], GRAM_TILE):
+        ta = a[:, i : i + GRAM_TILE]
+        for j in range(i if b is a else 0, b.shape[1], GRAM_TILE):
+            tb = b[:, j : j + GRAM_TILE]
+            chunk = GEMM_SINGLE_THREAD_SIZE // (ta.shape[1] * tb.shape[1])
+            tile = ta[:chunk].T @ tb[:chunk]
+            for p in range(chunk, a.shape[0], chunk):
+                tile += ta[p : p + chunk].T @ tb[p : p + chunk]
+            out[i : i + GRAM_TILE, j : j + GRAM_TILE] = tile
+            if b is a:
+                # numpy forms a diagonal tile (x.T @ x) with SYRK, already
+                # symmetric; the mirror makes each off-diagonal pair match.
+                out[j : j + GRAM_TILE, i : i + GRAM_TILE] = tile.T
     return out
 
 
@@ -56,9 +86,7 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    vector_rhs = b.ndim == 1
-    y = b.reshape(n, -1).copy() if vector_rhs else b.copy()
-    if y.ndim != 2 or y.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(
             f"right-hand side shape {b.shape} incompatible with {n}x{n} matrix"
         )
@@ -67,34 +95,32 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
 
-    u = a.copy()
+    # Eliminate on the augmented [A | B]: one rank-1 update per pivot.
+    ab = np.column_stack((a, b))
     skipped = np.zeros(n, dtype=bool)
-    diag_max = float(u.diagonal().max()) if n else 0.0
+    diag_max = float(a.diagonal().max()) if n else 0.0
     if diag_max <= 0.0:
         # PSD with a non-positive diagonal is the zero matrix: skip everything.
         skipped[:] = True
     else:
         thresh = PIVOT_RTOL * diag_max
         for i in range(n):
-            piv = u[i, i]
+            piv = ab[i, i]
             if abs(piv) < thresh:
                 skipped[i] = True
-                u[i, i:] = 0.0
-                u[i + 1 :, i] = 0.0
-                y[i, :] = 0.0
+                ab[i, i:] = 0.0
+                ab[i + 1 :, i] = 0.0
                 continue
-            factors = u[i + 1 :, i] / piv
-            u[i + 1 :, i:] -= np.outer(factors, u[i, i:])
-            y[i + 1 :, :] -= np.outer(factors, y[i, :])
+            ab[i + 1 :, i:] -= np.outer(ab[i + 1 :, i] / piv, ab[i, i:])
 
-    x = np.zeros_like(y)
+    x = np.zeros((n, ab.shape[1] - n))
     for i in range(n - 1, -1, -1):
         if skipped[i]:
             continue
-        x[i, :] = (y[i, :] - u[i, i + 1 :] @ x[i + 1 :, :]) / u[i, i]
+        x[i, :] = (ab[i, n:] - ab[i, i + 1 : n] @ x[i + 1 :, :]) / ab[i, i]
 
     check_finite(x, "solution")
     return SolveReport(
-        solution=x[:, 0] if vector_rhs else x,
+        solution=x[:, 0] if b.ndim == 1 else x,
         rank_deficient=bool(skipped.any()),
     )

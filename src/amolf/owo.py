@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import SolveReport, solve_sym
+from .linalg import SolveReport, pattern_sum, solve_sym
 from .network import ForwardTrace, Mlp, linear_output
 
 
@@ -34,9 +34,9 @@ class Correlations:
 
 
 def accumulate_correlations(dataset: Dataset, trace: ForwardTrace) -> Correlations:
-    basis = augmented_basis(dataset, trace)
-    nv = dataset.n_patterns
-    return Correlations(r=basis.T @ basis / nv, c=basis.T @ dataset.targets / nv)
+    basis, nv = augmented_basis(dataset, trace), dataset.n_patterns
+    r, c = pattern_sum(basis, basis), pattern_sum(basis, dataset.targets)
+    return Correlations(r=r / nv, c=c / nv)
 
 
 def solve_output_weights(corr: Correlations) -> SolveReport:

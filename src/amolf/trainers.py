@@ -27,8 +27,8 @@ and the full input-weight second-order step (all-singleton groups), so its
 system can be read off the full input-weight Hessian. A search iteration
 does so for every candidate count, and the winning candidate's step is the
 iteration's step; other iterations read their one system directly off
-per-pattern sums. Both come from ``gradients.gauss_newton_gram``, whose
-bits do not depend on the BLAS thread count.
+per-pattern sums. Both are ``gradients.gauss_newton_gram``, a
+``linalg.pattern_sum`` Gram whose bits do not depend on BLAS threads.
 """
 
 from __future__ import annotations

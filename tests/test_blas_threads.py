@@ -51,6 +51,12 @@ def _curve_bytes(
         ("amolf", 29, 20, "--search-period", "4"),
         ("lm", 30, 8),
         ("cg", 30, 20),
+        # Wider nets put the correlations, backprop's gradients and the
+        # curvature map above the single-thread GEMM size.
+        ("owo-bp", 100, 5),
+        ("amolf", 100, 5),
+        ("cg", 150, 5),
+        ("owo-molf", 150, 5),
     ],
     ids=lambda args: "-".join(str(arg).lstrip("-") for arg in args),
 )

@@ -7,8 +7,6 @@ import pytest
 
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
 from amolf.gradients import (
-    GEMM_SINGLE_THREAD_SIZE,
-    GRAM_TILE,
     backprop,
     curvature_map,
     gauss_newton_full_hessian,
@@ -19,7 +17,7 @@ from amolf.gradients import (
     pack,
     unpack,
 )
-from amolf.linalg import solve_sym
+from amolf.linalg import GEMM_SINGLE_THREAD_SIZE, GRAM_TILE, pattern_sum, solve_sym
 from amolf.network import Mlp, forward, init_net_control, mse
 from amolf.owo import accumulate_correlations, output_weight_step
 from support import (
@@ -122,6 +120,17 @@ def test_gram_tiles_and_chunks_cover_every_column_and_pattern(width):
         expected = untiled_gram(mlp, features)
         assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.array_equal(h, h.T)
+    # A cross product a.T @ b (b not a) tiles both sides; its first tile's
+    # chunk depends on both widths.
+    for width_b in (1, GRAM_TILE - 1, GRAM_TILE + 1, 2 * GRAM_TILE + 1):
+        chunk = GEMM_SINGLE_THREAD_SIZE // (min(width, GRAM_TILE) * min(width_b, GRAM_TILE))
+        for nv in (1, chunk - 1, chunk, chunk + 1):
+            a = rng.standard_normal((nv, width))
+            b = rng.standard_normal((nv, width_b))
+            expected = a.T @ b
+            got = pattern_sum(a, b)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_flatten_round_trip():

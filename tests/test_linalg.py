@@ -108,6 +108,11 @@ def test_rejects_dimension_mismatch():
         solve_sym(np.eye(3), np.ones((4, 1)))
     with pytest.raises(ValueError):
         solve_sym(np.ones((3, 2)), np.ones(3))
+    # A vector right-hand side of the wrong length is rejected, not
+    # reshaped into several columns.
+    for b in (np.ones(4), np.ones(3), np.ones((2, 1, 1))):
+        with pytest.raises(ValueError, match="incompatible"):
+            solve_sym(np.eye(2), b)
 
 
 def test_rejects_non_finite():

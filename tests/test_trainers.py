@@ -428,6 +428,16 @@ def _matinv_setup(nh=10, nv=300, seed=0, algo="owo-molf", **kwargs):
     return init_state(algo, mlp, data, **kwargs)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_last_error_is_a_fresh_error_evaluation(algo):
+    # run_kfold reports a round's training error from last_error, so it must
+    # equal mse of the state's network bit for bit, search iterations included.
+    state = _matinv_setup(algo=algo, search_period=2)
+    for _ in range(5):
+        state = iterate(state)
+        assert state.last_error == mse(state.mlp, state.dataset)
+
+
 def test_owo_bp_first_iteration_never_increases_error():
     state = _matinv_setup(algo="owo-bp")
     before = state.last_error
