@@ -2,10 +2,13 @@
 
 Storage is plain float64 numpy throughout: a matrix is a 2-D C-contiguous
 array, a vector is 1-D. Every system solved in this package is at most a
-few hundred rows, so dense row-major storage and a fixed-order elimination
-win on simplicity and cache behaviour. This module owns the rule that keeps
-BLAS threads out of the bits: every product in the package that sums over
-patterns is a ``pattern_sum``, and no solve calls LAPACK.
+few hundred rows, so dense row-major storage and a left-looking LDLᵀ with
+pivots in fixed order win on simplicity and cache behaviour. This module
+owns the rule that keeps BLAS threads out of the bits: every product in the
+package that sums over patterns is a ``pattern_sum``, and no solve calls
+LAPACK. ``solve_sym``'s only BLAS calls are matrix-vector products, whose
+bits do not change with the thread count at the sizes solved here (a test
+pins this up to 290 rows).
 """
 
 from __future__ import annotations
@@ -72,11 +75,13 @@ class SolveReport:
 def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     """Solve A·X = B for symmetric positive semi-definite A.
 
-    Gaussian elimination with diagonal pivots taken in fixed order. Pivots
-    whose magnitude falls below ``PIVOT_RTOL * max(diag)`` are skipped and
-    the corresponding solution rows are zero, mirroring the column-dropping
-    behaviour of an orthogonal least-squares solve on a rank-deficient
-    system.
+    Left-looking LDLᵀ factorization with diagonal pivots taken in fixed
+    order (Golub & Van Loan, *Matrix Computations*, 4th ed., §4.1–4.2):
+    column j of L is one matrix-vector product with the columns before it.
+    Pivots whose magnitude falls below ``PIVOT_RTOL * max(diag)`` are
+    skipped and the corresponding solution rows are zero, mirroring the
+    column-dropping behaviour of an orthogonal least-squares solve on a
+    rank-deficient system.
 
     B may be a vector or a matrix of right-hand sides; the solution matches
     its shape. Deterministic: identical inputs give bit-identical output.
@@ -95,29 +100,32 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
 
-    # Eliminate on the augmented [A | B]: one rank-1 update per pivot.
-    ab = np.column_stack((a, b))
+    # Left-looking LDLᵀ on A stacked over Bᵀ. Column j of the stack becomes
+    # L's column j over the rows of A and row j of D⁻¹·L⁻¹·B over the rows
+    # of Bᵀ, so the factor loop also runs the forward substitution. A
+    # skipped pivot leaves its column of L and its entry of D at zero, which
+    # drops its unknown from every later column, as eliminating it would.
+    work = np.vstack((a, b.T if b.ndim == 2 else b[None, :]))
+    d = np.zeros(n)
     skipped = np.zeros(n, dtype=bool)
     diag_max = float(a.diagonal().max()) if n else 0.0
-    if diag_max <= 0.0:
-        # PSD with a non-positive diagonal is the zero matrix: skip everything.
-        skipped[:] = True
-    else:
-        thresh = PIVOT_RTOL * diag_max
-        for i in range(n):
-            piv = ab[i, i]
-            if abs(piv) < thresh:
-                skipped[i] = True
-                ab[i, i:] = 0.0
-                ab[i + 1 :, i] = 0.0
-                continue
-            ab[i + 1 :, i:] -= np.outer(ab[i + 1 :, i] / piv, ab[i, i:])
-
-    x = np.zeros((n, ab.shape[1] - n))
-    for i in range(n - 1, -1, -1):
-        if skipped[i]:
+    # PSD with a non-positive diagonal is the zero matrix: skip everything.
+    thresh = PIVOT_RTOL * diag_max if diag_max > 0.0 else np.inf
+    for j in range(n):
+        col = work[j:, j]
+        col -= work[j:, :j] @ (d[:j] * work[j, :j])
+        if abs(col[0]) < thresh:
+            skipped[j] = True
+            col[:] = 0.0
             continue
-        x[i, :] = (ab[i, n:] - ab[i, i + 1 : n] @ x[i + 1 :, :]) / ab[i, i]
+        d[j] = col[0]
+        col[1:] /= d[j]
+
+    # Back substitution with Lᵀ; a skipped unknown keeps its zeroed row.
+    x = work[n:].T.copy()
+    for j in range(n - 1, -1, -1):
+        if not skipped[j]:
+            x[j] -= work[j + 1 : n, j] @ x[j + 1 :]
 
     check_finite(x, "solution")
     return SolveReport(

@@ -15,7 +15,7 @@ import numpy as np
 from amolf.dataset import Dataset, make_dataset
 from amolf.experiment import TrainingCurve
 from amolf.gradients import output_deltas
-from amolf.linalg import solve_sym
+from amolf.linalg import PIVOT_RTOL, solve_sym
 from amolf.network import ACTIVATIONS, Mlp, activation_derivative, mse
 from amolf.owo import augmented_basis
 from amolf.trainers import (
@@ -138,6 +138,41 @@ def gauss_elimination_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x[:, 0] if vector else x
+
+
+def fixed_order_elimination(a: np.ndarray, b: np.ndarray):
+    """The elimination ``solve_sym`` ran before its LDLᵀ, as its oracle.
+
+    Gaussian elimination on the augmented [A | B] with diagonal pivots in
+    fixed order, one rank-1 update per pivot. A pivot under
+    ``PIVOT_RTOL * max(diag)`` is skipped: its row and column are zeroed and
+    its unknown is 0. Returns (solution shaped like ``b``, skipped mask,
+    pivot values as eliminated).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    ab = np.column_stack((a, b))
+    skipped = np.zeros(n, dtype=bool)
+    pivots = np.zeros(n)
+    diag_max = float(a.diagonal().max()) if n else 0.0
+    if diag_max <= 0.0:
+        skipped[:] = True
+    else:
+        thresh = PIVOT_RTOL * diag_max
+        for i in range(n):
+            piv = pivots[i] = ab[i, i]
+            if abs(piv) < thresh:
+                skipped[i] = True
+                ab[i, i:] = 0.0
+                ab[i + 1 :, i] = 0.0
+                continue
+            ab[i + 1 :, i:] -= np.outer(ab[i + 1 :, i] / piv, ab[i, i:])
+    x = np.zeros((n, ab.shape[1] - n))
+    for i in range(n - 1, -1, -1):
+        if not skipped[i]:
+            x[i, :] = (ab[i, n:] - ab[i, i + 1 : n] @ x[i + 1 :, :]) / ab[i, i]
+    return (x[:, 0] if b.ndim == 1 else x), skipped, pivots
 
 
 def untiled_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ once with ``2`` (the library reads the variable only at start-up) and
 compares the curve CSVs byte for byte; the cases in ``THREE_THREADS``
 compare a run with ``3`` as well. Matrix inversion, 2000 patterns, seed 0.
 Any change to the BLAS or LAPACK calls of a trainer must keep every case
-identical.
+identical. The solver is also pinned on its own, at 1, 2 and 3 threads.
 """
 
 import os
@@ -20,20 +20,24 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 THREE_THREADS = {("lm", 30, 8), ("amolf", 29, 20, "--search-period", "4")}
 
 
+def _run(threads: int, args: list[str]) -> bytes:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], env=env, check=True, capture_output=True
+    ).stdout
+
+
 def _curve_bytes(
     tmp_path, threads: int, algo: str, n_hidden: int, iterations: int, *extra: str
 ) -> bytes:
     out = tmp_path / f"curve_{threads}.csv"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    subprocess.run(
-        [sys.executable, "-m", "amolf", "train", "--synthetic", "matinv",
+    _run(
+        threads,
+        ["-m", "amolf", "train", "--synthetic", "matinv",
          "--patterns", "2000", "--nh", str(n_hidden), "--algo", algo,
          "--iters", str(iterations), "--trials", "1", "--seed", "0", "--out", str(out),
          *extra],
-        env=env,
-        check=True,
-        capture_output=True,
     )
     return out.read_bytes()
 
@@ -64,3 +68,28 @@ def test_curve_bytes_independent_of_blas_threads(tmp_path, args):
     one = _curve_bytes(tmp_path, 1, *args)
     for threads in (2, 3) if args in THREE_THREADS else (2,):
         assert _curve_bytes(tmp_path, threads, *args) == one
+
+
+# Systems built with np.einsum, which calls no BLAS, so any difference in
+# bits comes from solve_sym. (n, right-hand sides, rank): the output solve's
+# 35 x 35 with 4 right-hand sides, the grouped and input-weight systems (116,
+# 150), LM's 290-row system, whose in-loop matrix-vector products are above
+# OpenBLAS's threaded size, and a rank-deficient 120-row system.
+_SOLVE_SYSTEMS = """
+import sys
+import numpy as np
+from amolf.linalg import solve_sym
+rng = np.random.default_rng(0)
+for n, n_rhs, rank in ((35, 4, 35), (116, 1, 116), (150, 1, 150), (290, 1, 290), (120, 1, 90)):
+    basis = np.einsum("pr,rn->pn", rng.standard_normal((2 * n, rank)), rng.standard_normal((rank, n)))
+    report = solve_sym(np.einsum("pi,pj->ij", basis, basis), rng.standard_normal((n, n_rhs)))
+    assert report.rank_deficient == (rank < n)
+    sys.stdout.buffer.write(report.solution.tobytes())
+"""
+
+
+def test_solve_sym_bytes_independent_of_blas_threads():
+    one = _run(1, ["-c", _SOLVE_SYSTEMS])
+    assert len(one) == 8 * (35 * 4 + 116 + 150 + 290 + 120)
+    for threads in (2, 3):
+        assert _run(threads, ["-c", _SOLVE_SYSTEMS]) == one

@@ -188,3 +188,23 @@ def test_take_subset():
     sub = take(d, np.array([3, 5, 7]))
     assert sub.n_patterns == 3
     assert np.array_equal(sub.inputs[1], d.inputs[5])
+
+
+def test_caller_arrays_stay_writeable_and_unshared():
+    x, t, raw = np.ones((3, 2)), np.zeros((3, 1)), np.zeros((3, 1))
+    datasets = (Dataset(x, t), make_dataset(raw, t))
+    for arr in (x, t, raw):
+        assert arr.flags.writeable
+        for d in datasets:
+            assert not np.shares_memory(d.inputs, arr)
+            assert not np.shares_memory(d.targets, arr)
+    t[:] = 9.0
+    assert not any(d.targets.any() for d in datasets)
+
+
+def test_read_only_arrays_are_kept_without_a_copy():
+    d = gen_matrix_inversion(20, 0)
+    again = Dataset(d.inputs, d.targets)
+    assert again.inputs is d.inputs and again.targets is d.targets
+    sub = take(d, np.array([3, 5, 7]))
+    assert not sub.inputs.flags.writeable and sub.inputs.flags.owndata

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from amolf.linalg import SolveReport, solve_sym
-from support import gauss_elimination_solve, random_spd
+from amolf.linalg import PIVOT_RTOL, SolveReport, solve_sym
+from support import fixed_order_elimination, gauss_elimination_solve, random_spd
 
 
 def test_identity_system():
@@ -27,6 +29,50 @@ def test_matches_elimination_oracle():
     x = solve_sym(a, b).solution
     x_oracle = gauss_elimination_solve(a, b)
     assert np.abs(x - x_oracle).max() <= 1e-9 * (1.0 + np.abs(x_oracle).max())
+
+
+def _random_psd(rng, n, forced):
+    """Gram of a well-conditioned random basis (2n + 10 patterns) in which
+    each column j > 0 is, with probability ``forced``, replaced by a
+    combination of up to three earlier columns: a zero column, a collinear
+    copy, or a mix of two or three. One matrix in ten is the zero matrix."""
+    if rng.random() < 0.1:
+        return np.zeros((n, n))
+    basis = rng.standard_normal((2 * n + 10, n))
+    for j in range(1, n):
+        if rng.random() < forced:
+            sources = rng.choice(j, size=min(j, int(rng.integers(0, 4))), replace=False)
+            basis[:, j] = basis[:, sources] @ rng.uniform(-2.0, 2.0, sources.size)
+    return basis.T @ basis
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    n_rhs=st.integers(1, 4),
+    forced=st.sampled_from([0.0, 0.2, 0.5, 0.8]),
+    scale_exponent=st.integers(-3, 3),
+)
+@settings(max_examples=120, deadline=None)
+def test_matches_fixed_order_elimination_on_random_psd(
+    seed, n, n_rhs, forced, scale_exponent
+):
+    rng = np.random.default_rng(seed)
+    a = 10.0**scale_exponent * _random_psd(rng, n, forced)
+    b = rng.standard_normal(n) if n_rhs == 1 else rng.standard_normal((n, n_rhs))
+    x_oracle, skipped, pivots = fixed_order_elimination(a, b)
+    # A pivot this close to the threshold may fall on either side of it
+    # when the arithmetic is reordered.
+    thresh = PIVOT_RTOL * float(a.diagonal().max())
+    near = (np.abs(pivots) >= 0.1 * thresh) & (np.abs(pivots) <= 10.0 * thresh)
+    assume(thresh == 0.0 or not near.any())
+
+    report = solve_sym(a, b)
+    assert report.rank_deficient == bool(skipped.any())
+    assert report.solution.shape == b.shape
+    zeroed = np.all(report.solution.reshape(n, -1) == 0.0, axis=1)
+    assert np.array_equal(zeroed, skipped)
+    assert np.abs(report.solution - x_oracle).max() <= 1e-9 * (1.0 + np.abs(x_oracle).max())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -69,6 +115,14 @@ def test_duplicated_column_skips_second_occurrence():
     assert report.rank_deficient
     assert report.solution[4] == 0.0
     assert np.abs(a @ report.solution - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+
+
+def test_pivot_threshold_is_relative_to_the_largest_diagonal():
+    # Threshold 1e-10 * 4: the 2e-10 pivot is skipped, the 8e-10 one kept.
+    a = np.diag([4.0, 2e-10, 8e-10])
+    report = solve_sym(a, np.ones(3))
+    assert report.rank_deficient
+    assert np.array_equal(report.solution, [0.25, 0.0, 1.0 / 8e-10])
 
 
 def test_zero_matrix_gives_zero_solution():
