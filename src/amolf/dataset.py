@@ -20,20 +20,17 @@ class Dataset:
     """Immutable pattern/target store.
 
     ``inputs`` has shape (n_patterns, n_inputs + 1) with the bias column of
-    ones last; ``targets`` has shape (n_patterns, n_outputs). The arrays are
-    write-protected on construction, so a Dataset is safe to share across
-    concurrent training runs. An array the caller could still write to is
-    copied first; one that is already read-only and owns its memory (another
-    Dataset's, or the fresh rows ``take`` and ``make_dataset`` hand over) is
-    kept as it is.
+    ones last; ``targets`` has shape (n_patterns, n_outputs). Arrays are
+    copied and write-protected on construction, so a Dataset is safe to
+    share across concurrent training runs.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        inputs = _read_only(check_finite(self.inputs, "inputs"))
-        targets = _read_only(check_finite(self.targets, "targets"))
+        inputs = np.array(check_finite(self.inputs, "inputs"), order="C")
+        targets = np.array(check_finite(self.targets, "targets"), order="C")
         if inputs.ndim != 2 or targets.ndim != 2:
             raise ValueError("inputs and targets must be 2-D")
         if inputs.shape[0] != targets.shape[0]:
@@ -42,6 +39,8 @@ class Dataset:
             raise ValueError("need at least 1 pattern, 1 input, and 1 output")
         if not np.all(inputs[:, -1] == 1.0):
             raise ValueError("last input column must be the constant bias 1")
+        inputs.setflags(write=False)
+        targets.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -59,35 +58,17 @@ class Dataset:
         return self.targets.shape[1]
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` write-protected and C-contiguous: kept if it already is
-    read-only and owns its memory, otherwise a copy."""
-    if arr.flags.writeable or not (arr.flags.owndata and arr.flags.c_contiguous):
-        arr = np.array(arr, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
-def _fresh(arr: np.ndarray) -> np.ndarray:
-    """Write-protect an array built here and referenced nowhere else, so
-    Dataset keeps it without a copy."""
-    arr.setflags(write=False)
-    return arr
-
-
 def make_dataset(raw_inputs: np.ndarray, targets: np.ndarray) -> Dataset:
     """Build a Dataset from un-augmented inputs, appending the bias column."""
     raw = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
     bias = np.ones((raw.shape[0], 1))
-    return Dataset(
-        _fresh(np.hstack((raw, bias))), np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    )
+    return Dataset(np.hstack((raw, bias)), np.atleast_2d(np.asarray(targets, dtype=np.float64)))
 
 
 def take(dataset: Dataset, indices: np.ndarray) -> Dataset:
     """Row subset of a dataset (bias column preserved)."""
     idx = np.asarray(indices, dtype=np.intp)
-    return Dataset(_fresh(dataset.inputs[idx]), _fresh(dataset.targets[idx]))
+    return Dataset(dataset.inputs[idx], dataset.targets[idx])
 
 
 def load_tra(path: str, n_inputs: int, n_outputs: int) -> Dataset:

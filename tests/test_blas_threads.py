@@ -74,13 +74,15 @@ def test_curve_bytes_independent_of_blas_threads(tmp_path, args):
 # bits comes from solve_sym. (n, right-hand sides, rank): the output solve's
 # 35 x 35 with 4 right-hand sides, the grouped and input-weight systems (116,
 # 150), LM's 290-row system, whose in-loop matrix-vector products are above
-# OpenBLAS's threaded size, and a rank-deficient 120-row system.
+# OpenBLAS's threaded size, the 900 rows LM and owo-newton reach at about
+# 100 hidden units, and a rank-deficient 120-row system.
 _SOLVE_SYSTEMS = """
 import sys
 import numpy as np
 from amolf.linalg import solve_sym
 rng = np.random.default_rng(0)
-for n, n_rhs, rank in ((35, 4, 35), (116, 1, 116), (150, 1, 150), (290, 1, 290), (120, 1, 90)):
+for n, n_rhs, rank in ((35, 4, 35), (116, 1, 116), (150, 1, 150), (290, 1, 290), (900, 1, 900),
+                     (120, 1, 90)):
     basis = np.einsum("pr,rn->pn", rng.standard_normal((2 * n, rank)), rng.standard_normal((rank, n)))
     report = solve_sym(np.einsum("pi,pj->ij", basis, basis), rng.standard_normal((n, n_rhs)))
     assert report.rank_deficient == (rank < n)
@@ -90,6 +92,6 @@ for n, n_rhs, rank in ((35, 4, 35), (116, 1, 116), (150, 1, 150), (290, 1, 290),
 
 def test_solve_sym_bytes_independent_of_blas_threads():
     one = _run(1, ["-c", _SOLVE_SYSTEMS])
-    assert len(one) == 8 * (35 * 4 + 116 + 150 + 290 + 120)
+    assert len(one) == 8 * (35 * 4 + 116 + 150 + 290 + 900 + 120)
     for threads in (2, 3):
         assert _run(threads, ["-c", _SOLVE_SYSTEMS]) == one

@@ -200,11 +200,3 @@ def test_caller_arrays_stay_writeable_and_unshared():
             assert not np.shares_memory(d.targets, arr)
     t[:] = 9.0
     assert not any(d.targets.any() for d in datasets)
-
-
-def test_read_only_arrays_are_kept_without_a_copy():
-    d = gen_matrix_inversion(20, 0)
-    again = Dataset(d.inputs, d.targets)
-    assert again.inputs is d.inputs and again.targets is d.targets
-    sub = take(d, np.array([3, 5, 7]))
-    assert not sub.inputs.flags.writeable and sub.inputs.flags.owndata
