@@ -56,7 +56,6 @@ class TrainingCurve:
     """Per-iteration record of mean error and mean cumulative multiplies,
     with each trial's final network."""
 
-    algorithm: str
     iterations: np.ndarray  # (n_iterations,) 1-based
     mean_mse: np.ndarray
     cum_multiplies: np.ndarray
@@ -67,7 +66,6 @@ class TrainingCurve:
 class KfoldReport:
     """Training/test errors of the best-validation model, one per round."""
 
-    algorithm: str
     train_errors: tuple[float, ...]
     test_errors: tuple[float, ...]
 
@@ -102,7 +100,6 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
         multiplies[trial] = state.ledger.cumulative()
         final_models.append(state.mlp)
     return TrainingCurve(
-        algorithm=config.algorithm,
         iterations=np.arange(1, config.iterations + 1),
         mean_mse=errors.mean(axis=0),
         cum_multiplies=multiplies.mean(axis=0),
@@ -153,7 +150,6 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
         train_errors.append(best.last_error)
         test_errors.append(mse(best.mlp, test_data))
     return KfoldReport(
-        algorithm=config.algorithm,
         train_errors=tuple(train_errors),
         test_errors=tuple(test_errors),
     )

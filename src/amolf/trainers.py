@@ -15,11 +15,17 @@ Six trainers share the same machinery:
                   accept/reject damping schedule.
 * ``cg``          Fletcher-Reeves conjugate gradient over all weights.
 
-owo-molf, owo-newton and amolf take an input-weight step, then solve the
-output weights; owo-bp solves them first. The solve refreshes only the
-outputs of its forward pass, so each of the four runs two forward passes
-per iteration; a search iteration runs one per candidate count instead of
-the second, and solves for the winner's. All six end through ``_advance``.
+``iterate`` owns the iteration boundary: it runs one forward pass of the
+state's network, hands it to the algorithm's step (``_STEPS``), and records
+the step's error and multiplies in the next state, whose ledger is a copy
+of the last one plus this entry. A step returns its network, a fresh error
+evaluation of it, its multiplies and the state fields it changes, never a
+forward pass, so no pattern-sized array outlives it. owo-molf, owo-newton
+and amolf take an input-weight step, then solve the output weights; owo-bp
+solves them first. The solve refreshes only the outputs of its forward
+pass, so each of the four runs two forward passes per iteration; a search
+iteration runs one per candidate count instead of the second, and solves
+for the winner's.
 
 A grouping is one group id per input weight (``GroupPartition.group``).
 The grouped step interpolates between one step size per unit (one group)
@@ -287,8 +293,8 @@ class AmolfState:
 class TrainerState:
     """Snapshot of one training run after ``iteration`` completed steps.
 
-    ``last_error`` always equals a fresh error evaluation of ``mlp``. The
-    ledger is shared (appended in place) across the run's states.
+    ``last_error`` always equals a fresh error evaluation of ``mlp``, and
+    ``ledger`` holds exactly this state's ``iteration`` entries.
     """
 
     mlp: Mlp
@@ -315,18 +321,18 @@ def init_state(
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if search_period < 0:
         raise ValueError(f"search_period must be >= 0, got {search_period}")
-    state = TrainerState(
+    grouped = {
+        "amolf": AmolfState(search_period=search_period),
+        "owo-molf": AmolfState(fixed_n_groups=1),
+    }
+    return TrainerState(
         mlp=mlp,
         dataset=dataset,
         algorithm=algorithm,
         ledger=CostLedger(),
         last_error=mse(mlp, dataset),
+        amolf=grouped.get(algorithm),
     )
-    if algorithm == "amolf":
-        state.amolf = AmolfState(search_period=search_period)
-    elif algorithm == "owo-molf":
-        state.amolf = AmolfState(fixed_n_groups=1)
-    return state
 
 
 def _dims(state: TrainerState) -> tuple[int, int, int, int]:
@@ -334,47 +340,32 @@ def _dims(state: TrainerState) -> tuple[int, int, int, int]:
     return d.n_inputs, state.mlp.n_hidden, d.n_outputs, d.n_patterns
 
 
-def _advance(
-    state: TrainerState, mlp: Mlp, error: float, multiplies: int, **changes
-) -> TrainerState:
-    """Record one iteration's multiplies and return the state after it;
-    ``error`` is a fresh error evaluation of ``mlp``."""
-    state.ledger.record(multiplies)
-    return replace(
-        state, mlp=mlp, last_error=error, iteration=state.iteration + 1, **changes
-    )
+# (new network, its fresh error, modelled multiplies, other changed fields)
+StepResult = tuple[Mlp, float, int, dict]
 
 
-def _output_solve(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> tuple[Mlp, float]:
-    """Tail of the trainers that move the input weights first: the output
-    solve for ``trace``, a forward pass of ``mlp``, and the resulting error."""
-    mlp, trace = output_weight_step(mlp, dataset, trace)
-    return mlp, output_mse(dataset, trace.output)
-
-
-def owo_bp_iteration(state: TrainerState) -> TrainerState:
+def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Output-weight solve, then a gradient step with the optimal step size."""
     d = state.dataset
-    mlp, trace = output_weight_step(state.mlp, d, forward(state.mlp, d))
+    mlp, trace = output_weight_step(state.mlp, d, trace)
     grads = backprop(mlp, d, trace)
     z = olf(mlp, d, trace, grads)
     mlp = replace(mlp, w=mlp.w + z * grads.input_weights)
-    return _advance(state, mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)))
+    return mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)), {}
 
 
-def owo_newton_iteration(state: TrainerState) -> TrainerState:
+def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Full second-order input-weight step, then the output-weight solve."""
     d = state.dataset
     mlp = state.mlp
-    trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
     hessian = gauss_newton_input_hessian(mlp, d, trace)
     stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, grads))
-    mlp, err = _output_solve(stepped, d, forward(stepped, d))
-    return _advance(state, mlp, err, cost.mult_owo_newton(*_dims(state)))
+    mlp, solved = output_weight_step(stepped, d, forward(stepped, d))
+    return mlp, output_mse(d, solved.output), cost.mult_owo_newton(*_dims(state)), {}
 
 
-def amolf_iteration(state: TrainerState) -> TrainerState:
+def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Grouped step of amolf and owo-molf: pick the group count (pinned, or
     an exhaustive search on the first iteration and periodically after, or
     error-per-multiply adaptation otherwise), take the grouped step, solve
@@ -388,7 +379,6 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
     if ast.fixed_n_groups is not None and not 1 <= ast.fixed_n_groups <= n:
         raise ValueError(f"fixed_n_groups must be in 1..{n}, got {ast.fixed_n_groups}")
 
-    trace = forward(mlp, d)
     grads = backprop(mlp, d, trace)
 
     searched = ast.fixed_n_groups is None and (
@@ -415,7 +405,8 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
         ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
         stepped = apply_grouped_step(mlp, grads, part, solve_sym(ha, ga).solution)
         stepped_trace = forward(stepped, d)
-    mlp, err = _output_solve(stepped, d, stepped_trace)
+    mlp, stepped_trace = output_weight_step(stepped, d, stepped_trace)
+    err = output_mse(d, stepped_trace.output)
 
     if state.algorithm == "owo-molf":
         multiplies = cost.mult_owo_molf(n, nh, m, nv)
@@ -425,7 +416,7 @@ def amolf_iteration(state: TrainerState) -> TrainerState:
     epm_now = cost.epm(state.last_error, err, multiplies)
     history = ast.epm_history + ((iteration, epm_now),)
     new_amolf = replace(ast, n_groups=n_groups, epm_history=history)
-    return _advance(state, mlp, err, multiplies + surcharge, amolf=new_amolf)
+    return mlp, err, multiplies + surcharge, {"amolf": new_amolf}
 
 
 def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
@@ -440,7 +431,7 @@ def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
     )
 
 
-def lm_iteration(state: TrainerState) -> TrainerState:
+def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Damped full-network second-order step.
 
     Solves the Gauss-Newton system with the current damping added to a copy
@@ -455,22 +446,20 @@ def lm_iteration(state: TrainerState) -> TrainerState:
     """
     d = state.dataset
     mlp = state.mlp
-    trace = forward(mlp, d)
     gradient = pack(backprop(mlp, d, trace))
     hessian = gauss_newton_full_hessian(mlp, d, trace)
     diagonal = np.diag_indices_from(hessian)
-    base_error = output_mse(d, trace.output)
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
-    new_mlp, err = mlp, base_error
+    new_mlp, err = mlp, state.last_error
     for _ in range(LM_MAX_RETRIES):
         damped = hessian.copy()
         damped[diagonal] += lam
         step = solve_sym(damped, gradient).solution
         candidate = _moved(mlp, step, 1.0)
         candidate_error = mse(candidate, d)
-        if candidate_error < base_error:
+        if candidate_error < state.last_error:
             new_mlp, err, accepted = candidate, candidate_error, True
             lam = max(lam / 10.0, LM_LAMBDA_MIN)
             break
@@ -478,18 +467,15 @@ def lm_iteration(state: TrainerState) -> TrainerState:
             break
         lam = min(lam * 10.0, LM_LAMBDA_MAX)
 
-    multiplies = cost.mult_lm(*_dims(state))
-    return _advance(
-        state, new_mlp, err, multiplies, lm_lambda=lam, lm_stalled=not accepted
-    )
+    changes = {"lm_lambda": lam, "lm_stalled": not accepted}
+    return new_mlp, err, cost.mult_lm(*_dims(state)), changes
 
 
-def cg_iteration(state: TrainerState) -> TrainerState:
+def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Conjugate-gradient step over all weights, with the step size from the
     Gauss-Newton curvature along the direction."""
     d = state.dataset
     mlp = state.mlp
-    trace = forward(mlp, d)
     gradient = pack(backprop(mlp, d, trace))
     direction = fletcher_reeves_direction(
         gradient, state.cg_direction, state.cg_gradient_norm_sq
@@ -500,26 +486,33 @@ def cg_iteration(state: TrainerState) -> TrainerState:
     )
     step = _optimal_step(float(gradient @ direction), curvature)
     mlp = _moved(mlp, direction, step)
-    return _advance(
-        state,
-        mlp,
-        mse(mlp, d),
-        cost.mult_cg(*_dims(state)),
-        cg_direction=direction,
-        cg_gradient_norm_sq=float(gradient @ gradient),
-    )
+    changes = {"cg_direction": direction, "cg_gradient_norm_sq": float(gradient @ gradient)}
+    return mlp, mse(mlp, d), cost.mult_cg(*_dims(state)), changes
 
 
-_ITERATIONS = {
-    "owo-bp": owo_bp_iteration,
-    "owo-molf": amolf_iteration,
-    "owo-newton": owo_newton_iteration,
-    "amolf": amolf_iteration,
-    "lm": lm_iteration,
-    "cg": cg_iteration,
+_STEPS = {
+    "owo-bp": owo_bp_step,
+    "owo-molf": amolf_step,
+    "owo-newton": owo_newton_step,
+    "amolf": amolf_step,
+    "lm": lm_step,
+    "cg": cg_step,
 }
 
 
 def iterate(state: TrainerState) -> TrainerState:
-    """Run one training iteration of the state's algorithm."""
-    return _ITERATIONS[state.algorithm](state)
+    """Run one training iteration of the state's algorithm: one forward pass
+    of ``state.mlp`` handed to the algorithm's step, whose error and
+    multiplies go into the new state, the ledger into a copy of this one."""
+    step = _STEPS[state.algorithm]
+    mlp, error, multiplies, changes = step(state, forward(state.mlp, state.dataset))
+    ledger = CostLedger(list(state.ledger.per_iteration))
+    ledger.record(multiplies)
+    return replace(
+        state,
+        mlp=mlp,
+        ledger=ledger,
+        last_error=error,
+        iteration=state.iteration + 1,
+        **changes,
+    )

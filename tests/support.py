@@ -26,15 +26,14 @@ from amolf.trainers import (
 
 
 def read_curve(path: str) -> TrainingCurve:
-    """Parse a CSV written by ``emit_curve``; the algorithm and final
-    networks are not in the file and come back empty."""
+    """Parse a CSV written by ``emit_curve``; the final networks are not in
+    the file and come back empty."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "iteration,mean_mse,cum_multiplies":
             raise ValueError(f"{path}: unexpected header {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return TrainingCurve(
-        algorithm="",
         iterations=np.array([int(r[0]) for r in rows]),
         mean_mse=np.array([float(r[1]) for r in rows]),
         cum_multiplies=np.array([float(r[2]) for r in rows]),

@@ -9,7 +9,7 @@ from amolf.cli import main
 from amolf.dataset import gen_matrix_inversion, normalize_zero_mean
 from amolf.experiment import trial_seed
 from amolf.network import init_net_control, load_mlp
-from amolf.trainers import init_state
+from amolf.trainers import init_state, iterate
 
 
 def run_cli(args):
@@ -227,14 +227,14 @@ def test_save_model_round_trips(tmp_path):
 
 def test_save_model_is_trial_zero_without_retraining(tmp_path, monkeypatch):
     calls = []
-    step = amolf.trainers.amolf_iteration
+    step = amolf.trainers.amolf_step
 
-    def counting_step(state):
+    def counting_step(state, trace):
         calls.append(1)
-        return step(state)
+        return step(state, trace)
 
     # Counted below every caller of iterate, wherever it was imported.
-    monkeypatch.setitem(amolf.trainers._ITERATIONS, "amolf", counting_step)
+    monkeypatch.setitem(amolf.trainers._STEPS, "amolf", counting_step)
     model = tmp_path / "model.txt"
     argv = [
         "train", "--synthetic", "matinv", "--patterns", "60", "--nh", "3",
@@ -250,7 +250,7 @@ def test_save_model_is_trial_zero_without_retraining(tmp_path, monkeypatch):
         "amolf", init_net_control(data, 3, trial_seed(3, 0)), data, search_period=2
     )
     for _ in range(4):
-        state = step(state)
+        state = iterate(state)
     saved = load_mlp(str(model))
     assert np.array_equal(saved.w, state.mlp.w)
     assert np.array_equal(saved.woh, state.mlp.woh)

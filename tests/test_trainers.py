@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -666,7 +667,7 @@ def test_last_error_is_fresh_mse(algo):
         assert state.last_error == mse(state.mlp, state.dataset)
 
 
-@pytest.mark.parametrize("algo", ["owo-bp", "owo-molf", "owo-newton", "amolf"])
+@pytest.mark.parametrize("algo", ["owo-bp", "owo-molf", "owo-newton", "amolf", "cg"])
 def test_two_forward_passes_per_iteration(algo, monkeypatch):
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8)
     state = iterate(state)  # amolf searches the group count here
@@ -683,6 +684,55 @@ def test_two_forward_passes_per_iteration(algo, monkeypatch):
     for _ in range(3):
         state = iterate(state)
     assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_each_state_ledger_holds_exactly_its_own_iterations(algo):
+    # Two branches from one state must not write into each other's ledger,
+    # nor into the ledger of the state they started from.
+    root = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, search_period=2)
+    first, second = iterate(root), iterate(root)
+    states = [root, first, second]
+    for _ in range(3):
+        states.append(iterate(states[-1]))
+    for state in states:
+        assert len(state.ledger.per_iteration) == state.iteration
+    assert first.ledger.per_iteration == second.ledger.per_iteration
+
+
+def _arrays(value):
+    """Every numpy array reachable from ``value`` through dataclass fields,
+    tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_no_state_keeps_a_pattern_sized_array(algo):
+    # Runs keep their final states, so a per-pattern array (a forward pass,
+    # a Jacobian) held by a state would stay alive for the whole run. Only
+    # the dataset may be pattern-sized.
+    nv = 97
+    state = _matinv_setup(algo=algo, nh=3, nv=nv, seed=8, search_period=2)
+    weight_dims = {dim for a in _arrays(state.mlp) for dim in (*a.shape, a.size)}
+    assert nv not in weight_dims
+    assert nv != sum(a.size for a in _arrays(state.mlp))
+    for _ in range(4):
+        state = iterate(state)
+        for f in dataclasses.fields(state):
+            if f.name == "dataset":
+                continue
+            for a in _arrays(getattr(state, f.name)):
+                assert nv not in a.shape, f"{f.name} holds an array of shape {a.shape}"
 
 
 @pytest.mark.parametrize("algo", ["owo-bp", "owo-molf", "owo-newton", "amolf", "lm", "cg"])
