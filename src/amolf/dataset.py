@@ -129,6 +129,8 @@ def gen_matrix_inversion(n_patterns: int, seed: int) -> Dataset:
     """
     if n_patterns < 1:
         raise ValueError("n_patterns must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
     accepted = 0

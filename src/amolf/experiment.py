@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if self.n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.search_period < 0:
             raise ValueError("search_period must be >= 0")
         if self.patience < 1:

@@ -10,7 +10,10 @@ patterns with ``pattern_sum`` too, so no result depends on BLAS threads.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
 k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
-builders return the matrix alone; its gradient comes from ``backprop``.
+builders return no gradient; it comes from ``backprop``. The input-weight
+Hessian is the matrix itself; the full-network one is the feature Gram it
+factors through, since its output and bypass rows repeat one basis block
+per output.
 """
 
 from __future__ import annotations
@@ -123,28 +126,27 @@ def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray
 def gauss_newton_full_hessian(
     mlp: Mlp, dataset: Dataset, trace: ForwardTrace
 ) -> np.ndarray:
-    """Gauss-Newton Hessian over every weight, in the order of ``pack``.
+    """Gauss-Newton Hessian over every weight, in factored form.
 
     Output i's Jacobian is the per-pattern features [f'·x, activations,
     inputs] times s_i = [woh(i,k) at weight (k,n), 1, 1], over the input
-    weights and output i's own output and bypass weights. So the Hessian is
-    2/n_patterns times the feature Gram (one ``pattern_sum``) times s_i s_iᵀ
-    (exactly symmetric), added at those rows for each output i.
+    weights and output i's own output and bypass weights. Returns G,
+    2/n_patterns times the feature Gram (one ``pattern_sum``, exactly
+    symmetric), of width nh·(n+1) + nh + n + 1. The Hessian in the order of
+    ``pack`` is G ⊙ s_i s_iᵀ added at those rows for each output i; it is
+    never formed (``trainers.damped_gauss_newton_step`` solves with it).
     """
-    nv, n1, nh, m = dataset.n_patterns, dataset.n_inputs + 1, mlp.n_hidden, mlp.n_outputs
+    nv, n1, nh = dataset.n_patterns, dataset.n_inputs + 1, mlp.n_hidden
     niw = nh * n1
-    fprime = activation_derivative(mlp, trace)
-    fx = (fprime[:, :, None] * dataset.inputs[:, None, :]).reshape(nv, niw)
-    flat = np.hstack((fx, trace.activ, dataset.inputs))
-    gram = (2.0 / nv) * pattern_sum(flat, flat)
-    del flat  # the largest array here; not held through the per-output loop
-    hessian = np.zeros((niw + m * (nh + n1),) * 2)
-    woh_rows, woi_rows = niw + np.arange(nh), niw + m * nh + np.arange(n1)
-    for i in range(m):
-        scale = np.concatenate((np.repeat(mlp.woh[i], n1), np.ones(nh + n1)))
-        rows = np.r_[:niw, woh_rows + i * nh, woi_rows + i * n1]
-        hessian[np.ix_(rows, rows)] += gram * np.outer(scale, scale)
-    return hessian
+    features = np.empty((nv, niw + nh + n1))
+    np.multiply(
+        activation_derivative(mlp, trace)[:, :, None],
+        dataset.inputs[:, None, :],
+        out=features[:, :niw].reshape(nv, nh, n1),
+    )
+    features[:, niw : niw + nh] = trace.activ
+    features[:, niw + nh :] = dataset.inputs
+    return (2.0 / nv) * pattern_sum(features, features)
 
 
 def pack(grads: GradientBundle) -> np.ndarray:

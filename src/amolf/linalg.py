@@ -8,7 +8,7 @@ owns the rule that keeps BLAS threads out of the bits: every product in the
 package that sums over patterns is a ``pattern_sum``, and no solve calls
 LAPACK. ``solve_sym``'s only BLAS calls are matrix-vector products, whose
 bits do not change with the thread count at the sizes solved here (a test
-pins this up to 290 rows).
+pins this up to 900 rows).
 """
 
 from __future__ import annotations

@@ -35,6 +35,11 @@ does so for every candidate count, and the winning candidate's step is the
 iteration's step; other iterations read their one system directly off
 per-pattern sums. Both are ``gradients.gauss_newton_gram``, a
 ``linalg.pattern_sum`` Gram whose bits do not depend on BLAS threads.
+
+LM never forms its Hessian over every weight: it keeps the feature Gram of
+``gradients.gauss_newton_full_hessian`` and solves each damped system
+through the Schur complement onto the input weights
+(``damped_gauss_newton_step``).
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .gradients import (
     pack,
     unpack,
 )
-from .linalg import solve_sym
+from .linalg import pattern_sum, solve_sym
 from .network import ForwardTrace, Mlp, activation_derivative, forward, mse, output_mse
 from .owo import output_weight_step
 
@@ -431,12 +436,53 @@ def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
     )
 
 
+def damped_gauss_newton_step(
+    mlp: Mlp, gram: np.ndarray, gradient: np.ndarray, lam: float
+) -> np.ndarray:
+    """Solution of (H + lam·I)·step = gradient, in the order of ``pack``, for
+    the full-network Gauss-Newton Hessian H in the factored form G of
+    ``gauss_newton_full_hessian``.
+
+    G's blocks are G_ww over the input weights, the cross block C and the
+    basis Gram G_b. H holds one damped basis block (G_b + lam·I) per output,
+    coupled to the input weights by C scaled by that output's ``woh``.
+    Eliminating the output and bypass weights leaves the input-weight Schur
+    complement S = (G_ww − C·(G_b + lam·I)⁻¹·Cᵀ) ⊙ kron(wohᵀ·woh, 1) + lam·I
+    (Golub & Pereyra's separable structure), so one basis-sized and one
+    input-weight-sized solve replace the solve over every weight, and the
+    output and bypass steps follow by back-substitution.
+    """
+    nh, n1 = mlp.n_hidden, mlp.n_inputs + 1
+    niw = nh * n1
+    g = unpack(gradient, mlp)
+    cross = gram[:niw, niw:]
+    damped_basis = gram[niw:, niw:] + lam * np.eye(nh + n1)
+    # [Z | Y] = (G_b + lam·I)⁻¹·[Cᵀ | g_basis]. Column i of g_basis, of Y and
+    # of the basis steps is output i's [woh_i, woi_i].
+    g_basis = np.hstack((g.output_weights, g.bypass_weights)).T
+    zy = solve_sym(damped_basis, np.hstack((cross.T, g_basis))).solution
+    # C·Z is above the single-thread GEMM size, so the products over the
+    # basis and input-weight axes are pattern sums, like the Gram's.
+    czy = pattern_sum(cross.T, zy)
+    # Column i: woh(i,k) at input weight (k,n), output i's row scaling of C.
+    scale = np.repeat(mlp.woh.T, n1, axis=0)
+    schur = (gram[:niw, :niw] - czy[:, :niw]).reshape(nh, n1, nh, n1)
+    schur = (schur * (mlp.woh.T @ mlp.woh)[:, None, :, None]).reshape(niw, niw)
+    schur[np.diag_indices(niw)] += lam
+    rhs = g.input_weights.ravel() - (czy[:, niw:] * scale).sum(axis=1)
+    d_w = solve_sym(schur, rhs).solution
+    d_basis = zy[:, niw:] - pattern_sum(zy[:, :niw].T, scale * d_w[:, None])
+    return np.concatenate((d_w, d_basis[:nh].T.ravel(), d_basis[nh:].T.ravel()))
+
+
 def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Damped full-network second-order step.
 
-    Solves the Gauss-Newton system with the current damping added to a copy
-    of its diagonal; on error decrease the step is accepted and the damping
-    shrinks tenfold, otherwise it grows tenfold and the solve is retried.
+    Solves the Gauss-Newton system with the current damping added to its
+    diagonal, through ``damped_gauss_newton_step`` on the factored Hessian,
+    which is built once per iteration; each retry changes only the damping.
+    On error decrease the step is accepted and the damping shrinks tenfold,
+    otherwise it grows tenfold and the solve is retried.
     The damping stays within [LM_LAMBDA_MIN, LM_LAMBDA_MAX]; a rejection at
     the cap ends the retries, since another solve at the same damping would
     repeat the same step. After LM_MAX_RETRIES consecutive rejections, or
@@ -447,16 +493,13 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     d = state.dataset
     mlp = state.mlp
     gradient = pack(backprop(mlp, d, trace))
-    hessian = gauss_newton_full_hessian(mlp, d, trace)
-    diagonal = np.diag_indices_from(hessian)
+    gram = gauss_newton_full_hessian(mlp, d, trace)
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
     new_mlp, err = mlp, state.last_error
     for _ in range(LM_MAX_RETRIES):
-        damped = hessian.copy()
-        damped[diagonal] += lam
-        step = solve_sym(damped, gradient).solution
+        step = damped_gauss_newton_step(mlp, gram, gradient, lam)
         candidate = _moved(mlp, step, 1.0)
         candidate_error = mse(candidate, d)
         if candidate_error < state.last_error:

@@ -184,8 +184,9 @@ def untiled_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
 
 
 def dense_full_hessian(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
-    """``gauss_newton_full_hessian`` from the dense per-pattern output
-    Jacobian, n_patterns x n_outputs x n_weights, as one untiled product."""
+    """``gauss_newton_full_hessian`` expanded to every weight, from the
+    dense per-pattern output Jacobian, n_patterns x n_outputs x n_weights,
+    as one untiled product."""
     nv, n1 = dataset.n_patterns, dataset.n_inputs + 1
     nh, m = mlp.n_hidden, mlp.n_outputs
     niw = nh * n1
@@ -201,6 +202,22 @@ def dense_full_hessian(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
         jac[:, i, off + i * n1 : off + (i + 1) * n1] = dataset.inputs
     flat = jac.reshape(nv * m, nw)
     return (2.0 / nv) * (flat.T @ flat)
+
+
+def expand_full_hessian(mlp: Mlp, gram: np.ndarray) -> np.ndarray:
+    """The dense all-weight Hessian, in the order of ``pack``, from the
+    factored form of ``gauss_newton_full_hessian``: for each output i, the
+    Gram times outer(s_i, s_i) with s_i = [woh(i,k) at weight (k,n), 1, 1],
+    added at the input rows and output i's own output and bypass rows."""
+    n1, nh, m = mlp.n_inputs + 1, mlp.n_hidden, mlp.n_outputs
+    niw = nh * n1
+    hessian = np.zeros((niw + m * (nh + n1),) * 2)
+    woh_rows, woi_rows = niw + np.arange(nh), niw + m * nh + np.arange(n1)
+    for i in range(m):
+        scale = np.concatenate((np.repeat(mlp.woh[i], n1), np.ones(nh + n1)))
+        rows = np.r_[:niw, woh_rows + i * nh, woi_rows + i * n1]
+        hessian[np.ix_(rows, rows)] += gram * np.outer(scale, scale)
+    return hessian
 
 
 def flatten_index(unit: int, input_index: int, n_inputs: int) -> int:

@@ -15,9 +15,15 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# Cases also run at three threads: lm's full Hessian (a 185-column Gram)
-# and the group search's input-weight Hessian (145 columns).
-THREE_THREADS = {("lm", 30, 8), ("amolf", 29, 20, "--search-period", "4")}
+# Cases also run at three threads: lm's full Hessian (a 185-column Gram;
+# 365 columns at nh=60, where C·(G_b + λI)⁻¹·Cᵀ is about 5.9 M multiplies
+# and the Schur complement has 300 rows) and the group search's
+# input-weight Hessian (145 columns).
+THREE_THREADS = {
+    ("lm", 30, 8),
+    ("lm", 60, 4),
+    ("amolf", 29, 20, "--search-period", "4"),
+}
 
 
 def _run(threads: int, args: list[str]) -> bytes:
@@ -54,6 +60,7 @@ def _curve_bytes(
         # the winning candidate's step, read off the 145-column Hessian.
         ("amolf", 29, 20, "--search-period", "4"),
         ("lm", 30, 8),
+        ("lm", 60, 4),
         ("cg", 30, 20),
         # Wider nets put the correlations, backprop's gradients and the
         # curvature map above the single-thread GEMM size.
@@ -73,9 +80,10 @@ def test_curve_bytes_independent_of_blas_threads(tmp_path, args):
 # Systems built with np.einsum, which calls no BLAS, so any difference in
 # bits comes from solve_sym. (n, right-hand sides, rank): the output solve's
 # 35 x 35 with 4 right-hand sides, the grouped and input-weight systems (116,
-# 150), LM's 290-row system, whose in-loop matrix-vector products are above
-# OpenBLAS's threaded size, the 900 rows LM and owo-newton reach at about
-# 100 hidden units, and a rank-deficient 120-row system.
+# 150; LM's Schur complement at nh=30 has 150 rows), a 290-row system, whose
+# in-loop matrix-vector products are above OpenBLAS's threaded size, the 900
+# rows owo-newton reaches at 180 hidden units, and a rank-deficient 120-row
+# system.
 _SOLVE_SYSTEMS = """
 import sys
 import numpy as np

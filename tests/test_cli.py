@@ -169,6 +169,33 @@ def test_negative_search_period_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--patterns", "20", "--seed", "-1"],
+        ["train", "--synthetic", "matinv", "--patterns", "40", "--nh", "2",
+         "--algo", "owo-bp", "--iters", "1", "--seed", "-1"],
+        ["train", "--data", "DATA", "--n", "1", "--m", "1", "--nh", "2",
+         "--algo", "owo-bp", "--iters", "1", "--seed", "-3"],
+        ["kfold", "--data", "DATA", "--n", "1", "--m", "1", "--nh", "2",
+         "--algo", "owo-bp", "--iters", "1", "--k", "3", "--seed", "-3"],
+    ],
+    ids=["gen-data", "train-synthetic", "train-data", "kfold-data"],
+)
+def test_negative_seed_is_one_line_error(tmp_path, capsys, argv):
+    data = tmp_path / "d.tra"
+    data.write_text("".join(f"{p} {2 * p}\n" for p in range(12)))
+    out = tmp_path / "x.out"
+    argv = [str(data) if arg == "DATA" else arg for arg in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "seed" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["train", "kfold"])
 def test_non_positive_data_dimensions_are_one_line_error(tmp_path, capsys, verb):
     data = tmp_path / "d.tra"

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,21 +25,26 @@ from amolf.network import Mlp, forward, init_net_control, mse
 from amolf.trainers import (
     ALGORITHMS,
     LM_LAMBDA_MAX,
+    LM_LAMBDA_MIN,
     AmolfState,
     adapt_group_count,
     apply_grouped_step,
     assemble_grouped_direct,
     assemble_grouped_from_hessian,
     build_partition,
+    damped_gauss_newton_step,
     fletcher_reeves_direction,
     init_state,
     initial_group_search,
     iterate,
+    lm_step,
     newton_input_step,
     olf,
 )
 from amolf import cost
 from support import (
+    dense_full_hessian,
+    expand_full_hessian,
     grouped_gradient_from_residuals,
     grouped_quadratic_drop,
     matrix_relative_error,
@@ -565,7 +572,7 @@ def test_lm_large_damping_turns_into_steepest_descent():
     rng = np.random.default_rng(55)
     mlp, d = random_network(rng, 3, 2, 2, 20)
     trace = forward(mlp, d)
-    h = gauss_newton_full_hessian(mlp, d, trace)
+    h = expand_full_hessian(mlp, gauss_newton_full_hessian(mlp, d, trace))
     g = pack(backprop(mlp, d, trace))
     lam = 100.0 * np.abs(h).max()
     norms = []
@@ -577,6 +584,89 @@ def test_lm_large_damping_turns_into_steepest_descent():
         angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
     assert norms[0] > norms[1] > norms[2]
     assert angle <= 1e-3
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-2, 1e4])
+def test_damped_step_matches_the_dense_damped_solve(lam):
+    # One and three outputs; feature widths nh·(n+1) + nh + n + 1 of 14, 69
+    # and 131, past one and two 64-column Gram tiles. The reduced solve is
+    # backward stable like the dense one, and it differs from the dense
+    # solution by no more than rounding amplified by the system's condition
+    # (up to 7e10 at the smallest damping).
+    rng = np.random.default_rng(12)
+    for (n, nh), m in itertools.product(((3, 2), (3, 13), (4, 21)), (1, 3)):
+        mlp, d = random_network(rng, n, nh, m, 150)
+        trace = forward(mlp, d)
+        g = pack(backprop(mlp, d, trace))
+        damped = dense_full_hessian(mlp, d, trace) + lam * np.eye(len(g))
+        full = solve_sym(damped, g).solution
+        step = damped_gauss_newton_step(
+            mlp, gauss_newton_full_hessian(mlp, d, trace), g, lam
+        )
+        scale = np.abs(damped).max() * np.abs(step).max()
+        assert np.abs(damped @ step - g).max() <= 1e-14 * scale
+        error = np.abs(step - full).max() / np.abs(full).max()
+        assert error <= 1e-14 * np.linalg.cond(damped)
+
+
+def test_damped_step_skips_the_collinear_basis_like_the_dense_solve():
+    # Criterion 6's duplicated input column at the smallest damping: the
+    # basis block skips a pivot, and the reduced step keeps at zero exactly
+    # the weights that the dense damped solve keeps at zero.
+    rng = np.random.default_rng(66)
+    raw = rng.standard_normal((60, 5))
+    raw[:, 4] = raw[:, 0]
+    d = make_dataset(raw, rng.standard_normal((60, 2)))
+    mlp = Mlp(
+        w=0.8 * rng.standard_normal((4, 6)),
+        woh=0.8 * rng.standard_normal((2, 4)),
+        woi=0.8 * rng.standard_normal((2, 6)),
+        activation="sigmoid",
+    )
+    trace = forward(mlp, d)
+    g = pack(backprop(mlp, d, trace))
+    damped = dense_full_hessian(mlp, d, trace) + LM_LAMBDA_MIN * np.eye(len(g))
+    full = solve_sym(damped, g)
+    assert full.rank_deficient
+    step = damped_gauss_newton_step(
+        mlp, gauss_newton_full_hessian(mlp, d, trace), g, LM_LAMBDA_MIN
+    )
+    assert np.all(np.isfinite(step))
+    assert np.any(full.solution[4 * 6 :] == 0.0)  # a bypass weight per output
+    assert np.array_equal(step == 0.0, full.solution == 0.0)
+
+
+def test_lm_step_peak_allocation(monkeypatch):
+    # Matrix inversion at the benchmark's size: 2000 patterns, nh=30, four
+    # outputs, 290 weights. The whole step peaks while the Hessian's 3.0 MB
+    # features are alive. After the factored Hessian returns, the candidate's
+    # forward pass (1.1 MB) and the 185-column Gram dominate; one 290x290
+    # matrix is 0.67 MB, and a dense damped system with solve_sym's working
+    # copy of it exceeds 2 MB.
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    mlp = init_net_control(data, 30, 0)
+    mlp, trace = amolf.owo.output_weight_step(mlp, data, forward(mlp, data))
+    # Damping from the floor forces rejected candidates and retries.
+    state = replace(init_state("lm", mlp, data), lm_lambda=LM_LAMBDA_MIN)
+    hessian = amolf.trainers.gauss_newton_full_hessian
+    peaks = []
+
+    def measured(*args):
+        gram = hessian(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return gram
+
+    monkeypatch.setattr(amolf.trainers, "gauss_newton_full_hessian", measured)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        lm_step(state, trace)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 4.5e6
+    assert peaks[1] < 2e6
 
 
 def test_lm_decreases_error_and_adapts_damping():
