@@ -34,7 +34,6 @@ from .owo import Correlations, accumulate_correlations, solve_output_weights
 from .trainers import (
     ALGORITHMS,
     AmolfState,
-    GroupPartition,
     TrainerState,
     build_partition,
     init_state,
@@ -53,7 +52,6 @@ __all__ = [
     "FoldPlan",
     "ForwardTrace",
     "GradientBundle",
-    "GroupPartition",
     "KfoldReport",
     "Mlp",
     "SolveReport",

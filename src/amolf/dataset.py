@@ -178,6 +178,8 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     nv = dataset.n_patterns
     if nv < k:
         raise ValueError(f"cannot split {nv} patterns into {k} folds")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(nv)
     # Fold f takes the next ``base`` patterns of perm, one more if f <= extra.
     base, extra = divmod(nv, k)

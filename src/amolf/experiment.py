@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset, kfold_split, normalize_zero_mean, take
 from .network import Mlp, init_net_control, mse
-from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD, init_state, iterate
+from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD, TrainerState, init_state, iterate
 
 DEFAULT_PATIENCE = 20
 MIN_IMPROVEMENT = 1e-6  # relative validation-error improvement
@@ -85,6 +85,14 @@ def trial_seed(seed: int, index: int) -> int:
     return seed ^ index
 
 
+def _start(data: Dataset, config: ExperimentConfig, index: int) -> TrainerState:
+    """Initial state of trial or round ``index`` (0-based) on ``data``."""
+    mlp = init_net_control(
+        data, config.n_hidden, trial_seed(config.seed, index), config.activation
+    )
+    return init_state(config.algorithm, mlp, data, search_period=config.search_period)
+
+
 def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     """Normalize, train ``n_trials`` independent nets, average per iteration."""
     data = normalize_zero_mean(dataset)
@@ -92,10 +100,7 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     multiplies = np.empty((config.n_trials, config.iterations))
     final_models = []
     for trial in range(config.n_trials):
-        mlp = init_net_control(
-            data, config.n_hidden, trial_seed(config.seed, trial), config.activation
-        )
-        state = init_state(config.algorithm, mlp, data, search_period=config.search_period)
+        state = _start(data, config, trial)
         for it in range(config.iterations):
             state = iterate(state)
             errors[trial, it] = state.last_error
@@ -126,15 +131,7 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
         train_data, val_data, test_data = (
             take(data, idx) for idx in plan.split(round_index)
         )
-        mlp = init_net_control(
-            train_data,
-            config.n_hidden,
-            trial_seed(config.seed, round_index - 1),
-            config.activation,
-        )
-        state = init_state(
-            config.algorithm, mlp, train_data, search_period=config.search_period
-        )
+        state = _start(train_data, config, round_index - 1)
         best_val = np.inf
         best = state
         stall = 0

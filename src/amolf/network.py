@@ -80,7 +80,9 @@ def activation_derivative(mlp: Mlp, trace: ForwardTrace) -> np.ndarray:
 def forward(mlp: Mlp, dataset: Dataset) -> ForwardTrace:
     """Batch forward pass: hidden activations and linear outputs."""
     if dataset.n_inputs != mlp.n_inputs:
-        raise ValueError("dataset and network disagree on input count")
+        raise ValueError(f"network has {mlp.n_inputs} inputs, dataset has {dataset.n_inputs}")
+    if dataset.n_outputs != mlp.n_outputs:
+        raise ValueError(f"network has {mlp.n_outputs} outputs, dataset has {dataset.n_outputs}")
     activ = ACTIVATIONS[mlp.activation][0](dataset.inputs @ mlp.w.T)
     return ForwardTrace(activ=activ, output=linear_output(mlp, dataset, activ))
 
@@ -117,6 +119,8 @@ def init_net_control(
     """
     if n_hidden < 1:
         raise ValueError("n_hidden must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = dataset.n_inputs
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_hidden, n + 1))

@@ -27,13 +27,16 @@ pass, so each of the four runs two forward passes per iteration; a search
 iteration runs one per candidate count instead of the second, and solves
 for the winner's.
 
-A grouping is one group id per input weight (``GroupPartition.group``).
-The grouped step interpolates between one step size per unit (one group)
-and the full input-weight second-order step (all-singleton groups), so its
-system can be read off the full input-weight Hessian. A search iteration
-does so for every candidate count, and the winning candidate's step is the
-iteration's step; other iterations read their one system directly off
-per-pattern sums. Both are ``gradients.gauss_newton_gram``, a
+A grouping is its group-id map (``build_partition``): one int group id
+per input weight, in the input weights' shape. The grouped kernels take
+it with ``gw``, the input-weight gradient. The grouped step interpolates
+between one step size per unit (one group) and the full input-weight
+second-order step (all-singleton groups), so its system can be read off
+the input-weight Hessian. A search iteration does so for every candidate
+count, grouping by that Hessian's diagonal (the per-weight curvature), and
+the winning candidate's step is the iteration's step; other iterations
+read their one system directly off per-pattern sums, grouped by
+``curvature_map``. Both are ``gradients.gauss_newton_gram``, a
 ``linalg.pattern_sum`` Gram whose bits do not depend on BLAS threads.
 
 LM never forms its Hessian over every weight: it keeps the feature Gram of
@@ -85,24 +88,14 @@ LM_LAMBDA_START = 1e-2
 # Grouping of input weights
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Per-unit grouping of input weights by descending curvature.
-
-    ``group[k, n]`` is the group of input weight (k, n). Group 0 holds each
-    unit's highest-curvature weights (ties by ascending index). All units
-    share the same group sizes; groups never span units.
-    """
-
-    group: np.ndarray  # (n_hidden, n_inputs + 1) int, values in 0..n_groups-1
-    n_groups: int
-
-
-def build_partition(curvature: np.ndarray, n_groups: int) -> GroupPartition:
+def build_partition(curvature: np.ndarray, n_groups: int) -> np.ndarray:
     """Split each unit's inputs into ``n_groups`` curvature-ordered groups.
 
-    Sizes are an equal split of n_inputs + 1 with the remainder going to the
-    earliest (highest-curvature) groups.
+    Returns the group-id map: entry (k, n) is the group of input weight
+    (k, n), in 0..n_groups-1. Group 0 holds each unit's highest-curvature
+    weights (ties by ascending index). Sizes are an equal split of
+    n_inputs + 1 with the remainder going to the earliest groups, the same
+    for every unit; groups never span units.
     """
     n1 = curvature.shape[1]
     if not 1 <= n_groups <= n1:
@@ -113,37 +106,27 @@ def build_partition(curvature: np.ndarray, n_groups: int) -> GroupPartition:
     group_of_rank = np.repeat(np.arange(n_groups), sizes)
     group = np.empty_like(order)
     np.put_along_axis(group, order, group_of_rank[None, :], axis=1)
-    return GroupPartition(group=group, n_groups=n_groups)
+    return group
 
 
-def _grouped_gradient(
-    grads_w: np.ndarray, part: GroupPartition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor t with t[k, n, c] = gradient(k, n) if input n is in group c of
-    unit k, else 0 (sums over n against per-pattern inputs give the grouped
-    net changes), and the group sums of squared gradients: the negative
+def _grouped_gradient(gw: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor t with t[k, n, c] = gw(k, n) if input n is in group c of unit
+    k, else 0 (sums over n against per-pattern inputs give the grouped net
+    changes), and the group sums of squared gradients: the negative
     gradient wrt each group's step size at step 0, flattened unit-major."""
-    in_group = part.group[..., None] == np.arange(part.n_groups)
-    t = np.where(in_group, grads_w[..., None], 0.0)
-    return t, (t * grads_w[:, :, None]).sum(axis=1).ravel()
+    t = np.where(group[..., None] == np.arange(group.max() + 1), gw[..., None], 0.0)
+    return t, (t * gw[:, :, None]).sum(axis=1).ravel()
 
 
-def apply_grouped_step(
-    mlp: Mlp, grads: GradientBundle, part: GroupPartition, z: np.ndarray
-) -> Mlp:
-    """Update every input weight once: weight (k, n) moves by the group's
-    step size times its own negative gradient."""
-    gw = grads.input_weights
-    z = np.asarray(z, dtype=np.float64).reshape(gw.shape[0], part.n_groups)
-    return replace(mlp, w=mlp.w + np.take_along_axis(z, part.group, axis=1) * gw)
+def apply_grouped_step(mlp: Mlp, gw: np.ndarray, group: np.ndarray, z: np.ndarray) -> Mlp:
+    """Update every input weight once: weight (k, n) moves by its group's
+    step size times its own negative gradient ``gw(k, n)``."""
+    z = z.reshape(gw.shape[0], -1)
+    return replace(mlp, w=mlp.w + np.take_along_axis(z, group, axis=1) * gw)
 
 
 def assemble_grouped_direct(
-    mlp: Mlp,
-    dataset: Dataset,
-    trace: ForwardTrace,
-    grads: GradientBundle,
-    part: GroupPartition,
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray, group: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped step-size system accumulated from per-pattern sums.
 
@@ -151,21 +134,21 @@ def assemble_grouped_direct(
     sizes (flattened unit-major), ``gauss_newton_gram`` of the features
     f'·(x·t), and the matching negative gradient.
     """
-    t, ga = _grouped_gradient(grads.input_weights, part)
+    t, ga = _grouped_gradient(gw, group)
     delta_net = np.tensordot(dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
     fprime = activation_derivative(mlp, trace)[:, :, None]
     return gauss_newton_gram(mlp, fprime * delta_net), ga
 
 
 def assemble_grouped_from_hessian(
-    hessian: np.ndarray, grads: GradientBundle, part: GroupPartition
+    hessian: np.ndarray, gw: np.ndarray, group: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped step-size system compressed out of the full input-weight
     Hessian (``gauss_newton_input_hessian``), so candidate group counts can
     be evaluated without recomputing any per-pattern sums. Entry
     ((k, c), (j, d)) is t[k, :, c] · H_kj · t[j, :, d] for the unit-pair
     block H_kj, one tiny product per unit pair."""
-    t, ga = _grouped_gradient(grads.input_weights, part)
+    t, ga = _grouped_gradient(gw, group)
     nh, n1, ng = t.shape
     blocks = hessian.reshape(nh, n1, nh, n1).transpose(0, 2, 1, 3)
     ha = t.transpose(0, 2, 1)[:, None] @ blocks @ t[None]  # (nh, nh, ng, ng)
@@ -185,24 +168,20 @@ def _optimal_step(slope: float, curvature: float) -> float:
     return slope / curvature
 
 
-def olf(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, grads: GradientBundle
-) -> float:
-    """Optimal scalar step size along the input-weight gradient: the
+def olf(mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray) -> float:
+    """Optimal scalar step size along the input-weight gradient ``gw``: the
     squared gradient norm over the Gauss-Newton curvature along it."""
-    gw = grads.input_weights
     curvature = gn_curvature_along_input_direction(mlp, dataset, trace, gw)
     return _optimal_step(float((gw * gw).sum()), curvature)
 
 
-def newton_input_step(hessian: np.ndarray, grads: GradientBundle) -> np.ndarray:
+def newton_input_step(hessian: np.ndarray, gw: np.ndarray) -> np.ndarray:
     """Full second-order input-weight change from the input-weight Hessian
-    and the gradients, in the shape of the input weights.
+    and gradient, in the shape of the input weights.
 
     Singular Hessians fall back to pivot skipping: excluded weights simply
     do not move.
     """
-    gw = grads.input_weights
     return solve_sym(hessian, gw.ravel()).solution.reshape(gw.shape)
 
 
@@ -243,27 +222,25 @@ def adapt_group_count(
 
 
 def initial_group_search(
-    mlp: Mlp,
-    dataset: Dataset,
-    trace: ForwardTrace,
-    grads: GradientBundle,
-    curvature: np.ndarray,
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray
 ) -> tuple[int, Mlp, ForwardTrace]:
     """Exhaustive group-count selection over 1..n_inputs groups.
 
-    Builds the full input-weight Hessian once, then for every candidate
-    count compresses it onto the grouped unknowns, solves, applies the
-    trial step to a scratch copy, and runs it forward for its error. The
-    lowest error wins; ties go to the smaller count. Returns the winning
-    count, stepped network and forward pass.
+    Builds the full input-weight Hessian once and groups by its diagonal,
+    the per-weight curvature. For every candidate count it compresses the
+    Hessian onto the grouped unknowns, solves, applies the trial step to a
+    scratch copy, and runs it forward for its error. The lowest error wins;
+    ties go to the smaller count. Returns the winning count, stepped
+    network and forward pass.
     """
     hessian = gauss_newton_input_hessian(mlp, dataset, trace)
+    curvature = hessian.diagonal().reshape(gw.shape)
     best, best_error = None, np.inf
     for ng in range(1, dataset.n_inputs + 1):
-        part = build_partition(curvature, ng)
-        ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
+        group = build_partition(curvature, ng)
+        ha, ga = assemble_grouped_from_hessian(hessian, gw, group)
         z = solve_sym(ha, ga).solution
-        candidate = apply_grouped_step(mlp, grads, part, z)
+        candidate = apply_grouped_step(mlp, gw, group, z)
         candidate_trace = forward(candidate, dataset)
         err = output_mse(dataset, candidate_trace.output)
         if ng == 1 or err < best_error:
@@ -353,9 +330,8 @@ def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Output-weight solve, then a gradient step with the optimal step size."""
     d = state.dataset
     mlp, trace = output_weight_step(state.mlp, d, trace)
-    grads = backprop(mlp, d, trace)
-    z = olf(mlp, d, trace, grads)
-    mlp = replace(mlp, w=mlp.w + z * grads.input_weights)
+    gw = backprop(mlp, d, trace).input_weights
+    mlp = replace(mlp, w=mlp.w + olf(mlp, d, trace, gw) * gw)
     return mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)), {}
 
 
@@ -363,9 +339,9 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Full second-order input-weight step, then the output-weight solve."""
     d = state.dataset
     mlp = state.mlp
-    grads = backprop(mlp, d, trace)
+    gw = backprop(mlp, d, trace).input_weights
     hessian = gauss_newton_input_hessian(mlp, d, trace)
-    stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, grads))
+    stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, gw))
     mlp, solved = output_weight_step(stepped, d, forward(stepped, d))
     return mlp, output_mse(d, solved.output), cost.mult_owo_newton(*_dims(state)), {}
 
@@ -384,14 +360,13 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     if ast.fixed_n_groups is not None and not 1 <= ast.fixed_n_groups <= n:
         raise ValueError(f"fixed_n_groups must be in 1..{n}, got {ast.fixed_n_groups}")
 
-    grads = backprop(mlp, d, trace)
+    gw = backprop(mlp, d, trace).input_weights
 
     searched = ast.fixed_n_groups is None and (
         iteration == 1 or (ast.search_period > 0 and iteration % ast.search_period == 0)
     )
     if searched:
-        curvature = curvature_map(mlp, d, trace)
-        n_groups, stepped, stepped_trace = initial_group_search(mlp, d, trace, grads, curvature)
+        n_groups, stepped, stepped_trace = initial_group_search(mlp, d, trace, gw)
     else:
         if ast.fixed_n_groups is not None:
             n_groups = ast.fixed_n_groups
@@ -406,9 +381,9 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
         curvature = (
             np.zeros_like(mlp.w) if n_groups == 1 else curvature_map(mlp, d, trace)
         )
-        part = build_partition(curvature, n_groups)
-        ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
-        stepped = apply_grouped_step(mlp, grads, part, solve_sym(ha, ga).solution)
+        group = build_partition(curvature, n_groups)
+        ha, ga = assemble_grouped_direct(mlp, d, trace, gw, group)
+        stepped = apply_grouped_step(mlp, gw, group, solve_sym(ha, ga).solution)
         stepped_trace = forward(stepped, d)
     mlp, stepped_trace = output_weight_step(stepped, d, stepped_trace)
     err = output_mse(d, stepped_trace.output)
@@ -424,10 +399,9 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     return mlp, err, multiplies + surcharge, {"amolf": new_amolf}
 
 
-def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
-    """``mlp`` with every weight moved by ``step`` times its entry of a
-    direction in the all-weight order of ``gradients.pack``."""
-    d = unpack(packed_direction, mlp)
+def _moved(mlp: Mlp, d: GradientBundle, step: float) -> Mlp:
+    """``mlp`` with every weight moved by ``step`` times its entry of the
+    direction ``d``."""
     return Mlp(
         w=mlp.w + step * d.input_weights,
         woh=mlp.woh + step * d.output_weights,
@@ -437,9 +411,9 @@ def _moved(mlp: Mlp, packed_direction: np.ndarray, step: float) -> Mlp:
 
 
 def damped_gauss_newton_step(
-    mlp: Mlp, gram: np.ndarray, gradient: np.ndarray, lam: float
-) -> np.ndarray:
-    """Solution of (H + lam·I)·step = gradient, in the order of ``pack``, for
+    mlp: Mlp, gram: np.ndarray, g: GradientBundle, lam: float
+) -> GradientBundle:
+    """Solution of (H + lam·I)·step = g, in the shapes of the weights, for
     the full-network Gauss-Newton Hessian H in the factored form G of
     ``gauss_newton_full_hessian``.
 
@@ -454,7 +428,6 @@ def damped_gauss_newton_step(
     """
     nh, n1 = mlp.n_hidden, mlp.n_inputs + 1
     niw = nh * n1
-    g = unpack(gradient, mlp)
     cross = gram[:niw, niw:]
     damped_basis = gram[niw:, niw:] + lam * np.eye(nh + n1)
     # [Z | Y] = (G_b + lam·I)⁻¹·[Cᵀ | g_basis]. Column i of g_basis, of Y and
@@ -472,7 +445,7 @@ def damped_gauss_newton_step(
     rhs = g.input_weights.ravel() - (czy[:, niw:] * scale).sum(axis=1)
     d_w = solve_sym(schur, rhs).solution
     d_basis = zy[:, niw:] - pattern_sum(zy[:, :niw].T, scale * d_w[:, None])
-    return np.concatenate((d_w, d_basis[:nh].T.ravel(), d_basis[nh:].T.ravel()))
+    return GradientBundle(d_w.reshape(nh, n1), d_basis[:nh].T, d_basis[nh:].T)
 
 
 def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -492,15 +465,14 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """
     d = state.dataset
     mlp = state.mlp
-    gradient = pack(backprop(mlp, d, trace))
+    gradient = backprop(mlp, d, trace)
     gram = gauss_newton_full_hessian(mlp, d, trace)
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
     new_mlp, err = mlp, state.last_error
     for _ in range(LM_MAX_RETRIES):
-        step = damped_gauss_newton_step(mlp, gram, gradient, lam)
-        candidate = _moved(mlp, step, 1.0)
+        candidate = _moved(mlp, damped_gauss_newton_step(mlp, gram, gradient, lam), 1.0)
         candidate_error = mse(candidate, d)
         if candidate_error < state.last_error:
             new_mlp, err, accepted = candidate, candidate_error, True
@@ -528,7 +500,7 @@ def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
         mlp, d, trace, along.input_weights, along.output_weights, along.bypass_weights
     )
     step = _optimal_step(float(gradient @ direction), curvature)
-    mlp = _moved(mlp, direction, step)
+    mlp = _moved(mlp, along, step)
     changes = {"cg_direction": direction, "cg_gradient_norm_sq": float(gradient @ gradient)}
     return mlp, mse(mlp, d), cost.mult_cg(*_dims(state)), changes
 

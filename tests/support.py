@@ -18,11 +18,7 @@ from amolf.gradients import output_deltas
 from amolf.linalg import PIVOT_RTOL, solve_sym
 from amolf.network import ACTIVATIONS, Mlp, activation_derivative, mse
 from amolf.owo import augmented_basis
-from amolf.trainers import (
-    GroupPartition,
-    assemble_grouped_from_hessian,
-    build_partition,
-)
+from amolf.trainers import assemble_grouped_from_hessian, build_partition
 
 
 def read_curve(path: str) -> TrainingCurve:
@@ -253,15 +249,15 @@ def output_hessian_gradient(
     return ho, go.ravel()
 
 
-def molf_solve(hessian: np.ndarray, grads) -> np.ndarray:
+def molf_solve(hessian: np.ndarray, gw: np.ndarray) -> np.ndarray:
     """One optimal step size per hidden unit, by compressing the full
-    input-weight Hessian onto the per-unit gradient directions."""
-    part = single_group_partition(*grads.input_weights.shape)
-    ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
+    input-weight Hessian onto the per-unit gradient directions ``gw``."""
+    group = single_group_partition(*gw.shape)
+    ha, ga = assemble_grouped_from_hessian(hessian, gw, group)
     return solve_sym(ha, ga).solution
 
 
-def single_group_partition(n_hidden: int, n_augmented: int) -> GroupPartition:
+def single_group_partition(n_hidden: int, n_augmented: int) -> np.ndarray:
     """One group per hidden unit (one step size per unit): with equal
     curvature everywhere, build_partition keeps every unit's inputs in
     index order."""
@@ -269,18 +265,17 @@ def single_group_partition(n_hidden: int, n_augmented: int) -> GroupPartition:
 
 
 def grouped_gradient_from_residuals(
-    mlp: Mlp, dataset: Dataset, trace, grads, part: GroupPartition
+    mlp: Mlp, dataset: Dataset, trace, gw: np.ndarray, group: np.ndarray
 ) -> np.ndarray:
     """The grouped step-size gradient accumulated from the hidden deltas,
     weight by weight: the residual-side derivation of what the package
     computes as group sums of squared weight gradients."""
     deltas = hidden_deltas(mlp, dataset, trace)
-    gw = grads.input_weights
     nh, n1 = gw.shape
-    out = np.zeros((nh, part.n_groups))
+    out = np.zeros((nh, group.max() + 1))
     for k in range(nh):
         for n in range(n1):
-            out[k, part.group[k, n]] += gw[k, n] * (deltas[:, k] @ dataset.inputs[:, n])
+            out[k, group[k, n]] += gw[k, n] * (deltas[:, k] @ dataset.inputs[:, n])
     return out.ravel() / dataset.n_patterns
 
 

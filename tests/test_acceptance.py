@@ -74,14 +74,14 @@ def test_criterion_02_hessian_compression_identities():
         rng = np.random.default_rng(2000 + seed)
         mlp, d = random_network(rng, 4, 3, 2, 25)
         trace = forward(mlp, d)
-        grads = backprop(mlp, d, trace)
+        gw = backprop(mlp, d, trace).input_weights
         hessian = gauss_newton_input_hessian(mlp, d, trace)
         hw = curvature_map(mlp, d, trace)
 
         # one group per unit: compressed system vs direct accumulation
-        part = single_group_partition(mlp.n_hidden, d.n_inputs + 1)
-        ha_direct, ga_direct = assemble_grouped_direct(mlp, d, trace, grads, part)
-        ha_comp, ga_comp = assemble_grouped_from_hessian(hessian, grads, part)
+        group = single_group_partition(mlp.n_hidden, d.n_inputs + 1)
+        ha_direct, ga_direct = assemble_grouped_direct(mlp, d, trace, gw, group)
+        ha_comp, ga_comp = assemble_grouped_from_hessian(hessian, gw, group)
         worst = max(
             worst,
             matrix_relative_error(ha_direct, ha_comp),
@@ -90,9 +90,9 @@ def test_criterion_02_hessian_compression_identities():
 
         # grouped systems: interpolation from the full Hessian vs direct
         for ng in (1, 2, d.n_inputs + 1):
-            part = build_partition(hw, ng)
-            ha_d, ga_d = assemble_grouped_direct(mlp, d, trace, grads, part)
-            ha_i, ga_i = assemble_grouped_from_hessian(hessian, grads, part)
+            group = build_partition(hw, ng)
+            ha_d, ga_d = assemble_grouped_direct(mlp, d, trace, gw, group)
+            ha_i, ga_i = assemble_grouped_from_hessian(hessian, gw, group)
             worst = max(
                 worst,
                 matrix_relative_error(ha_d, ha_i),
@@ -126,11 +126,12 @@ def test_criterion_03_limiting_cases():
     grads = backprop(net, d, trace)
     hessian = gauss_newton_input_hessian(net, d, trace)
     assert np.abs(grads.input_weights).min() > 0.0
-    dw_newton = newton_input_step(hessian, grads)
-    part = build_partition(curvature_map(net, d, trace), d.n_inputs + 1)
-    ha, ga = assemble_grouped_from_hessian(hessian, grads, part)
+    gw = grads.input_weights
+    dw_newton = newton_input_step(hessian, gw)
+    group = build_partition(curvature_map(net, d, trace), d.n_inputs + 1)
+    ha, ga = assemble_grouped_from_hessian(hessian, gw, group)
     z = solve_sym(ha, ga).solution
-    stepped = apply_grouped_step(net, grads, part, z)
+    stepped = apply_grouped_step(net, gw, group, z)
     newton_gap = matrix_relative_error(stepped.w - net.w, dw_newton)
     assert newton_gap <= 1e-6
     _report(
@@ -194,8 +195,8 @@ def test_criterion_06_linear_dependence_guard():
     cap = -(-(d.n_inputs + 1) // 2)  # ceil((n+1)/2)
     grouped_flags = []
     for ng in range(1, cap + 1):
-        part = build_partition(hw, ng)
-        ha, ga = assemble_grouped_direct(mlp, d, trace, grads, part)
+        group = build_partition(hw, ng)
+        ha, ga = assemble_grouped_direct(mlp, d, trace, grads.input_weights, group)
         grouped_flags.append(solve_sym(ha, ga).rank_deficient)
     assert not any(grouped_flags)
     _report(

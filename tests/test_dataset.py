@@ -149,6 +149,12 @@ def test_kfold_requires_three_folds():
         kfold_split(d, 2, 0)
 
 
+def test_kfold_rejects_a_negative_seed():
+    d = gen_matrix_inversion(10, 0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -2$"):
+        kfold_split(d, 5, -2)
+
+
 @given(st.integers(3, 25), st.integers(0, 1000))
 @settings(max_examples=30, deadline=None)
 def test_kfold_partition_properties(k, seed):

@@ -119,6 +119,21 @@ def test_init_net_control_deterministic():
     assert np.array_equal(a.w, b.w)
 
 
+def test_init_net_control_rejects_a_negative_seed():
+    data = normalize_zero_mean(gen_matrix_inversion(50, 0))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        init_net_control(data, 3, -1)
+
+
+def test_mse_rejects_a_network_with_the_wrong_output_count():
+    # A 1-output net on the 4-output matrix-inversion set; numpy would
+    # broadcast its outputs against the four target columns.
+    data = normalize_zero_mean(gen_matrix_inversion(50, 0))
+    mlp = _zero_mlp(data.n_inputs, 3, 1)
+    with pytest.raises(ValueError, match=r"^network has 1 outputs, dataset has 4$"):
+        mse(mlp, data)
+
+
 def test_init_net_control_degenerate_dataset():
     # A single pattern has zero net variance for every unit.
     d = make_dataset(np.array([[0.5, -0.5]]), np.array([[1.0]]))

@@ -13,7 +13,6 @@ import amolf.owo
 import amolf.trainers
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
 from amolf.gradients import (
-    GradientBundle,
     backprop,
     curvature_map,
     gauss_newton_full_hessian,
@@ -65,32 +64,32 @@ from support import (
 
 def test_build_partition_forced_example():
     hw = np.array([[5.0, 1.0, 4.0, 2.0, 3.0]])
-    part = build_partition(hw, 2)
-    assert part.n_groups == 2
-    assert np.array_equal(part.group[0], [0, 1, 0, 1, 0])
-    assert np.array_equal(np.bincount(part.group[0]), [3, 2])
-    assert set(np.flatnonzero(part.group[0] == 0)) == {0, 2, 4}
-    assert set(np.flatnonzero(part.group[0] == 1)) == {3, 1}
+    group = build_partition(hw, 2)
+    assert group.max() + 1 == 2
+    assert np.array_equal(group[0], [0, 1, 0, 1, 0])
+    assert np.array_equal(np.bincount(group[0]), [3, 2])
+    assert set(np.flatnonzero(group[0] == 0)) == {0, 2, 4}
+    assert set(np.flatnonzero(group[0] == 1)) == {3, 1}
 
 
 def test_build_partition_single_group():
     hw = np.random.default_rng(0).random((3, 5))
-    part = build_partition(hw, 1)
-    assert part.n_groups == 1
-    assert np.array_equal(part.group, np.zeros((3, 5), dtype=int))
+    group = build_partition(hw, 1)
+    assert group.max() + 1 == 1
+    assert np.array_equal(group, np.zeros((3, 5), dtype=int))
 
 
 def test_build_partition_all_singletons():
     hw = np.array([[1.0, 3.0, 2.0]])
-    part = build_partition(hw, 3)
-    assert np.array_equal(np.bincount(part.group[0]), [1, 1, 1])
-    assert np.array_equal(part.group[0], [2, 0, 1])
+    group = build_partition(hw, 3)
+    assert np.array_equal(np.bincount(group[0]), [1, 1, 1])
+    assert np.array_equal(group[0], [2, 0, 1])
 
 
 def test_build_partition_ties_break_ascending():
     hw = np.array([[2.0, 2.0, 2.0, 2.0]])
-    part = build_partition(hw, 2)
-    assert np.array_equal(part.group[0], [0, 0, 1, 1])
+    group = build_partition(hw, 2)
+    assert np.array_equal(group[0], [0, 0, 1, 1])
 
 
 def test_build_partition_range_check():
@@ -105,11 +104,11 @@ def test_partition_covers_each_index_once():
     rng = np.random.default_rng(1)
     hw = rng.random((4, 7))
     for ng in range(1, 8):
-        part = build_partition(hw, ng)
-        assert part.group.shape == (4, 7)
-        assert part.group.min() == 0 and part.group.max() == ng - 1
+        group = build_partition(hw, ng)
+        assert group.shape == (4, 7)
+        assert group.min() == 0 and group.max() == ng - 1
         for k in range(4):
-            sizes = np.bincount(part.group[k], minlength=ng)
+            sizes = np.bincount(group[k], minlength=ng)
             assert int(sizes.sum()) == 7
             assert sizes.max() - sizes.min() <= 1
             assert np.all(np.diff(sizes) <= 0)  # larger groups first
@@ -122,9 +121,9 @@ def test_build_partition_matches_sorted_rank_oracle(seed):
     nh, n1 = int(rng.integers(1, 5)), int(rng.integers(1, 9))
     hw = rng.integers(0, 3, size=(nh, n1)).astype(float)
     for ng in range(1, n1 + 1):
-        part = build_partition(hw, ng)
-        assert part.n_groups == ng
-        assert np.array_equal(part.group, rank_partition(hw, ng))
+        group = build_partition(hw, ng)
+        assert group.max() + 1 == ng
+        assert np.array_equal(group, rank_partition(hw, ng))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def test_olf_bilinear_form_two_ways():
     g = backprop(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
     numerator = float((g.input_weights**2).sum())
-    z = olf(mlp, d, trace, g)
+    z = olf(mlp, d, trace, g.input_weights)
     gv = g.input_weights.ravel()
     quad = float(gv @ h @ gv)
     assert abs(z - numerator / quad) <= 1e-10 * (1.0 + abs(z))
@@ -149,7 +148,7 @@ def test_olf_exact_on_linear_single_unit():
     mlp, d = random_network(rng, 3, 1, 1, 25, activation="linear")
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    z = olf(mlp, d, trace, g)
+    z = olf(mlp, d, trace, g.input_weights)
 
     def along(step):
         return mse(replace(mlp, w=mlp.w + step * g.input_weights), d)
@@ -162,7 +161,7 @@ def test_olf_brackets_the_minimum_near_quadratic():
     mlp, d = near_interpolating_network(rng, 4, 3, 2, 30, noise=1e-4)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    z = olf(mlp, d, trace, g)
+    z = olf(mlp, d, trace, g.input_weights)
 
     def along(step):
         return mse(replace(mlp, w=mlp.w + step * g.input_weights), d)
@@ -177,7 +176,7 @@ def test_olf_fallback_on_zero_curvature():
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh))
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    assert olf(mlp, d, trace, g) == 1e-3
+    assert olf(mlp, d, trace, g.input_weights) == 1e-3
 
 
 def test_molf_single_unit_equals_olf():
@@ -186,9 +185,9 @@ def test_molf_single_unit_equals_olf():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
-    z = molf_solve(h, g)
+    z = molf_solve(h, g.input_weights)
     assert z.shape == (1,)
-    assert abs(z[0] - olf(mlp, d, trace, g)) <= 1e-10
+    assert abs(z[0] - olf(mlp, d, trace, g.input_weights)) <= 1e-10
 
 
 def test_molf_dual_construction():
@@ -197,9 +196,9 @@ def test_molf_dual_construction():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
-    part = single_group_partition(mlp.n_hidden, d.n_inputs + 1)
-    ha_direct, ga_direct = assemble_grouped_direct(mlp, d, trace, g, part)
-    ha_comp, ga_comp = assemble_grouped_from_hessian(h, g, part)
+    group = single_group_partition(mlp.n_hidden, d.n_inputs + 1)
+    ha_direct, ga_direct = assemble_grouped_direct(mlp, d, trace, g.input_weights, group)
+    ha_comp, ga_comp = assemble_grouped_from_hessian(h, g.input_weights, group)
     assert matrix_relative_error(ha_direct, ha_comp) <= 1e-10
     assert matrix_relative_error(ga_direct, ga_comp) <= 1e-10
 
@@ -211,25 +210,17 @@ def test_molf_zero_gradient_gives_zero_steps():
     trace = forward(mlp, exact)
     g = backprop(mlp, exact, trace)
     h = gauss_newton_input_hessian(mlp, exact, trace)
-    assert np.array_equal(molf_solve(h, g), np.zeros(mlp.n_hidden))
-
-
-def _input_gradients(input_weights: np.ndarray) -> GradientBundle:
-    """Gradients of a one-output net whose input weights are given."""
-    nh, n1 = input_weights.shape
-    return GradientBundle(input_weights, np.zeros((1, nh)), np.zeros((1, n1)))
+    assert np.array_equal(molf_solve(h, g.input_weights), np.zeros(mlp.n_hidden))
 
 
 def test_newton_step_identity_hessian():
     rng = np.random.default_rng(10)
     g = rng.standard_normal(6)
-    grads = _input_gradients(g.reshape(2, 3))
-    assert np.allclose(newton_input_step(np.eye(6), grads), g.reshape(2, 3))
+    assert np.allclose(newton_input_step(np.eye(6), g.reshape(2, 3)), g.reshape(2, 3))
 
 
 def test_newton_step_zero_gradient():
-    grads = _input_gradients(np.zeros((2, 3)))
-    assert np.array_equal(newton_input_step(np.eye(6), grads), np.zeros((2, 3)))
+    assert np.array_equal(newton_input_step(np.eye(6), np.zeros((2, 3))), np.zeros((2, 3)))
 
 
 def test_newton_step_near_quadratic_captures_gap():
@@ -238,7 +229,7 @@ def test_newton_step_near_quadratic_captures_gap():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
-    dw = newton_input_step(h, g)
+    dw = newton_input_step(h, g.input_weights)
     e0 = mse(mlp, d)
     e1 = mse(replace(mlp, w=mlp.w + dw), d)
     grid = np.linspace(0.0, 2.0, 401)
@@ -269,13 +260,14 @@ def test_grouped_assembly_matches_hessian_compression():
     g = backprop(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
     hw = curvature_map(mlp, d, trace)
+    gw = g.input_weights
     for ng in (1, 2, 3, 5):
-        part = build_partition(hw, ng)
-        ha_d, ga_d = assemble_grouped_direct(mlp, d, trace, g, part)
-        ha_i, ga_i = assemble_grouped_from_hessian(h, g, part)
+        group = build_partition(hw, ng)
+        ha_d, ga_d = assemble_grouped_direct(mlp, d, trace, gw, group)
+        ha_i, ga_i = assemble_grouped_from_hessian(h, gw, group)
         assert matrix_relative_error(ha_d, ha_i) <= 1e-10
         assert matrix_relative_error(ga_d, ga_i) <= 1e-10
-        ga_res = grouped_gradient_from_residuals(mlp, d, trace, g, part)
+        ga_res = grouped_gradient_from_residuals(mlp, d, trace, gw, group)
         assert matrix_relative_error(ga_res, ga_d) <= 1e-10
 
 
@@ -284,8 +276,8 @@ def test_grouped_step_zero_leaves_weights():
     mlp, d = random_network(rng, 4, 3, 2, 10)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    part = build_partition(curvature_map(mlp, d, trace), 2)
-    stepped = apply_grouped_step(mlp, g, part, np.zeros((3, 2)))
+    group = build_partition(curvature_map(mlp, d, trace), 2)
+    stepped = apply_grouped_step(mlp, g.input_weights, group, np.zeros((3, 2)))
     assert np.array_equal(stepped.w, mlp.w)
 
 
@@ -294,8 +286,8 @@ def test_grouped_step_touches_every_weight_once():
     mlp, d = random_network(rng, 4, 3, 2, 10)
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    part = build_partition(curvature_map(mlp, d, trace), 3)
-    stepped = apply_grouped_step(mlp, g, part, np.ones((3, 3)))
+    group = build_partition(curvature_map(mlp, d, trace), 3)
+    stepped = apply_grouped_step(mlp, g.input_weights, group, np.ones((3, 3)))
     assert np.array_equal(stepped.w, mlp.w + g.input_weights)
 
 
@@ -305,11 +297,12 @@ def test_grouped_step_all_singletons_is_newton():
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
     h = gauss_newton_input_hessian(mlp, d, trace)
-    dw_newton = newton_input_step(h, g)
-    part = build_partition(curvature_map(mlp, d, trace), d.n_inputs + 1)
-    ha, ga = assemble_grouped_from_hessian(h, g, part)
+    gw = g.input_weights
+    dw_newton = newton_input_step(h, gw)
+    group = build_partition(curvature_map(mlp, d, trace), d.n_inputs + 1)
+    ha, ga = assemble_grouped_from_hessian(h, gw, group)
     z = solve_sym(ha, ga).solution
-    stepped = apply_grouped_step(mlp, g, part, z)
+    stepped = apply_grouped_step(mlp, gw, group, z)
     assert matrix_relative_error(stepped.w - mlp.w, dw_newton) <= 1e-6
 
 
@@ -340,11 +333,11 @@ def test_refining_per_unit_groups_never_hurts_on_quadratic_model():
     n1 = d.n_inputs + 1
 
     def flat_groups(ng):
-        part = build_partition(hw, ng)
+        group = build_partition(hw, ng)
         groups = []
         for k in range(mlp.n_hidden):
             for c in range(ng):
-                members = np.flatnonzero(part.group[k] == c)
+                members = np.flatnonzero(group[k] == c)
                 groups.append(k * n1 + members)
         return groups
 
@@ -380,7 +373,7 @@ def test_search_ties_resolve_to_one_group():
     )
     trace = forward(mlp, d)
     g = backprop(mlp, d, trace)
-    chosen, stepped, _ = initial_group_search(mlp, d, trace, g, curvature_map(mlp, d, trace))
+    chosen, stepped, _ = initial_group_search(mlp, d, trace, g.input_weights)
     assert chosen == 1
     assert np.array_equal(stepped.w, mlp.w + 0.5 * g.input_weights)
     assert np.array_equal(stepped.woh, mlp.woh) and np.array_equal(stepped.woi, mlp.woi)
@@ -390,16 +383,16 @@ def test_search_returns_argmin_of_candidates():
     rng = np.random.default_rng(16)
     mlp, d = random_network(rng, 4, 3, 2, 40)
     trace = forward(mlp, d)
-    g = backprop(mlp, d, trace)
-    hw = curvature_map(mlp, d, trace)
+    gw = backprop(mlp, d, trace).input_weights
     h = gauss_newton_input_hessian(mlp, d, trace)
-    chosen, stepped, stepped_trace = initial_group_search(mlp, d, trace, g, hw)
+    hw = h.diagonal().reshape(gw.shape)
+    chosen, stepped, stepped_trace = initial_group_search(mlp, d, trace, gw)
     candidates = []
     for ng in range(1, d.n_inputs + 1):
-        part = build_partition(hw, ng)
-        ha, ga = assemble_grouped_from_hessian(h, g, part)
+        group = build_partition(hw, ng)
+        ha, ga = assemble_grouped_from_hessian(h, gw, group)
         z = solve_sym(ha, ga).solution
-        candidates.append(apply_grouped_step(mlp, g, part, z))
+        candidates.append(apply_grouped_step(mlp, gw, group, z))
     errors = [mse(candidate, d) for candidate in candidates]
     assert chosen == 1 + int(np.argmin(errors))
     assert errors[chosen - 1] == min(errors)
@@ -414,15 +407,15 @@ def test_search_interpolated_matches_direct_assembly_selection():
     rng = np.random.default_rng(17)
     mlp, d = random_network(rng, 4, 3, 2, 40)
     trace = forward(mlp, d)
-    g = backprop(mlp, d, trace)
+    gw = backprop(mlp, d, trace).input_weights
     hw = curvature_map(mlp, d, trace)
-    chosen, _, _ = initial_group_search(mlp, d, trace, g, hw)
+    chosen, _, _ = initial_group_search(mlp, d, trace, gw)
     errors = []
     for ng in range(1, d.n_inputs + 1):
-        part = build_partition(hw, ng)
-        ha, ga = assemble_grouped_direct(mlp, d, trace, g, part)
+        group = build_partition(hw, ng)
+        ha, ga = assemble_grouped_direct(mlp, d, trace, gw, group)
         z = solve_sym(ha, ga).solution
-        errors.append(mse(apply_grouped_step(mlp, g, part, z), d))
+        errors.append(mse(apply_grouped_step(mlp, gw, group, z), d))
     assert chosen == 1 + int(np.argmin(errors))
 
 
@@ -434,6 +427,16 @@ def _matinv_setup(nh=10, nv=300, seed=0, algo="owo-molf", **kwargs):
     data = normalize_zero_mean(gen_matrix_inversion(nv, seed))
     mlp = init_net_control(data, nh, seed)
     return init_state(algo, mlp, data, **kwargs)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_iterate_rejects_a_network_with_the_wrong_output_count(algo):
+    # Unchecked, owo-bp's output solve turned a 1-output net into a 4-output
+    # one and the other trainers failed inside numpy's matmul.
+    state = _matinv_setup(algo=algo, nh=3, nv=50)
+    one_output = replace(state.mlp, woh=state.mlp.woh[:1], woi=state.mlp.woi[:1])
+    with pytest.raises(ValueError, match=r"^network has 1 outputs, dataset has 4$"):
+        iterate(replace(state, mlp=one_output))
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -597,11 +600,12 @@ def test_damped_step_matches_the_dense_damped_solve(lam):
     for (n, nh), m in itertools.product(((3, 2), (3, 13), (4, 21)), (1, 3)):
         mlp, d = random_network(rng, n, nh, m, 150)
         trace = forward(mlp, d)
-        g = pack(backprop(mlp, d, trace))
+        grads = backprop(mlp, d, trace)
+        g = pack(grads)
         damped = dense_full_hessian(mlp, d, trace) + lam * np.eye(len(g))
         full = solve_sym(damped, g).solution
-        step = damped_gauss_newton_step(
-            mlp, gauss_newton_full_hessian(mlp, d, trace), g, lam
+        step = pack(
+            damped_gauss_newton_step(mlp, gauss_newton_full_hessian(mlp, d, trace), grads, lam)
         )
         scale = np.abs(damped).max() * np.abs(step).max()
         assert np.abs(damped @ step - g).max() <= 1e-14 * scale
@@ -624,12 +628,15 @@ def test_damped_step_skips_the_collinear_basis_like_the_dense_solve():
         activation="sigmoid",
     )
     trace = forward(mlp, d)
-    g = pack(backprop(mlp, d, trace))
+    grads = backprop(mlp, d, trace)
+    g = pack(grads)
     damped = dense_full_hessian(mlp, d, trace) + LM_LAMBDA_MIN * np.eye(len(g))
     full = solve_sym(damped, g)
     assert full.rank_deficient
-    step = damped_gauss_newton_step(
-        mlp, gauss_newton_full_hessian(mlp, d, trace), g, LM_LAMBDA_MIN
+    step = pack(
+        damped_gauss_newton_step(
+            mlp, gauss_newton_full_hessian(mlp, d, trace), grads, LM_LAMBDA_MIN
+        )
     )
     assert np.all(np.isfinite(step))
     assert np.any(full.solution[4 * 6 :] == 0.0)  # a bypass weight per output
@@ -894,14 +901,17 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     # The winning candidate's step is the iteration's step: a search
     # iteration solves each candidate count's system and the output weights,
     # assembles nothing from per-pattern sums, and runs one forward pass per
-    # candidate besides its first, the winner's reused by the output solve;
-    # an adapting iteration assembles and solves its one grouped system.
+    # candidate besides its first, the winner's reused by the output solve,
+    # and groups by its Hessian's diagonal, not by ``curvature_map``; an
+    # adapting iteration assembles and solves its one grouped system, and
+    # reads the curvature once if it has more than one group.
     state = _matinv_setup(algo="amolf", nh=4, nv=120, seed=8, search_period=3)
     n = state.dataset.n_inputs
-    solves, assemblies, forwards = [], [], []
+    solves, assemblies, forwards, curvatures = [], [], [], []
     counted_solve = amolf.trainers.solve_sym
     counted_assemble = amolf.trainers.assemble_grouped_direct
     counted_forward = amolf.network.forward
+    counted_curvature = amolf.trainers.curvature_map
 
     def counting_solve_sym(*args):
         solves.append(1)
@@ -915,21 +925,27 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
         forwards.append(1)
         return counted_forward(*args)
 
+    def counting_curvature_map(*args):
+        curvatures.append(1)
+        return counted_curvature(*args)
+
     monkeypatch.setattr(amolf.trainers, "solve_sym", counting_solve_sym)
     monkeypatch.setattr(amolf.owo, "solve_sym", counting_solve_sym)
     monkeypatch.setattr(amolf.trainers, "assemble_grouped_direct", counting_assemble)
     # ``mse`` calls the network module's ``forward``; the trainers call their own.
     monkeypatch.setattr(amolf.network, "forward", counting_forward)
     monkeypatch.setattr(amolf.trainers, "forward", counting_forward)
+    monkeypatch.setattr(amolf.trainers, "curvature_map", counting_curvature_map)
     for searched in (True, False, True, False):  # iterations 1 to 4
-        solves.clear()
-        assemblies.clear()
-        forwards.clear()
+        for counts in (solves, assemblies, forwards, curvatures):
+            counts.clear()
         state = iterate(state)
+        counted = (len(assemblies), len(solves), len(forwards), len(curvatures))
         if searched:
-            assert (len(assemblies), len(solves), len(forwards)) == (0, n + 1, n + 1)
+            assert counted == (0, n + 1, n + 1, 0)
         else:
-            assert (len(assemblies), len(solves), len(forwards)) == (1, 2, 2)
+            assert counted == (1, 2, 2, int(state.amolf.n_groups > 1))
+    assert state.amolf.n_groups > 1  # so iteration 4 read the curvature
 
 
 def test_owo_molf_is_the_grouped_step_pinned_at_one_group():
