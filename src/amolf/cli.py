@@ -37,8 +37,8 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     source.add_argument(
         "--synthetic", choices=SYNTHETIC_GENERATORS, help="generate data instead"
     )
-    parser.add_argument("--n", type=int, help="input count (required with --data)")
-    parser.add_argument("--m", type=int, help="output count (required with --data)")
+    parser.add_argument("--n", type=int, help="input count (--data only, required)")
+    parser.add_argument("--m", type=int, help="output count (--data only, required)")
     parser.add_argument(
         "--patterns", type=int, default=2000, help="synthetic pattern count"
     )
@@ -63,6 +63,8 @@ def _load_data(args: argparse.Namespace) -> Dataset:
         if args.n is None or args.m is None:
             raise ValueError("--data requires --n and --m")
         return load_tra(args.data, args.n, args.m)
+    if args.n is not None or args.m is not None:
+        raise ValueError("--n and --m are for --data; --synthetic sets its own counts")
     return gen_matrix_inversion(args.patterns, args.seed)
 
 
@@ -149,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kfold.set_defaults(func=_cmd_kfold)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p_gen.add_argument(
-        "--synthetic", choices=SYNTHETIC_GENERATORS, default="matinv"
-    )
     p_gen.add_argument("--patterns", type=int, default=2000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)

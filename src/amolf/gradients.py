@@ -13,7 +13,8 @@ k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
 builders return no gradient; it comes from ``backprop``. The input-weight
 Hessian is the matrix itself; the full-network one is the feature Gram it
 factors through, since its output and bypass rows repeat one basis block
-per output.
+per output. ``damped_gauss_newton_step`` solves the damped full-network
+system from that Gram, so only this module knows the Gram's column layout.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import pattern_sum
+from .linalg import pattern_sum, solve_sym
 from .network import ForwardTrace, Mlp, activation_derivative
 
 
@@ -134,7 +135,7 @@ def gauss_newton_full_hessian(
     2/n_patterns times the feature Gram (one ``pattern_sum``, exactly
     symmetric), of width nh·(n+1) + nh + n + 1. The Hessian in the order of
     ``pack`` is G ⊙ s_i s_iᵀ added at those rows for each output i; it is
-    never formed (``trainers.damped_gauss_newton_step`` solves with it).
+    never formed (``damped_gauss_newton_step`` solves with it).
     """
     nv, n1, nh = dataset.n_patterns, dataset.n_inputs + 1, mlp.n_hidden
     niw = nh * n1
@@ -147,6 +148,44 @@ def gauss_newton_full_hessian(
     features[:, niw : niw + nh] = trace.activ
     features[:, niw + nh :] = dataset.inputs
     return (2.0 / nv) * pattern_sum(features, features)
+
+
+def damped_gauss_newton_step(
+    mlp: Mlp, gram: np.ndarray, g: GradientBundle, lam: float
+) -> GradientBundle:
+    """Solution of (H + lam·I)·step = g, in the shapes of the weights, for
+    the full-network Gauss-Newton Hessian H in the factored form G of
+    ``gauss_newton_full_hessian``.
+
+    G's blocks are G_ww over the input weights, the cross block C and the
+    basis Gram G_b. H holds one damped basis block (G_b + lam·I) per output,
+    coupled to the input weights by C scaled by that output's ``woh``.
+    Eliminating the output and bypass weights leaves the input-weight Schur
+    complement S = (G_ww − C·(G_b + lam·I)⁻¹·Cᵀ) ⊙ kron(wohᵀ·woh, 1) + lam·I
+    (Golub & Pereyra's separable structure), so one basis-sized and one
+    input-weight-sized solve replace the solve over every weight, and the
+    output and bypass steps follow by back-substitution.
+    """
+    nh, n1 = mlp.n_hidden, mlp.n_inputs + 1
+    niw = nh * n1
+    cross = gram[:niw, niw:]
+    damped_basis = gram[niw:, niw:] + lam * np.eye(nh + n1)
+    # [Z | Y] = (G_b + lam·I)⁻¹·[Cᵀ | g_basis]. Column i of g_basis, of Y and
+    # of the basis steps is output i's [woh_i, woi_i].
+    g_basis = np.hstack((g.output_weights, g.bypass_weights)).T
+    zy = solve_sym(damped_basis, np.hstack((cross.T, g_basis))).solution
+    # C·Z is above the single-thread GEMM size, so the products over the
+    # basis and input-weight axes are pattern sums, like the Gram's.
+    czy = pattern_sum(cross.T, zy)
+    # Column i: woh(i,k) at input weight (k,n), output i's row scaling of C.
+    scale = np.repeat(mlp.woh.T, n1, axis=0)
+    schur = (gram[:niw, :niw] - czy[:, :niw]).reshape(nh, n1, nh, n1)
+    schur = (schur * (mlp.woh.T @ mlp.woh)[:, None, :, None]).reshape(niw, niw)
+    schur[np.diag_indices(niw)] += lam
+    rhs = g.input_weights.ravel() - (czy[:, niw:] * scale).sum(axis=1)
+    d_w = solve_sym(schur, rhs).solution
+    d_basis = zy[:, niw:] - pattern_sum(zy[:, :niw].T, scale * d_w[:, None])
+    return GradientBundle(d_w.reshape(nh, n1), d_basis[:nh].T, d_basis[nh:].T)
 
 
 def pack(grads: GradientBundle) -> np.ndarray:

@@ -147,21 +147,3 @@ def save_mlp(mlp: Mlp, path: str) -> None:
         for block in (mlp.w, mlp.woh, mlp.woi):
             for row in block:
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_mlp(path: str) -> Mlp:
-    """Inverse of save_mlp."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"{path}: malformed header")
-        n, nh, m = (int(tok) for tok in header[:3])
-        activation = header[3]
-        rows = [[float(tok) for tok in line.split()] for line in fh if line.split()]
-    expected = nh + 2 * m
-    if len(rows) != expected:
-        raise ValueError(f"{path}: expected {expected} weight rows, found {len(rows)}")
-    w = np.asarray(rows[:nh])
-    woh = np.asarray(rows[nh : nh + m])
-    woi = np.asarray(rows[nh + m :])
-    return Mlp(w=w, woh=woh, woi=woi, activation=activation)

@@ -39,10 +39,11 @@ read their one system directly off per-pattern sums, grouped by
 ``curvature_map``. Both are ``gradients.gauss_newton_gram``, a
 ``linalg.pattern_sum`` Gram whose bits do not depend on BLAS threads.
 
-LM never forms its Hessian over every weight: it keeps the feature Gram of
-``gradients.gauss_newton_full_hessian`` and solves each damped system
-through the Schur complement onto the input weights
-(``damped_gauss_newton_step``).
+LM keeps only its accept/reject damping schedule here. The factored
+Hessian over every weight (``gradients.gauss_newton_full_hessian``) and
+its damped solve through the Schur complement onto the input weights
+(``gradients.damped_gauss_newton_step``) live with the other Gauss-Newton
+kernels.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .gradients import (
     GradientBundle,
     backprop,
     curvature_map,
+    damped_gauss_newton_step,
     gauss_newton_gram,
     gauss_newton_input_hessian,
     gn_curvature_along_direction,
@@ -66,7 +68,7 @@ from .gradients import (
     pack,
     unpack,
 )
-from .linalg import pattern_sum, solve_sym
+from .linalg import solve_sym
 from .network import ForwardTrace, Mlp, activation_derivative, forward, mse, output_mse
 from .owo import output_weight_step
 
@@ -256,7 +258,8 @@ def initial_group_search(
 class AmolfState:
     """Grouped-step bookkeeping carried across iterations.
 
-    ``epm_history`` holds (iteration, error change per multiply) pairs.
+    ``epm`` holds the error changes per multiply of the last two
+    iterations, oldest first, which is all the adaptation compares.
     The group count is searched on iteration 1 and on every multiple of
     ``search_period`` (only on iteration 1 when it is 0).
     ``fixed_n_groups`` pins the group count and disables both the searches
@@ -266,7 +269,7 @@ class AmolfState:
     """
 
     n_groups: int = 1
-    epm_history: tuple[tuple[int, float], ...] = ()
+    epm: tuple[float, ...] = ()
     search_period: int = DEFAULT_SEARCH_PERIOD
     fixed_n_groups: int | None = None
 
@@ -370,10 +373,8 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     else:
         if ast.fixed_n_groups is not None:
             n_groups = ast.fixed_n_groups
-        elif len(ast.epm_history) >= 2:
-            n_groups = adapt_group_count(
-                ast.n_groups, ast.epm_history[-2][1], ast.epm_history[-1][1], n
-            )
+        elif len(ast.epm) == 2:
+            n_groups = adapt_group_count(ast.n_groups, *ast.epm, n)
         else:
             n_groups = ast.n_groups
         # One group holds all of a unit's inputs in any order, so its
@@ -393,9 +394,8 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     else:
         multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
     surcharge = cost.mult_amolf_search(n, nh, m, nv) if searched else 0
-    epm_now = cost.epm(state.last_error, err, multiplies)
-    history = ast.epm_history + ((iteration, epm_now),)
-    new_amolf = replace(ast, n_groups=n_groups, epm_history=history)
+    epm = (*ast.epm, cost.epm(state.last_error, err, multiplies))[-2:]
+    new_amolf = replace(ast, n_groups=n_groups, epm=epm)
     return mlp, err, multiplies + surcharge, {"amolf": new_amolf}
 
 
@@ -408,44 +408,6 @@ def _moved(mlp: Mlp, d: GradientBundle, step: float) -> Mlp:
         woi=mlp.woi + step * d.bypass_weights,
         activation=mlp.activation,
     )
-
-
-def damped_gauss_newton_step(
-    mlp: Mlp, gram: np.ndarray, g: GradientBundle, lam: float
-) -> GradientBundle:
-    """Solution of (H + lam·I)·step = g, in the shapes of the weights, for
-    the full-network Gauss-Newton Hessian H in the factored form G of
-    ``gauss_newton_full_hessian``.
-
-    G's blocks are G_ww over the input weights, the cross block C and the
-    basis Gram G_b. H holds one damped basis block (G_b + lam·I) per output,
-    coupled to the input weights by C scaled by that output's ``woh``.
-    Eliminating the output and bypass weights leaves the input-weight Schur
-    complement S = (G_ww − C·(G_b + lam·I)⁻¹·Cᵀ) ⊙ kron(wohᵀ·woh, 1) + lam·I
-    (Golub & Pereyra's separable structure), so one basis-sized and one
-    input-weight-sized solve replace the solve over every weight, and the
-    output and bypass steps follow by back-substitution.
-    """
-    nh, n1 = mlp.n_hidden, mlp.n_inputs + 1
-    niw = nh * n1
-    cross = gram[:niw, niw:]
-    damped_basis = gram[niw:, niw:] + lam * np.eye(nh + n1)
-    # [Z | Y] = (G_b + lam·I)⁻¹·[Cᵀ | g_basis]. Column i of g_basis, of Y and
-    # of the basis steps is output i's [woh_i, woi_i].
-    g_basis = np.hstack((g.output_weights, g.bypass_weights)).T
-    zy = solve_sym(damped_basis, np.hstack((cross.T, g_basis))).solution
-    # C·Z is above the single-thread GEMM size, so the products over the
-    # basis and input-weight axes are pattern sums, like the Gram's.
-    czy = pattern_sum(cross.T, zy)
-    # Column i: woh(i,k) at input weight (k,n), output i's row scaling of C.
-    scale = np.repeat(mlp.woh.T, n1, axis=0)
-    schur = (gram[:niw, :niw] - czy[:, :niw]).reshape(nh, n1, nh, n1)
-    schur = (schur * (mlp.woh.T @ mlp.woh)[:, None, :, None]).reshape(niw, niw)
-    schur[np.diag_indices(niw)] += lam
-    rhs = g.input_weights.ravel() - (czy[:, niw:] * scale).sum(axis=1)
-    d_w = solve_sym(schur, rhs).solution
-    d_basis = zy[:, niw:] - pattern_sum(zy[:, :niw].T, scale * d_w[:, None])
-    return GradientBundle(d_w.reshape(nh, n1), d_basis[:nh].T, d_basis[nh:].T)
 
 
 def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:

@@ -36,6 +36,24 @@ def read_curve(path: str) -> TrainingCurve:
     )
 
 
+def load_mlp(path: str) -> Mlp:
+    """Inverse of ``amolf.network.save_mlp``."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().split()
+        if len(header) != 4:
+            raise ValueError(f"{path}: malformed header")
+        n, nh, m = (int(tok) for tok in header[:3])
+        activation = header[3]
+        rows = [[float(tok) for tok in line.split()] for line in fh if line.split()]
+    expected = nh + 2 * m
+    if len(rows) != expected:
+        raise ValueError(f"{path}: expected {expected} weight rows, found {len(rows)}")
+    w = np.asarray(rows[:nh])
+    woh = np.asarray(rows[nh : nh + m])
+    woi = np.asarray(rows[nh + m :])
+    return Mlp(w=w, woh=woh, woi=woi, activation=activation)
+
+
 def scalar_forward(mlp: Mlp, dataset: Dataset):
     """Pattern-by-pattern forward pass with explicit index loops."""
     act = ACTIVATIONS[mlp.activation][0]

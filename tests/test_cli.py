@@ -8,8 +8,9 @@ import amolf.trainers
 from amolf.cli import main
 from amolf.dataset import gen_matrix_inversion, normalize_zero_mean
 from amolf.experiment import trial_seed
-from amolf.network import init_net_control, load_mlp
+from amolf.network import init_net_control
 from amolf.trainers import init_state, iterate
+from support import load_mlp
 
 
 def run_cli(args):
@@ -207,6 +208,22 @@ def test_non_positive_data_dimensions_are_one_line_error(tmp_path, capsys, verb)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "kfold"])
+@pytest.mark.parametrize("dims", [["--n", "7", "--m", "9"], ["--m", "4"]], ids=["n-m", "m"])
+def test_synthetic_rejects_data_dimensions(tmp_path, capsys, verb, dims):
+    out = tmp_path / "x.csv"
+    folds = ["--k", "3"] if verb == "kfold" else []
+    argv = [verb, "--synthetic", "matinv", *dims, "--patterns", "40", "--nh", "2",
+            "--algo", "owo-bp", "--iters", "1", *folds, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--n and --m" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert not out.exists()
 

@@ -7,11 +7,10 @@ from amolf.network import (
     Mlp,
     forward,
     init_net_control,
-    load_mlp,
     mse,
     save_mlp,
 )
-from support import random_network, scalar_forward, scalar_mse
+from support import load_mlp, random_network, scalar_forward, scalar_mse
 
 
 def _zero_mlp(n, nh, m, activation="sigmoid"):

@@ -15,6 +15,7 @@ from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mea
 from amolf.gradients import (
     backprop,
     curvature_map,
+    damped_gauss_newton_step,
     gauss_newton_full_hessian,
     gauss_newton_input_hessian,
     pack,
@@ -31,7 +32,6 @@ from amolf.trainers import (
     assemble_grouped_direct,
     assemble_grouped_from_hessian,
     build_partition,
-    damped_gauss_newton_step,
     fletcher_reeves_direction,
     init_state,
     initial_group_search,
@@ -511,21 +511,16 @@ def test_amolf_pinned_single_group_matches_owo_molf():
 
 def test_amolf_epm_records_match_recomputation():
     state = _matinv_setup(algo="amolf", nh=8, nv=400, seed=3)
-    errors = [state.last_error]
-    group_counts = []
-    for _ in range(6):
-        state = iterate(state)
-        errors.append(state.last_error)
-        group_counts.append(state.amolf.n_groups)
     d = state.dataset
-    for i, (it, recorded) in enumerate(state.amolf.epm_history):
-        assert it == i + 1
-        expected = cost.epm(
-            errors[i],
-            errors[i + 1],
-            cost.mult_amolf(d.n_inputs, 8, d.n_outputs, d.n_patterns, group_counts[i]),
+    expected = []
+    for _ in range(6):
+        previous_error = state.last_error
+        state = iterate(state)
+        multiplies = cost.mult_amolf(
+            d.n_inputs, 8, d.n_outputs, d.n_patterns, state.amolf.n_groups
         )
-        assert recorded == expected
+        expected.append(cost.epm(previous_error, state.last_error, multiplies))
+        assert state.amolf.epm == tuple(expected[-2:])
 
 
 def test_amolf_search_iterations_carry_surcharge():
