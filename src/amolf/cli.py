@@ -29,6 +29,7 @@ from .network import save_mlp
 from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD
 
 SYNTHETIC_GENERATORS = ("matinv",)
+SYNTHETIC_PATTERNS = 2000
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -40,7 +41,9 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="input count (--data only, required)")
     parser.add_argument("--m", type=int, help="output count (--data only, required)")
     parser.add_argument(
-        "--patterns", type=int, default=2000, help="synthetic pattern count"
+        "--patterns",
+        type=int,
+        help=f"pattern count (--synthetic only, default {SYNTHETIC_PATTERNS})",
     )
 
 
@@ -62,10 +65,13 @@ def _load_data(args: argparse.Namespace) -> Dataset:
     if args.data is not None:
         if args.n is None or args.m is None:
             raise ValueError("--data requires --n and --m")
+        if args.patterns is not None:
+            raise ValueError("--patterns is for --synthetic")
         return load_tra(args.data, args.n, args.m)
     if args.n is not None or args.m is not None:
         raise ValueError("--n and --m are for --data; --synthetic sets its own counts")
-    return gen_matrix_inversion(args.patterns, args.seed)
+    patterns = SYNTHETIC_PATTERNS if args.patterns is None else args.patterns
+    return gen_matrix_inversion(patterns, args.seed)
 
 
 def _config(args: argparse.Namespace, **verb_fields) -> ExperimentConfig:
@@ -151,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kfold.set_defaults(func=_cmd_kfold)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p_gen.add_argument("--patterns", type=int, default=2000)
+    p_gen.add_argument("--patterns", type=int, default=SYNTHETIC_PATTERNS)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen_data)

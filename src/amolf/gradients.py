@@ -10,11 +10,18 @@ patterns with ``pattern_sum`` too, so no result depends on BLAS threads.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
 k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
-builders return no gradient; it comes from ``backprop``. The input-weight
-Hessian is the matrix itself; the full-network one is the feature Gram it
-factors through, since its output and bypass rows repeat one basis block
-per output. ``damped_gauss_newton_step`` solves the damped full-network
-system from that Gram, so only this module knows the Gram's column layout.
+builders return no gradient; it comes from ``backprop``, or from
+``input_weight_gradient`` for the trainers that read only the input-weight
+one. The input-weight Hessian is the matrix itself; the full-network one is
+the feature Gram it factors through, since its output and bypass rows
+repeat one basis block per output. ``damped_gauss_newton_step`` solves the
+damped full-network system from that Gram, so only this module knows the
+Gram's column layout.
+
+Per-pattern intermediates (output and hidden deltas, the directional
+output changes, f'²) are each built in one array and updated in place, with
+the operations of the plain expressions in the same order, so they keep
+their bits and make no second pattern-sized temporary.
 """
 
 from __future__ import annotations
@@ -39,16 +46,34 @@ class GradientBundle:
 
 def output_deltas(dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
     """Per-pattern negative-gradient output deltas, 2 * (target - output)."""
-    return 2.0 * (dataset.targets - trace.output)
+    out = np.subtract(dataset.targets, trace.output)
+    out *= 2.0
+    return out
+
+
+def _input_gradient(
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, d_out: np.ndarray
+) -> np.ndarray:
+    """Input-weight negative gradient from the output deltas ``d_out``: the
+    hidden deltas f'(net) * (d_out @ woh), summed against the inputs."""
+    d_hid = activation_derivative(mlp, trace)
+    d_hid *= d_out @ mlp.woh
+    return pattern_sum(d_hid, dataset.inputs) / dataset.n_patterns
+
+
+def input_weight_gradient(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
+    """Negative gradient of the MSE for the input weights alone, the same
+    bits as ``backprop(...).input_weights``, for the trainers that solve the
+    output weights and read no other gradient."""
+    return _input_gradient(mlp, dataset, trace, output_deltas(dataset, trace))
 
 
 def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
     """Negative gradients of the MSE for all weights, averaged over patterns."""
     nv = dataset.n_patterns
     d_out = output_deltas(dataset, trace)
-    d_hid = activation_derivative(mlp, trace) * (d_out @ mlp.woh)
     return GradientBundle(
-        input_weights=pattern_sum(d_hid, dataset.inputs) / nv,
+        input_weights=_input_gradient(mlp, dataset, trace, d_out),
         output_weights=pattern_sum(d_out, trace.activ) / nv,
         bypass_weights=pattern_sum(d_out, dataset.inputs) / nv,
     )
@@ -89,8 +114,11 @@ def gn_curvature_along_input_direction(
     """Gauss-Newton second derivative of the error along an input-weight
     direction, i.e. the Hessian quadratic form evaluated without forming the
     Hessian."""
-    u = (activation_derivative(mlp, trace) * (dataset.inputs @ direction.T)) @ mlp.woh.T
-    return float(2.0 * (u * u).sum() / dataset.n_patterns)
+    activ_change = activation_derivative(mlp, trace)
+    activ_change *= dataset.inputs @ direction.T
+    u = activ_change @ mlp.woh.T
+    u *= u
+    return float(2.0 * u.sum() / dataset.n_patterns)
 
 
 def gn_curvature_along_direction(
@@ -102,12 +130,13 @@ def gn_curvature_along_direction(
     d_woi: np.ndarray,
 ) -> float:
     """Gauss-Newton quadratic form along a direction over all weights."""
-    u = (
-        dataset.inputs @ d_woi.T
-        + trace.activ @ d_woh.T
-        + (activation_derivative(mlp, trace) * (dataset.inputs @ d_w.T)) @ mlp.woh.T
-    )
-    return float(2.0 * (u * u).sum() / dataset.n_patterns)
+    u = dataset.inputs @ d_woi.T
+    u += trace.activ @ d_woh.T
+    activ_change = activation_derivative(mlp, trace)
+    activ_change *= dataset.inputs @ d_w.T
+    u += activ_change @ mlp.woh.T
+    u *= u
+    return float(2.0 * u.sum() / dataset.n_patterns)
 
 
 def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
@@ -119,8 +148,9 @@ def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray
     """
     nv = dataset.n_patterns
     fprime = activation_derivative(mlp, trace)
+    fprime *= fprime
     weight_sq = (mlp.woh * mlp.woh).sum(axis=0)
-    pattern_sums = pattern_sum(fprime * fprime, dataset.inputs * dataset.inputs)
+    pattern_sums = pattern_sum(fprime, dataset.inputs * dataset.inputs)
     return (2.0 / nv) * weight_sq[:, None] * pattern_sums
 
 

@@ -5,6 +5,12 @@ hidden units, columns the augmented inputs), output weights from hidden
 activations, and bypass weights straight from the augmented inputs. Hidden
 net values feed a sigmoid or tanh; a linear identity activation also exists
 for diagnostics, where the error surface along a step is exactly quadratic.
+
+The per-pattern kernels (the activations and their derivatives, the linear
+outputs, the error) build each result in one array they allocate and then
+update in place, so a forward pass makes no pattern-sized temporary beyond
+the net values; the operations and their order are those of the plain
+expressions, so the bits are too.
 """
 
 from __future__ import annotations
@@ -16,10 +22,35 @@ import numpy as np
 from .dataset import Dataset
 from .linalg import check_finite
 
-# name -> (activation, derivative expressed through the activation value)
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """0.5 * (tanh(0.5 * x) + 1), the same four operations on one array."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _sigmoid_derivative(o: np.ndarray) -> np.ndarray:
+    """o * (1 - o) for sigmoid activations o."""
+    out = np.subtract(1.0, o)
+    out *= o
+    return out
+
+
+def _tanh_derivative(o: np.ndarray) -> np.ndarray:
+    """1 - o * o for tanh activations o."""
+    out = np.multiply(o, o)
+    np.subtract(1.0, out, out=out)
+    return out
+
+
+# name -> (activation, derivative expressed through the activation value);
+# none makes a pattern-sized temporary beyond its result.
 ACTIVATIONS = {
-    "sigmoid": (lambda x: 0.5 * (np.tanh(0.5 * x) + 1.0), lambda o: o * (1.0 - o)),
-    "tanh": (np.tanh, lambda o: 1.0 - o * o),
+    "sigmoid": (_sigmoid, _sigmoid_derivative),
+    "tanh": (np.tanh, _tanh_derivative),
     "linear": (lambda x: x, np.ones_like),
 }
 
@@ -88,14 +119,18 @@ def forward(mlp: Mlp, dataset: Dataset) -> ForwardTrace:
 
 
 def linear_output(mlp: Mlp, dataset: Dataset, activ: np.ndarray) -> np.ndarray:
-    """The forward pass's last stage: linear outputs for given activations."""
-    return dataset.inputs @ mlp.woi.T + activ @ mlp.woh.T
+    """The forward pass's last stage: linear outputs for given activations,
+    the bypass product with the hidden-unit product added in place."""
+    out = dataset.inputs @ mlp.woi.T
+    out += activ @ mlp.woh.T
+    return out
 
 
 def output_mse(dataset: Dataset, output: np.ndarray) -> float:
     """Squared error summed over outputs, averaged over patterns."""
-    residual = dataset.targets - output
-    return float((residual * residual).sum() / dataset.n_patterns)
+    residual = np.subtract(dataset.targets, output)
+    residual *= residual
+    return float(residual.sum() / dataset.n_patterns)
 
 
 def mse(mlp: Mlp, dataset: Dataset) -> float:

@@ -65,6 +65,7 @@ from .gradients import (
     gn_curvature_along_direction,
     gn_curvature_along_input_direction,
     gauss_newton_full_hessian,
+    input_weight_gradient,
     pack,
     unpack,
 )
@@ -138,8 +139,8 @@ def assemble_grouped_direct(
     """
     t, ga = _grouped_gradient(gw, group)
     delta_net = np.tensordot(dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
-    fprime = activation_derivative(mlp, trace)[:, :, None]
-    return gauss_newton_gram(mlp, fprime * delta_net), ga
+    delta_net *= activation_derivative(mlp, trace)[:, :, None]
+    return gauss_newton_gram(mlp, delta_net), ga
 
 
 def assemble_grouped_from_hessian(
@@ -333,7 +334,7 @@ def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Output-weight solve, then a gradient step with the optimal step size."""
     d = state.dataset
     mlp, trace = output_weight_step(state.mlp, d, trace)
-    gw = backprop(mlp, d, trace).input_weights
+    gw = input_weight_gradient(mlp, d, trace)
     mlp = replace(mlp, w=mlp.w + olf(mlp, d, trace, gw) * gw)
     return mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)), {}
 
@@ -342,7 +343,7 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Full second-order input-weight step, then the output-weight solve."""
     d = state.dataset
     mlp = state.mlp
-    gw = backprop(mlp, d, trace).input_weights
+    gw = input_weight_gradient(mlp, d, trace)
     hessian = gauss_newton_input_hessian(mlp, d, trace)
     stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, gw))
     mlp, solved = output_weight_step(stepped, d, forward(stepped, d))
@@ -363,7 +364,7 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     if ast.fixed_n_groups is not None and not 1 <= ast.fixed_n_groups <= n:
         raise ValueError(f"fixed_n_groups must be in 1..{n}, got {ast.fixed_n_groups}")
 
-    gw = backprop(mlp, d, trace).input_weights
+    gw = input_weight_gradient(mlp, d, trace)
 
     searched = ast.fixed_n_groups is None and (
         iteration == 1 or (ast.search_period > 0 and iteration % ast.search_period == 0)

@@ -8,6 +8,7 @@ their structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,8 @@ import numpy as np
 from amolf.dataset import Dataset, make_dataset
 from amolf.experiment import TrainingCurve
 from amolf.gradients import output_deltas
-from amolf.linalg import PIVOT_RTOL, solve_sym
-from amolf.network import ACTIVATIONS, Mlp, activation_derivative, mse
+from amolf.linalg import PIVOT_RTOL, pattern_sum, solve_sym
+from amolf.network import ForwardTrace, Mlp, activation_derivative, forward, mse
 from amolf.owo import augmented_basis
 from amolf.trainers import assemble_grouped_from_hessian, build_partition
 
@@ -54,9 +55,17 @@ def load_mlp(path: str) -> Mlp:
     return Mlp(w=w, woh=woh, woi=woi, activation=activation)
 
 
+# Scalar activations on Python floats, for the loop oracles below.
+SCALAR_ACTIVATIONS = {
+    "sigmoid": lambda s: 0.5 * (math.tanh(0.5 * s) + 1.0),
+    "tanh": math.tanh,
+    "linear": lambda s: s,
+}
+
+
 def scalar_forward(mlp: Mlp, dataset: Dataset):
     """Pattern-by-pattern forward pass with explicit index loops."""
-    act = ACTIVATIONS[mlp.activation][0]
+    act = SCALAR_ACTIVATIONS[mlp.activation]
     nv = dataset.n_patterns
     nh, m, n1 = mlp.n_hidden, mlp.n_outputs, mlp.n_inputs + 1
     net = np.zeros((nv, nh))
@@ -248,6 +257,88 @@ def hidden_deltas(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
     return activation_derivative(mlp, trace) * (output_deltas(dataset, trace) @ mlp.woh)
 
 
+# The plain-expression forms of the per-pattern kernels, which build each
+# result in one array updated in place; the kernels must match them bit for
+# bit.
+EXPRESSION_ACTIVATIONS = {
+    "sigmoid": (lambda x: 0.5 * (np.tanh(0.5 * x) + 1.0), lambda o: o * (1.0 - o)),
+    "tanh": (np.tanh, lambda o: 1.0 - o * o),
+}
+
+
+def _expression_fprime(mlp: Mlp, trace) -> np.ndarray:
+    return EXPRESSION_ACTIVATIONS[mlp.activation][1](trace.activ)
+
+
+def expression_linear_output(mlp: Mlp, dataset: Dataset, activ: np.ndarray) -> np.ndarray:
+    return dataset.inputs @ mlp.woi.T + activ @ mlp.woh.T
+
+
+def expression_output_mse(dataset: Dataset, output: np.ndarray) -> float:
+    residual = dataset.targets - output
+    return float((residual * residual).sum() / dataset.n_patterns)
+
+
+def expression_output_deltas(dataset: Dataset, trace) -> np.ndarray:
+    return 2.0 * (dataset.targets - trace.output)
+
+
+def expression_curvature_along_input_direction(
+    mlp: Mlp, dataset: Dataset, trace, direction: np.ndarray
+) -> float:
+    u = (_expression_fprime(mlp, trace) * (dataset.inputs @ direction.T)) @ mlp.woh.T
+    return float(2.0 * (u * u).sum() / dataset.n_patterns)
+
+
+def expression_curvature_along_direction(
+    mlp: Mlp, dataset: Dataset, trace, d_w: np.ndarray, d_woh: np.ndarray, d_woi: np.ndarray
+) -> float:
+    u = (
+        dataset.inputs @ d_woi.T
+        + trace.activ @ d_woh.T
+        + (_expression_fprime(mlp, trace) * (dataset.inputs @ d_w.T)) @ mlp.woh.T
+    )
+    return float(2.0 * (u * u).sum() / dataset.n_patterns)
+
+
+def expression_curvature_map(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
+    fprime = _expression_fprime(mlp, trace)
+    weight_sq = (mlp.woh * mlp.woh).sum(axis=0)
+    pattern_sums = pattern_sum(fprime * fprime, dataset.inputs * dataset.inputs)
+    return (2.0 / dataset.n_patterns) * weight_sq[:, None] * pattern_sums
+
+
+def same_bits(actual, expected) -> bool:
+    """Equal shape, dtype and bytes: stricter than ``np.array_equal``, which
+    takes -0.0 for 0.0."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (
+        actual.shape == expected.shape
+        and actual.dtype == expected.dtype
+        and actual.tobytes() == expected.tobytes()
+    )
+
+
+def extreme_array(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal draws of scale 4 with ±30, subnormals and signed zeros put at
+    random positions, up to four copies of each (at least 8 entries)."""
+    flat = 4.0 * rng.standard_normal(int(np.prod(shape)))
+    specials = [30.0, -30.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0]
+    copies = min(4, flat.size // len(specials))
+    flat[rng.choice(flat.size, copies * len(specials), replace=False)] = specials * copies
+    return flat.reshape(shape)
+
+
+def extreme_network(
+    rng: np.random.Generator, activation: str
+) -> tuple[Mlp, Dataset, ForwardTrace]:
+    """A random 4-6-3 network and its forward pass over 300 patterns whose
+    inputs and targets come from ``extreme_array``."""
+    mlp, _ = random_network(rng, 4, 6, 3, 1, activation)
+    dataset = make_dataset(extreme_array(rng, (300, 4)), extreme_array(rng, (300, 3)))
+    return mlp, dataset, forward(mlp, dataset)
+
+
 def output_hessian_gradient(
     mlp: Mlp, dataset: Dataset, trace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -386,8 +477,6 @@ def near_interpolating_network(
 ) -> tuple[Mlp, Dataset]:
     """A net whose targets are its own outputs plus tiny noise, so residuals
     are small and Gauss-Newton curvature matches the true curvature."""
-    from amolf.network import forward
-
     mlp, dataset = random_network(rng, n_inputs, n_hidden, n_outputs, n_patterns)
     outputs = forward(mlp, dataset).output
     targets = outputs + noise * rng.standard_normal(outputs.shape)

@@ -228,6 +228,22 @@ def test_synthetic_rejects_data_dimensions(tmp_path, capsys, verb, dims):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "kfold"])
+def test_data_rejects_a_pattern_count(tmp_path, capsys, verb):
+    data = tmp_path / "d.tra"
+    main(["gen-data", "--patterns", "30", "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    folds = ["--k", "3"] if verb == "kfold" else []
+    argv = [verb, "--data", str(data), "--n", "4", "--m", "4", "--patterns", "5",
+            "--nh", "2", "--algo", "owo-bp", "--iters", "1", *folds, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --patterns is for --synthetic\n"
+    assert not out.exists()
+
+
 def test_data_requires_dimensions(tmp_path):
     data = tmp_path / "d.tra"
     data.write_text("1 2 3 4 5 6 7 8\n")

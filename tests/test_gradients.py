@@ -14,6 +14,8 @@ from amolf.gradients import (
     gauss_newton_input_hessian,
     gn_curvature_along_direction,
     gn_curvature_along_input_direction,
+    input_weight_gradient,
+    output_deltas,
     pack,
     unpack,
 )
@@ -23,6 +25,12 @@ from amolf.owo import accumulate_correlations, output_weight_step
 from support import (
     dense_full_hessian,
     expand_full_hessian,
+    expression_curvature_along_direction,
+    expression_curvature_along_input_direction,
+    expression_curvature_map,
+    expression_output_deltas,
+    extreme_array,
+    extreme_network,
     fd_gradients,
     fd_second_derivative,
     flatten_index,
@@ -30,6 +38,7 @@ from support import (
     output_hessian_gradient,
     random_network,
     relative_max_error,
+    same_bits,
     unflatten_index,
     untiled_gram,
 )
@@ -63,6 +72,32 @@ def test_backprop_matches_finite_differences(seed, activation):
     assert relative_max_error(g.input_weights, fd_w) <= 1e-5
     assert relative_max_error(g.output_weights, fd_woh) <= 1e-5
     assert relative_max_error(g.bypass_weights, fd_woi) <= 1e-5
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "linear"])
+def test_input_weight_gradient_is_backprops_bit_for_bit(activation):
+    mlp, d, trace = extreme_network(np.random.default_rng(40), activation)
+    gw = input_weight_gradient(mlp, d, trace)
+    assert same_bits(gw, backprop(mlp, d, trace).input_weights)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+def test_per_pattern_kernels_match_their_expressions_bit_for_bit(activation):
+    rng = np.random.default_rng(41)
+    mlp, d, trace = extreme_network(rng, activation)
+    assert same_bits(output_deltas(d, trace), expression_output_deltas(d, trace))
+    assert same_bits(curvature_map(mlp, d, trace), expression_curvature_map(mlp, d, trace))
+    d_w = extreme_array(rng, mlp.w.shape)
+    d_woh = extreme_array(rng, mlp.woh.shape)
+    d_woi = extreme_array(rng, mlp.woi.shape)
+    assert same_bits(
+        gn_curvature_along_input_direction(mlp, d, trace, d_w),
+        expression_curvature_along_input_direction(mlp, d, trace, d_w),
+    )
+    assert same_bits(
+        gn_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi),
+        expression_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi),
+    )
 
 
 def test_input_hessian_zero_without_output_weights():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,23 @@ from amolf.network import (
     Mlp,
     forward,
     init_net_control,
+    linear_output,
     mse,
+    output_mse,
     save_mlp,
 )
-from support import load_mlp, random_network, scalar_forward, scalar_mse
+from support import (
+    EXPRESSION_ACTIVATIONS,
+    expression_linear_output,
+    expression_output_mse,
+    extreme_array,
+    extreme_network,
+    load_mlp,
+    random_network,
+    same_bits,
+    scalar_forward,
+    scalar_mse,
+)
 
 
 def _zero_mlp(n, nh, m, activation="sigmoid"):
@@ -90,6 +105,47 @@ def test_activation_derivative_identity(name):
     fd = (act(xs + h) - act(xs - h)) / (2.0 * h)
     analytic = deriv(act(xs))
     assert np.abs(analytic - fd).max() / np.abs(fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["sigmoid", "tanh"])
+def test_activations_match_their_expressions_bit_for_bit(name):
+    x = extreme_array(np.random.default_rng(20), (257, 7))
+    before = x.copy()
+    act, deriv = ACTIVATIONS[name]
+    expression_act, expression_deriv = EXPRESSION_ACTIVATIONS[name]
+    activ = act(x)
+    assert same_bits(activ, expression_act(x))
+    # The derivatives take any array, not only activations.
+    for values in (activ, x):
+        assert same_bits(deriv(values), expression_deriv(values))
+    assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+def test_outputs_and_error_match_their_expressions_bit_for_bit(activation):
+    rng = np.random.default_rng(21)
+    mlp, d, trace = extreme_network(rng, activation)
+    activ = extreme_array(rng, trace.activ.shape)
+    assert same_bits(linear_output(mlp, d, activ), expression_linear_output(mlp, d, activ))
+    for output in (trace.output, extreme_array(rng, trace.output.shape)):
+        assert same_bits(output_mse(d, output), expression_output_mse(d, output))
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+def test_forward_peak_allocation_is_its_outputs_plus_one_buffer(activation):
+    # The k-fold benchmark's training folds: 16,000 patterns, nh=10, four
+    # outputs. Beyond the activations (1.28 MB) and outputs (0.51 MB) it
+    # returns, forward needs one activation-sized array, the net values;
+    # the sigmoid as one expression made three more.
+    data = normalize_zero_mean(gen_matrix_inversion(16000, 0))
+    mlp = init_net_control(data, 10, 0, activation)
+    tracemalloc.start()
+    try:
+        trace = forward(mlp, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * trace.activ.nbytes + trace.output.nbytes
 
 
 def test_batch_equals_per_pattern():
