@@ -56,8 +56,8 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--search-period",
         type=int,
-        default=DEFAULT_SEARCH_PERIOD,
-        help="iterations between exhaustive group-count searches (amolf)",
+        help="iterations between exhaustive group-count searches "
+        f"(amolf only, default {DEFAULT_SEARCH_PERIOD})",
     )
 
 
@@ -77,13 +77,18 @@ def _load_data(args: argparse.Namespace) -> Dataset:
 def _config(args: argparse.Namespace, **verb_fields) -> ExperimentConfig:
     """The experiment settings shared by ``train`` and ``kfold``, plus the
     verb's own fields."""
+    search_period = args.search_period
+    if search_period is None:
+        search_period = DEFAULT_SEARCH_PERIOD
+    elif args.algo != "amolf":
+        raise ValueError("--search-period is for --algo amolf")
     return ExperimentConfig(
         algorithm=args.algo,
         n_hidden=args.nh,
         iterations=args.iters,
         seed=args.seed,
         activation=args.activation,
-        search_period=args.search_period,
+        search_period=search_period,
         **verb_fields,
     )
 

@@ -4,8 +4,9 @@ Six trainers share the same machinery:
 
 * ``owo-bp``      solve output weights, then one gradient step on the input
                   weights with a second-order optimal step size.
-* ``owo-molf``    one optimal step size per hidden unit: the amolf grouped
-                  step pinned at one group, charged its own cost formula.
+* ``owo-molf``    one optimal step size per hidden unit: the grouped step
+                  at one group (amolf's one-group limit), then the
+                  output-weight solve.
 * ``owo-newton``  a full second-order step on the input weights.
 * ``amolf``       the input weights of each hidden unit are split into
                   curvature-ordered groups, one step size per group; the
@@ -34,10 +35,12 @@ between one step size per unit (one group) and the full input-weight
 second-order step (all-singleton groups), so its system can be read off
 the input-weight Hessian. A search iteration does so for every candidate
 count, grouping by that Hessian's diagonal (the per-weight curvature), and
-the winning candidate's step is the iteration's step; other iterations
-read their one system directly off per-pattern sums, grouped by
-``curvature_map``. Both are ``gradients.gauss_newton_gram``, a
-``linalg.pattern_sum`` Gram whose bits do not depend on BLAS threads.
+the winning candidate's step is the iteration's step. amolf's other
+iterations and every owo-molf iteration take ``_grouped_step``, which
+reads its one system directly off per-pattern sums, grouped by
+``curvature_map`` when there is more than one group. Both are
+``gradients.gauss_newton_gram``, a ``linalg.pattern_sum`` Gram whose bits
+do not depend on BLAS threads.
 
 LM keeps only its accept/reject damping schedule here. The factored
 Hessian over every weight (``gradients.gauss_newton_full_hessian``) and
@@ -72,8 +75,6 @@ from .gradients import (
 from .linalg import solve_sym
 from .network import ForwardTrace, Mlp, activation_derivative, forward, mse, output_mse
 from .owo import output_weight_step
-
-ALGORITHMS = ("owo-bp", "owo-molf", "owo-newton", "amolf", "lm", "cg")
 
 # Step-size fallback when the directional curvature is numerically zero.
 OLF_FALLBACK = 1e-3
@@ -262,17 +263,13 @@ class AmolfState:
     ``epm`` holds the error changes per multiply of the last two
     iterations, oldest first, which is all the adaptation compares.
     The group count is searched on iteration 1 and on every multiple of
-    ``search_period`` (only on iteration 1 when it is 0).
-    ``fixed_n_groups`` pins the group count and disables both the searches
-    and the adaptation. owo-molf is the grouped step pinned at one group
-    (one step size per hidden unit), so its state carries
-    ``fixed_n_groups=1``.
+    ``search_period`` (only on iteration 1 when it is 0). Only amolf
+    carries one; owo-molf, its one-group limit, has nothing to adapt.
     """
 
     n_groups: int = 1
     epm: tuple[float, ...] = ()
     search_period: int = DEFAULT_SEARCH_PERIOD
-    fixed_n_groups: int | None = None
 
 
 @dataclass
@@ -307,17 +304,13 @@ def init_state(
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if search_period < 0:
         raise ValueError(f"search_period must be >= 0, got {search_period}")
-    grouped = {
-        "amolf": AmolfState(search_period=search_period),
-        "owo-molf": AmolfState(fixed_n_groups=1),
-    }
     return TrainerState(
         mlp=mlp,
         dataset=dataset,
         algorithm=algorithm,
         ledger=CostLedger(),
         last_error=mse(mlp, dataset),
-        amolf=grouped.get(algorithm),
+        amolf=AmolfState(search_period=search_period) if algorithm == "amolf" else None,
     )
 
 
@@ -350,50 +343,57 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     return mlp, output_mse(d, solved.output), cost.mult_owo_newton(*_dims(state)), {}
 
 
+def _grouped_step(
+    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray, n_groups: int
+) -> tuple[Mlp, ForwardTrace]:
+    """The grouped input-weight step at ``n_groups`` groups, its system read
+    off per-pattern sums, and the stepped network's forward pass."""
+    # One group holds all of a unit's inputs in any order, so its partition
+    # does not depend on the curvature.
+    curvature = (
+        np.zeros_like(mlp.w) if n_groups == 1 else curvature_map(mlp, dataset, trace)
+    )
+    group = build_partition(curvature, n_groups)
+    ha, ga = assemble_grouped_direct(mlp, dataset, trace, gw, group)
+    stepped = apply_grouped_step(mlp, gw, group, solve_sym(ha, ga).solution)
+    return stepped, forward(stepped, dataset)
+
+
+def owo_molf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
+    """One optimal step size per hidden unit (the grouped step at one
+    group), then the output-weight solve."""
+    d = state.dataset
+    gw = input_weight_gradient(state.mlp, d, trace)
+    stepped, stepped_trace = _grouped_step(state.mlp, d, trace, gw, 1)
+    mlp, solved = output_weight_step(stepped, d, stepped_trace)
+    return mlp, output_mse(d, solved.output), cost.mult_owo_molf(*_dims(state)), {}
+
+
 def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
-    """Grouped step of amolf and owo-molf: pick the group count (pinned, or
-    an exhaustive search on the first iteration and periodically after, or
-    error-per-multiply adaptation otherwise), take the grouped step, solve
-    output weights, record the iteration's error change per multiply.
-    owo-molf is pinned at one group and charged its own cost formula."""
+    """Pick the group count (an exhaustive search on the first iteration and
+    periodically after, error-per-multiply adaptation otherwise), take the
+    grouped step, solve output weights, record the iteration's error change
+    per multiply."""
     d = state.dataset
     mlp = state.mlp
     ast = state.amolf
     n, nh, m, nv = _dims(state)
     iteration = state.iteration + 1
-    if ast.fixed_n_groups is not None and not 1 <= ast.fixed_n_groups <= n:
-        raise ValueError(f"fixed_n_groups must be in 1..{n}, got {ast.fixed_n_groups}")
 
     gw = input_weight_gradient(mlp, d, trace)
 
-    searched = ast.fixed_n_groups is None and (
-        iteration == 1 or (ast.search_period > 0 and iteration % ast.search_period == 0)
-    )
+    searched = iteration == 1 or (ast.search_period > 0 and iteration % ast.search_period == 0)
     if searched:
         n_groups, stepped, stepped_trace = initial_group_search(mlp, d, trace, gw)
     else:
-        if ast.fixed_n_groups is not None:
-            n_groups = ast.fixed_n_groups
-        elif len(ast.epm) == 2:
-            n_groups = adapt_group_count(ast.n_groups, *ast.epm, n)
-        else:
-            n_groups = ast.n_groups
-        # One group holds all of a unit's inputs in any order, so its
-        # partition does not depend on the curvature.
-        curvature = (
-            np.zeros_like(mlp.w) if n_groups == 1 else curvature_map(mlp, d, trace)
-        )
-        group = build_partition(curvature, n_groups)
-        ha, ga = assemble_grouped_direct(mlp, d, trace, gw, group)
-        stepped = apply_grouped_step(mlp, gw, group, solve_sym(ha, ga).solution)
-        stepped_trace = forward(stepped, d)
+        n_groups = ast.n_groups
+        if len(ast.epm) == 2:
+            n_groups = adapt_group_count(n_groups, *ast.epm, n)
+        stepped, stepped_trace = _grouped_step(mlp, d, trace, gw, n_groups)
     mlp, stepped_trace = output_weight_step(stepped, d, stepped_trace)
     err = output_mse(d, stepped_trace.output)
 
-    if state.algorithm == "owo-molf":
-        multiplies = cost.mult_owo_molf(n, nh, m, nv)
-    else:
-        multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
+    multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
     surcharge = cost.mult_amolf_search(n, nh, m, nv) if searched else 0
     epm = (*ast.epm, cost.epm(state.last_error, err, multiplies))[-2:]
     new_amolf = replace(ast, n_groups=n_groups, epm=epm)
@@ -470,12 +470,13 @@ def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
 
 _STEPS = {
     "owo-bp": owo_bp_step,
-    "owo-molf": amolf_step,
+    "owo-molf": owo_molf_step,
     "owo-newton": owo_newton_step,
     "amolf": amolf_step,
     "lm": lm_step,
     "cg": cg_step,
 }
+ALGORITHMS = tuple(_STEPS)
 
 
 def iterate(state: TrainerState) -> TrainerState:

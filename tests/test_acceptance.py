@@ -8,19 +8,22 @@ iterations twice and takes a few tens of seconds; everything else is fast.
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from amolf import cost
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
 from amolf.experiment import ExperimentConfig, run_training
-from amolf.gradients import backprop, curvature_map, gauss_newton_input_hessian
+from amolf.gradients import (
+    backprop,
+    curvature_map,
+    gauss_newton_input_hessian,
+    input_weight_gradient,
+)
 from amolf.linalg import solve_sym
-from amolf.network import Mlp, forward, init_net_control, mse
-from amolf.owo import accumulate_correlations, solve_output_weights
+from amolf.network import Mlp, forward, init_net_control, mse, output_mse
+from amolf.owo import accumulate_correlations, output_weight_step, solve_output_weights
 from amolf.trainers import (
-    AmolfState,
     apply_grouped_step,
     assemble_grouped_direct,
     assemble_grouped_from_hessian,
@@ -34,6 +37,7 @@ from support import (
     fd_gradients,
     grouped_quadratic_drop,
     matrix_relative_error,
+    molf_solve,
     nested_split_chain,
     output_hessian_gradient,
     random_network,
@@ -107,16 +111,20 @@ def test_criterion_02_hessian_compression_identities():
 
 
 def test_criterion_03_limiting_cases():
-    # (a) pinned single group reproduces the per-unit-factor trainer
+    # (a) the single-group trainer reproduces one factor per unit, solved
+    # by compressing the full input-weight Hessian
     data = normalize_zero_mean(gen_matrix_inversion(300, 5))
     mlp = init_net_control(data, 8, 11)
-    state_a = replace(init_state("amolf", mlp, data), amolf=AmolfState(fixed_n_groups=1))
-    state_m = init_state("owo-molf", mlp, data)
+    state = init_state("owo-molf", mlp, data)
     worst_gap = 0.0
     for _ in range(20):
-        state_a = iterate(state_a)
-        state_m = iterate(state_m)
-        worst_gap = max(worst_gap, abs(state_a.last_error - state_m.last_error))
+        trace = forward(mlp, data)
+        gw = input_weight_gradient(mlp, data, trace)
+        z = molf_solve(gauss_newton_input_hessian(mlp, data, trace), gw)
+        stepped = apply_grouped_step(mlp, gw, single_group_partition(*gw.shape), z)
+        mlp, solved = output_weight_step(stepped, data, forward(stepped, data))
+        state = iterate(state)
+        worst_gap = max(worst_gap, abs(state.last_error - output_mse(data, solved.output)))
     assert worst_gap <= 1e-12
 
     # (b) all-singleton groups reproduce the full second-order step

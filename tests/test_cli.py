@@ -170,6 +170,23 @@ def test_negative_search_period_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "kfold"])
+@pytest.mark.parametrize("algo", ["lm", "owo-molf"])
+def test_search_period_is_for_amolf_only(tmp_path, capsys, verb, algo):
+    # Only amolf searches for its group count; other trainers used to accept
+    # the flag and ignore it.
+    out = tmp_path / "x.csv"
+    folds = ["--k", "3"] if verb == "kfold" else []
+    argv = [verb, "--synthetic", "matinv", "--patterns", "40", "--nh", "2",
+            "--algo", algo, "--iters", "2", *folds, "--search-period", "7",
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --search-period is for --algo amolf\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

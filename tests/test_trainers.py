@@ -496,17 +496,23 @@ def test_owo_molf_matrix_inversion_converges():
 
 
 def test_amolf_pinned_single_group_matches_owo_molf():
+    # One amolf iteration at one group that neither searches (iteration 2)
+    # nor adapts (no EPMs yet) is one owo-molf iteration, bit for bit, from
+    # several points of an owo-molf run.
     data = normalize_zero_mean(gen_matrix_inversion(300, 5))
-    mlp = init_net_control(data, 8, 11)
-    state_a = replace(init_state("amolf", mlp, data), amolf=AmolfState(fixed_n_groups=1))
-    state_m = init_state("owo-molf", mlp, data)
-    for _ in range(10):
-        state_a = iterate(state_a)
+    state_m = init_state("owo-molf", init_net_control(data, 8, 11), data)
+    for _ in range(4):
+        state_a = iterate(
+            replace(state_m, algorithm="amolf", iteration=1, amolf=AmolfState(n_groups=1))
+        )
         state_m = iterate(state_m)
-        assert abs(state_a.last_error - state_m.last_error) <= 1e-12
+        assert state_a.amolf.n_groups == 1
+        assert state_a.last_error == state_m.last_error
         assert np.array_equal(state_a.mlp.w, state_m.mlp.w)
         assert np.array_equal(state_a.mlp.woh, state_m.mlp.woh)
         assert np.array_equal(state_a.mlp.woi, state_m.mlp.woi)
+        for _ in range(2):
+            state_m = iterate(state_m)
 
 
 def test_amolf_epm_records_match_recomputation():
@@ -850,35 +856,13 @@ def test_init_state_rejects_out_of_range_settings():
         init_state("amolf", mlp, data, search_period=-1)
 
 
-@pytest.mark.parametrize("fixed", [0, 5, 6])
-def test_out_of_range_pinned_group_count_is_rejected(fixed, monkeypatch):
-    # matinv has 4 inputs, so a pin must lie in 1..4; 5, the all-singleton
-    # count, is one build_partition would accept. The pin is checked before
-    # any system is assembled or solved.
-    state = _matinv_setup(algo="amolf", nh=3, nv=50, seed=0)
-    state = replace(state, amolf=AmolfState(fixed_n_groups=fixed))
-    calls = []
-    counted = amolf.trainers.solve_sym
-
-    def counting_solve_sym(*args):
-        calls.append(1)
-        return counted(*args)
-
-    monkeypatch.setattr(amolf.trainers, "solve_sym", counting_solve_sym)
-    with pytest.raises(ValueError, match=r"fixed_n_groups must be in 1\.\.4"):
-        iterate(state)
-    assert calls == []
-
-
-@pytest.mark.parametrize("algo, calls_per_iteration", [("owo-molf", 0), ("amolf", 1)])
-def test_curvature_map_only_where_the_partition_needs_it(
-    algo, calls_per_iteration, monkeypatch
-):
-    # A one-group partition does not depend on the curvature; amolf pinned
-    # at two groups does, once per iteration.
+@pytest.mark.parametrize("algo, first_calls", [("owo-molf", 0), ("amolf", 1)])
+def test_curvature_map_only_where_the_partition_needs_it(algo, first_calls, monkeypatch):
+    # A one-group partition does not depend on the curvature; amolf adapting
+    # from two groups reads it once in each iteration with more than one group.
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8)
     if algo == "amolf":
-        state = replace(state, amolf=AmolfState(fixed_n_groups=2))
+        state = replace(state, iteration=1, amolf=AmolfState(n_groups=2))
     calls = []
     counted = amolf.trainers.curvature_map
 
@@ -887,9 +871,15 @@ def test_curvature_map_only_where_the_partition_needs_it(
         return counted(*args)
 
     monkeypatch.setattr(amolf.trainers, "curvature_map", counting_curvature_map)
+    per_iteration, expected = [], []
     for _ in range(3):
+        calls.clear()
         state = iterate(state)
-    assert len(calls) == calls_per_iteration * 3
+        n_groups = 1 if state.amolf is None else state.amolf.n_groups
+        per_iteration.append(len(calls))
+        expected.append(int(n_groups > 1))
+    assert per_iteration == expected
+    assert per_iteration[0] == first_calls
 
 
 def test_a_search_iteration_does_its_work_once(monkeypatch):
@@ -943,15 +933,32 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     assert state.amolf.n_groups > 1  # so iteration 4 read the curvature
 
 
-def test_owo_molf_is_the_grouped_step_pinned_at_one_group():
-    state = _matinv_setup(algo="owo-molf", nh=4, nv=120, seed=8)
-    assert state.amolf == AmolfState(fixed_n_groups=1)
-    state = iterate(iterate(state))
-    assert state.amolf.n_groups == 1
+def test_owo_molf_is_the_grouped_step_pinned_at_one_group(monkeypatch):
+    # owo-molf carries no amolf state, so a search period neither searches
+    # nor reads the curvature, and every iteration costs owo-molf's formula.
+    state = _matinv_setup(algo="owo-molf", nh=4, nv=120, seed=8, search_period=2)
+    assert state.amolf is None
+    calls = []
+
+    def counting(name):
+        counted = getattr(amolf.trainers, name)
+
+        def count(*args):
+            calls.append(name)
+            return counted(*args)
+
+        return count
+
+    for name in ("initial_group_search", "curvature_map"):
+        monkeypatch.setattr(amolf.trainers, name, counting(name))
+    for _ in range(4):
+        state = iterate(state)
+    assert calls == []
+    assert state.amolf is None
     d = state.dataset
     assert state.ledger.per_iteration == [
         cost.mult_owo_molf(d.n_inputs, 4, d.n_outputs, d.n_patterns)
-    ] * 2
+    ] * 4
 
 
 def test_init_state_rejects_unknown_algorithm():
