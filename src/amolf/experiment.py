@@ -49,6 +49,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.search_period < 0:
             raise ValueError("search_period must be >= 0")
+        if self.search_period != DEFAULT_SEARCH_PERIOD and self.algorithm != "amolf":
+            raise ValueError(f"search_period is for amolf only, not {self.algorithm}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 

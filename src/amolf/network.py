@@ -97,10 +97,16 @@ class Mlp:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Per-pattern intermediates of one forward pass."""
+    """Per-pattern intermediates of one forward pass. The arrays are
+    write-protected in place (not copied), so neither iteration can change
+    a pass that one hands to the next."""
 
     activ: np.ndarray  # (n_patterns, n_hidden)
     output: np.ndarray  # (n_patterns, n_outputs)
+
+    def __post_init__(self) -> None:
+        self.activ.setflags(write=False)
+        self.output.setflags(write=False)
 
 
 def activation_derivative(mlp: Mlp, trace: ForwardTrace) -> np.ndarray:

@@ -16,17 +16,22 @@ Six trainers share the same machinery:
                   accept/reject damping schedule.
 * ``cg``          Fletcher-Reeves conjugate gradient over all weights.
 
-``iterate`` owns the iteration boundary: it runs one forward pass of the
-state's network, hands it to the algorithm's step (``_STEPS``), and records
-the step's error and multiplies in the next state, whose ledger is a copy
-of the last one plus this entry. A step returns its network, a fresh error
-evaluation of it, its multiplies and the state fields it changes, never a
-forward pass, so no pattern-sized array outlives it. owo-molf, owo-newton
-and amolf take an input-weight step, then solve the output weights; owo-bp
-solves them first. The solve refreshes only the outputs of its forward
-pass, so each of the four runs two forward passes per iteration; a search
-iteration runs one per candidate count instead of the second, and solves
-for the winner's.
+``iterate`` owns the iteration boundary: it hands the forward pass of the
+state's network to the algorithm's step (``_STEPS``), and records the
+step's error and multiplies in the next state, whose ledger is a copy of
+the last one plus this entry. A step returns its network, that network's
+forward pass, a fresh error evaluation of it, its multiplies and the state
+fields it changes. No state keeps the pass, since a run keeps its states:
+``iterate`` holds only the last one, in a private slot beside the network
+and dataset it belongs to, and the next ``iterate`` takes it from there
+when its state holds those very objects (``Mlp``, ``Dataset`` and
+``ForwardTrace`` are immutable), or runs ``forward`` otherwise. So an
+iteration runs one forward pass, of the network it returns, and none of
+the network it starts from. owo-molf, owo-newton and amolf take an
+input-weight step, then solve the output weights, a solve that refreshes
+only the outputs of its forward pass; owo-bp solves them first. A search
+iteration runs one pass per candidate count and solves for the winner's;
+LM runs one per candidate and returns the accepted one's.
 
 A grouping is its group-id map (``build_partition``): one int group id
 per input weight, in the input weights' shape. The grouped kernels take
@@ -73,7 +78,7 @@ from .gradients import (
     unpack,
 )
 from .linalg import solve_sym
-from .network import ForwardTrace, Mlp, activation_derivative, forward, mse, output_mse
+from .network import ForwardTrace, Mlp, activation_derivative, forward, output_mse
 from .owo import output_weight_step
 
 # Step-size fallback when the directional curvature is numerically zero.
@@ -293,6 +298,25 @@ class TrainerState:
     amolf: AmolfState | None = None
 
 
+# (network, dataset, forward pass) of the last network a step returned or
+# ``init_state`` started from. Holding both keys alive means an ``is`` match
+# can only be those very objects; a miss just runs ``forward`` again. Runs
+# in other threads share the slot without a lock: a race costs a miss,
+# never a wrong pass, since a pass serves only the objects stored with it
+# and nothing writes into it.
+_handoff: tuple[Mlp, Dataset, ForwardTrace] | None = None
+
+
+def _take_handoff(mlp: Mlp, dataset: Dataset) -> ForwardTrace | None:
+    """Empty the hand-off slot and return its pass if it is ``mlp``'s on
+    ``dataset``."""
+    global _handoff
+    held, _handoff = _handoff, None
+    if held is not None and held[0] is mlp and held[1] is dataset:
+        return held[2]
+    return None
+
+
 def init_state(
     algorithm: str,
     mlp: Mlp,
@@ -300,16 +324,26 @@ def init_state(
     *,
     search_period: int = DEFAULT_SEARCH_PERIOD,
 ) -> TrainerState:
+    """State before the first iteration of ``algorithm`` from ``mlp`` on
+    ``dataset``. The forward pass that gives ``last_error`` goes into the
+    hand-off slot for the first ``iterate``. Only amolf takes a
+    ``search_period`` other than the default."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if search_period < 0:
         raise ValueError(f"search_period must be >= 0, got {search_period}")
+    if search_period != DEFAULT_SEARCH_PERIOD and algorithm != "amolf":
+        raise ValueError(f"search_period is for amolf only, not {algorithm}")
+    global _handoff
+    _handoff = None  # the last run's pass is not kept through this one
+    trace = forward(mlp, dataset)
+    _handoff = (mlp, dataset, trace)
     return TrainerState(
         mlp=mlp,
         dataset=dataset,
         algorithm=algorithm,
         ledger=CostLedger(),
-        last_error=mse(mlp, dataset),
+        last_error=output_mse(dataset, trace.output),
         amolf=AmolfState(search_period=search_period) if algorithm == "amolf" else None,
     )
 
@@ -319,8 +353,9 @@ def _dims(state: TrainerState) -> tuple[int, int, int, int]:
     return d.n_inputs, state.mlp.n_hidden, d.n_outputs, d.n_patterns
 
 
-# (new network, its fresh error, modelled multiplies, other changed fields)
-StepResult = tuple[Mlp, float, int, dict]
+# (new network, its forward pass, its fresh error, modelled multiplies,
+# other changed fields)
+StepResult = tuple[Mlp, ForwardTrace, float, int, dict]
 
 
 def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -329,7 +364,8 @@ def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     mlp, trace = output_weight_step(state.mlp, d, trace)
     gw = input_weight_gradient(mlp, d, trace)
     mlp = replace(mlp, w=mlp.w + olf(mlp, d, trace, gw) * gw)
-    return mlp, mse(mlp, d), cost.mult_owo_bp(*_dims(state)), {}
+    trace = forward(mlp, d)
+    return mlp, trace, output_mse(d, trace.output), cost.mult_owo_bp(*_dims(state)), {}
 
 
 def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -340,7 +376,7 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     hessian = gauss_newton_input_hessian(mlp, d, trace)
     stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, gw))
     mlp, solved = output_weight_step(stepped, d, forward(stepped, d))
-    return mlp, output_mse(d, solved.output), cost.mult_owo_newton(*_dims(state)), {}
+    return mlp, solved, output_mse(d, solved.output), cost.mult_owo_newton(*_dims(state)), {}
 
 
 def _grouped_step(
@@ -366,7 +402,7 @@ def owo_molf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     gw = input_weight_gradient(state.mlp, d, trace)
     stepped, stepped_trace = _grouped_step(state.mlp, d, trace, gw, 1)
     mlp, solved = output_weight_step(stepped, d, stepped_trace)
-    return mlp, output_mse(d, solved.output), cost.mult_owo_molf(*_dims(state)), {}
+    return mlp, solved, output_mse(d, solved.output), cost.mult_owo_molf(*_dims(state)), {}
 
 
 def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -397,7 +433,7 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     surcharge = cost.mult_amolf_search(n, nh, m, nv) if searched else 0
     epm = (*ast.epm, cost.epm(state.last_error, err, multiplies))[-2:]
     new_amolf = replace(ast, n_groups=n_groups, epm=epm)
-    return mlp, err, multiplies + surcharge, {"amolf": new_amolf}
+    return mlp, stepped_trace, err, multiplies + surcharge, {"amolf": new_amolf}
 
 
 def _moved(mlp: Mlp, d: GradientBundle, step: float) -> Mlp:
@@ -423,8 +459,9 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     the cap ends the retries, since another solve at the same damping would
     repeat the same step. After LM_MAX_RETRIES consecutive rejections, or
     one at the cap, the iteration ends with the weights unchanged, flagged
-    stalled. The damping lives here, not in the solver, so a solve reports
-    rank deficiency only when it skipped pivots.
+    stalled, and returns its own input pass. The damping lives here, not in
+    the solver, so a solve reports rank deficiency only when it skipped
+    pivots.
     """
     d = state.dataset
     mlp = state.mlp
@@ -433,20 +470,22 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
-    new_mlp, err = mlp, state.last_error
+    new_mlp, new_trace, err = mlp, trace, state.last_error
     for _ in range(LM_MAX_RETRIES):
         candidate = _moved(mlp, damped_gauss_newton_step(mlp, gram, gradient, lam), 1.0)
-        candidate_error = mse(candidate, d)
+        candidate_trace = forward(candidate, d)
+        candidate_error = output_mse(d, candidate_trace.output)
         if candidate_error < state.last_error:
-            new_mlp, err, accepted = candidate, candidate_error, True
+            new_mlp, new_trace, err, accepted = candidate, candidate_trace, candidate_error, True
             lam = max(lam / 10.0, LM_LAMBDA_MIN)
             break
+        del candidate_trace  # not kept alive through the next solve
         if lam >= LM_LAMBDA_MAX:
             break
         lam = min(lam * 10.0, LM_LAMBDA_MAX)
 
     changes = {"lm_lambda": lam, "lm_stalled": not accepted}
-    return new_mlp, err, cost.mult_lm(*_dims(state)), changes
+    return new_mlp, new_trace, err, cost.mult_lm(*_dims(state)), changes
 
 
 def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -464,8 +503,9 @@ def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     )
     step = _optimal_step(float(gradient @ direction), curvature)
     mlp = _moved(mlp, along, step)
+    trace = forward(mlp, d)
     changes = {"cg_direction": direction, "cg_gradient_norm_sq": float(gradient @ gradient)}
-    return mlp, mse(mlp, d), cost.mult_cg(*_dims(state)), changes
+    return mlp, trace, output_mse(d, trace.output), cost.mult_cg(*_dims(state)), changes
 
 
 _STEPS = {
@@ -480,11 +520,18 @@ ALGORITHMS = tuple(_STEPS)
 
 
 def iterate(state: TrainerState) -> TrainerState:
-    """Run one training iteration of the state's algorithm: one forward pass
-    of ``state.mlp`` handed to the algorithm's step, whose error and
-    multiplies go into the new state, the ledger into a copy of this one."""
+    """Run one training iteration of the state's algorithm: the forward pass
+    of ``state.mlp`` (handed off by the step that made it, or run afresh)
+    goes to the algorithm's step, whose error and multiplies go into the new
+    state, the ledger into a copy of this one, and whose network's forward
+    pass goes into the hand-off slot for the next iteration."""
+    global _handoff
+    trace = _take_handoff(state.mlp, state.dataset)
+    if trace is None:
+        trace = forward(state.mlp, state.dataset)
     step = _STEPS[state.algorithm]
-    mlp, error, multiplies, changes = step(state, forward(state.mlp, state.dataset))
+    mlp, trace, error, multiplies, changes = step(state, trace)
+    _handoff = (mlp, state.dataset, trace)
     ledger = CostLedger(list(state.ledger.per_iteration))
     ledger.record(multiplies)
     return replace(

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
+import amolf.experiment
+import amolf.trainers
 from amolf import cost
 from amolf.dataset import gen_matrix_inversion, kfold_split, normalize_zero_mean
 from amolf.experiment import (
@@ -12,7 +16,7 @@ from amolf.experiment import (
     trial_seed,
 )
 from amolf.network import init_net_control
-from amolf.trainers import init_state, iterate
+from amolf.trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD, init_state, iterate
 from support import read_curve
 
 
@@ -184,3 +188,101 @@ def test_config_validation():
     with pytest.raises(ValueError, match="search_period"):
         ExperimentConfig(algorithm="amolf", n_hidden=3, iterations=1, search_period=-1)
     ExperimentConfig(algorithm="amolf", n_hidden=3, iterations=1, search_period=0)
+
+
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "amolf"])
+def test_config_rejects_a_search_period_outside_amolf(algo):
+    with pytest.raises(ValueError, match=rf"^search_period is for amolf only, not {algo}$"):
+        ExperimentConfig(algorithm=algo, n_hidden=3, iterations=1, search_period=0)
+    ExperimentConfig(algorithm=algo, n_hidden=3, iterations=1, search_period=DEFAULT_SEARCH_PERIOD)
+
+
+def _weight_bits(mlp):
+    return mlp.w.tobytes(), mlp.woh.tobytes(), mlp.woi.tobytes()
+
+
+def _curve_bits(curve):
+    weights = tuple(_weight_bits(mlp) for mlp in curve.final_models)
+    return curve.mean_mse.tobytes(), curve.cum_multiplies.tobytes(), weights
+
+
+def _run_bits(dataset, algo):
+    """Bits of a training curve with its final weights, of a k-fold report,
+    and of one trial's states (ledger, error, weights) with a branch taken
+    from an earlier state."""
+    period = {"search_period": 2} if algo == "amolf" else {}
+    config = _config(algorithm=algo, iterations=6, k_folds=5, **period)
+    data = normalize_zero_mean(dataset)
+    state = init_state(algo, init_net_control(data, 4, 0), data, **period)
+    states = [state]
+    for _ in range(5):
+        states.append(iterate(states[-1]))
+    states.append(iterate(states[2]))
+    report = run_kfold(dataset, config)
+    return (
+        _curve_bits(run_training(dataset, config)),
+        report.train_errors,
+        report.test_errors,
+        [(s.ledger.per_iteration, s.last_error, _weight_bits(s.mlp)) for s in states],
+    )
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_the_forward_pass_hand_off_changes_no_bit(algo, monkeypatch):
+    dataset = gen_matrix_inversion(90, 4)
+    passes = []
+    counted = amolf.trainers.forward
+
+    def counting_forward(mlp, data):
+        passes.append(1)
+        return counted(mlp, data)
+
+    monkeypatch.setattr(amolf.trainers, "forward", counting_forward)
+    handed_off = _run_bits(dataset, algo)
+    handed_off_passes = len(passes)
+    passes.clear()
+    monkeypatch.setattr(amolf.trainers, "_take_handoff", lambda mlp, data: None)
+    assert _run_bits(dataset, algo) == handed_off
+    assert handed_off_passes < len(passes)
+
+
+def test_two_threads_training_on_one_dataset_match_the_sequential_runs(monkeypatch):
+    # The hand-off slot is shared and holds one pass. The threads take
+    # their iterations in lockstep, so in every round at least one of them
+    # finds the other's pass there and must run its own.
+    dataset = gen_matrix_inversion(200, 5)
+    configs = (
+        _config(algorithm="owo-bp", iterations=10),
+        _config(algorithm="amolf", iterations=10, search_period=3, seed=1),
+    )
+    rounds = 2 * 10  # both configs run two trials
+    sequential = [_curve_bits(run_training(dataset, c)) for c in configs]
+    lockstep = threading.Barrier(2, timeout=60)
+    take = amolf.trainers._take_handoff
+    misses = []
+
+    def counting_take(mlp, data):
+        trace = take(mlp, data)
+        if trace is None:
+            misses.append(1)
+        return trace
+
+    def iterate_in_lockstep(state):
+        lockstep.wait()
+        return iterate(state)
+
+    monkeypatch.setattr(amolf.trainers, "_take_handoff", counting_take)
+    monkeypatch.setattr(amolf.experiment, "iterate", iterate_in_lockstep)
+    threaded = [None, None]
+
+    def train(index):
+        threaded[index] = _curve_bits(run_training(dataset, configs[index]))
+
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == sequential
+    assert len(misses) >= rounds

@@ -70,6 +70,19 @@ def test_forward_matches_scalar_oracle(activation):
     assert np.abs(trace.output - output).max() <= 1e-12
 
 
+@pytest.mark.parametrize("activation", ["linear", "sigmoid", "tanh"])
+def test_forward_pass_is_write_protected(activation):
+    # A pass outlives the iteration that ran it, so nothing may write into it.
+    rng = np.random.default_rng(6)
+    mlp, d = random_network(rng, 3, 4, 2, 10, activation=activation)
+    trace = forward(mlp, d)
+    for arr in (trace.activ, trace.output):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+
 def test_mse_zero_when_outputs_equal_targets():
     rng = np.random.default_rng(2)
     mlp, d = random_network(rng, 3, 2, 2, 10)

@@ -24,6 +24,7 @@ from amolf.linalg import solve_sym
 from amolf.network import Mlp, forward, init_net_control, mse
 from amolf.trainers import (
     ALGORITHMS,
+    DEFAULT_SEARCH_PERIOD,
     LM_LAMBDA_MAX,
     LM_LAMBDA_MIN,
     AmolfState,
@@ -429,6 +430,12 @@ def _matinv_setup(nh=10, nv=300, seed=0, algo="owo-molf", **kwargs):
     return init_state(algo, mlp, data, **kwargs)
 
 
+def _search_every(algo, period):
+    """``init_state``'s search-period keyword for ``algo``: only amolf
+    searches, and every other trainer rejects a non-default period."""
+    return {"search_period": period} if algo == "amolf" else {}
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_iterate_rejects_a_network_with_the_wrong_output_count(algo):
     # Unchecked, owo-bp's output solve turned a 1-output net into a 4-output
@@ -443,7 +450,7 @@ def test_iterate_rejects_a_network_with_the_wrong_output_count(algo):
 def test_last_error_is_a_fresh_error_evaluation(algo):
     # run_kfold reports a round's training error from last_error, so it must
     # equal mse of the state's network bit for bit, search iterations included.
-    state = _matinv_setup(algo=algo, search_period=2)
+    state = _matinv_setup(algo=algo, **_search_every(algo, 2))
     for _ in range(5):
         state = iterate(state)
         assert state.last_error == mse(state.mlp, state.dataset)
@@ -648,9 +655,10 @@ def test_lm_step_peak_allocation(monkeypatch):
     # Matrix inversion at the benchmark's size: 2000 patterns, nh=30, four
     # outputs, 290 weights. The whole step peaks while the Hessian's 3.0 MB
     # features are alive. After the factored Hessian returns, the candidate's
-    # forward pass (1.1 MB) and the 185-column Gram dominate; one 290x290
-    # matrix is 0.67 MB, and a dense damped system with solve_sym's working
-    # copy of it exceeds 2 MB.
+    # forward pass (1.1 MB) and the 185-column Gram dominate, about 1.24 MB
+    # in all; one 290x290 matrix is 0.67 MB, and a dense damped system with
+    # solve_sym's working copy of it exceeds 2 MB. A rejected candidate's
+    # pass kept through the next solve would add 0.54 MB.
     data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
     mlp = init_net_control(data, 30, 0)
     mlp, trace = amolf.owo.output_weight_step(mlp, data, forward(mlp, data))
@@ -674,7 +682,7 @@ def test_lm_step_peak_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(peaks) < 4.5e6
-    assert peaks[1] < 2e6
+    assert peaks[1] < 1.5e6
 
 
 def test_lm_decreases_error_and_adapts_damping():
@@ -692,6 +700,11 @@ def test_lm_stalls_at_exact_interpolation():
     mlp, d = random_network(rng, 3, 2, 1, 15)
     exact = make_dataset(d.inputs[:, :-1], forward(mlp, d).output)
     state = init_state("lm", mlp, exact)
+    trace = forward(mlp, exact)
+    stalled_mlp, stalled_trace, _, _, changes = lm_step(state, trace)
+    assert changes["lm_stalled"]
+    # The network did not move, so its own input pass is the one handed on.
+    assert stalled_mlp is mlp and stalled_trace is trace
     state = iterate(state)
     assert state.lm_stalled
     assert np.array_equal(state.mlp.w, mlp.w)
@@ -765,30 +778,81 @@ def test_last_error_is_fresh_mse(algo):
         assert state.last_error == mse(state.mlp, state.dataset)
 
 
-@pytest.mark.parametrize("algo", ["owo-bp", "owo-molf", "owo-newton", "amolf", "cg"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_two_forward_passes_per_iteration(algo, monkeypatch):
+    # An iteration works with two forward passes, of the network it starts
+    # from and of the network it returns, and runs only the second: the
+    # first is the pass the previous iteration handed off. LM runs one pass
+    # per candidate and hands off the accepted one's.
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8)
     state = iterate(state)  # amolf searches the group count here
-    calls = []
+    if algo == "lm":
+        state = replace(state, lm_lambda=LM_LAMBDA_MIN)  # forces rejections
+    calls, candidates = [], []
     counted = amolf.network.forward
+    counted_step = amolf.trainers.damped_gauss_newton_step
 
     def counting_forward(mlp, dataset):
         calls.append(1)
         return counted(mlp, dataset)
 
-    # mse runs its forward pass through the network module's binding.
+    def counting_step(*args):
+        candidates.append(1)
+        return counted_step(*args)
+
+    # An mse call would run its forward pass through the network module's
+    # binding, so that one is counted too.
     monkeypatch.setattr(amolf.trainers, "forward", counting_forward)
     monkeypatch.setattr(amolf.network, "forward", counting_forward)
+    monkeypatch.setattr(amolf.trainers, "damped_gauss_newton_step", counting_step)
     for _ in range(3):
         state = iterate(state)
-    assert len(calls) == 2 * 3
+    if algo == "lm":
+        assert len(candidates) > 3  # some candidate was rejected
+        assert len(calls) == len(candidates)
+    else:
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_each_step_returns_the_forward_pass_of_its_network(algo):
+    # The pass a step returns is handed to the next iteration in place of a
+    # fresh one, so it must be that network's forward pass bit for bit.
+    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 2))
+    for _ in range(4):
+        step = amolf.trainers._STEPS[algo]
+        mlp, trace, error, _, _ = step(state, forward(state.mlp, state.dataset))
+        fresh = forward(mlp, state.dataset)
+        assert np.array_equal(trace.activ, fresh.activ)
+        assert np.array_equal(trace.output, fresh.output)
+        assert error == mse(mlp, state.dataset)
+        state = iterate(state)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_handed_off_pass_serves_only_its_own_network_and_dataset(algo):
+    # Branching from a state after the slot moved on must run that state's
+    # own forward pass: the slot holds another network on the same dataset,
+    # then the same network on another dataset of the same size.
+    period = _search_every(algo, 2)
+    data, other = (normalize_zero_mean(gen_matrix_inversion(120, s)) for s in (8, 9))
+    mlp = init_net_control(data, 4, 8)
+    start = init_state(algo, mlp, other, **period)
+    fresh = iterate(start)
+    branched = iterate(start)
+    init_state(algo, mlp, data, **period)
+    moved = iterate(start)
+    for state in (branched, moved):
+        assert state.last_error == fresh.last_error
+        for a, b in zip(_arrays(state.mlp), _arrays(fresh.mlp)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_each_state_ledger_holds_exactly_its_own_iterations(algo):
     # Two branches from one state must not write into each other's ledger,
     # nor into the ledger of the state they started from.
-    root = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, search_period=2)
+    root = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 2))
     first, second = iterate(root), iterate(root)
     states = [root, first, second]
     for _ in range(3):
@@ -820,7 +884,7 @@ def test_no_state_keeps_a_pattern_sized_array(algo):
     # a Jacobian) held by a state would stay alive for the whole run. Only
     # the dataset may be pattern-sized.
     nv = 97
-    state = _matinv_setup(algo=algo, nh=3, nv=nv, seed=8, search_period=2)
+    state = _matinv_setup(algo=algo, nh=3, nv=nv, seed=8, **_search_every(algo, 2))
     weight_dims = {dim for a in _arrays(state.mlp) for dim in (*a.shape, a.size)}
     assert nv not in weight_dims
     assert nv != sum(a.size for a in _arrays(state.mlp))
@@ -856,6 +920,16 @@ def test_init_state_rejects_out_of_range_settings():
         init_state("amolf", mlp, data, search_period=-1)
 
 
+@pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "amolf"])
+def test_init_state_rejects_a_search_period_outside_amolf(algo):
+    # Only amolf searches; a period given to another trainer would be ignored.
+    data = normalize_zero_mean(gen_matrix_inversion(50, 0))
+    mlp = init_net_control(data, 3, 0)
+    with pytest.raises(ValueError, match=rf"^search_period is for amolf only, not {algo}$"):
+        init_state(algo, mlp, data, search_period=DEFAULT_SEARCH_PERIOD + 1)
+    init_state(algo, mlp, data, search_period=DEFAULT_SEARCH_PERIOD)
+
+
 @pytest.mark.parametrize("algo, first_calls", [("owo-molf", 0), ("amolf", 1)])
 def test_curvature_map_only_where_the_partition_needs_it(algo, first_calls, monkeypatch):
     # A one-group partition does not depend on the curvature; amolf adapting
@@ -885,11 +959,13 @@ def test_curvature_map_only_where_the_partition_needs_it(algo, first_calls, monk
 def test_a_search_iteration_does_its_work_once(monkeypatch):
     # The winning candidate's step is the iteration's step: a search
     # iteration solves each candidate count's system and the output weights,
-    # assembles nothing from per-pattern sums, and runs one forward pass per
-    # candidate besides its first, the winner's reused by the output solve,
-    # and groups by its Hessian's diagonal, not by ``curvature_map``; an
-    # adapting iteration assembles and solves its one grouped system, and
-    # reads the curvature once if it has more than one group.
+    # assembles nothing from per-pattern sums, runs one forward pass per
+    # candidate and none of its own network, whose pass the last iteration
+    # handed off, and reuses the winner's for the output solve, and groups
+    # by its Hessian's diagonal, not by ``curvature_map``; an adapting
+    # iteration assembles and solves its one grouped system, runs the
+    # stepped network forward once, and reads the curvature once if it has
+    # more than one group.
     state = _matinv_setup(algo="amolf", nh=4, nv=120, seed=8, search_period=3)
     n = state.dataset.n_inputs
     solves, assemblies, forwards, curvatures = [], [], [], []
@@ -927,16 +1003,17 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
         state = iterate(state)
         counted = (len(assemblies), len(solves), len(forwards), len(curvatures))
         if searched:
-            assert counted == (0, n + 1, n + 1, 0)
+            assert counted == (0, n + 1, n, 0)
         else:
-            assert counted == (1, 2, 2, int(state.amolf.n_groups > 1))
+            assert counted == (1, 2, 1, int(state.amolf.n_groups > 1))
     assert state.amolf.n_groups > 1  # so iteration 4 read the curvature
 
 
 def test_owo_molf_is_the_grouped_step_pinned_at_one_group(monkeypatch):
-    # owo-molf carries no amolf state, so a search period neither searches
-    # nor reads the curvature, and every iteration costs owo-molf's formula.
-    state = _matinv_setup(algo="owo-molf", nh=4, nv=120, seed=8, search_period=2)
+    # owo-molf carries no amolf state, so it neither searches (not even on
+    # iteration 1, amolf's first search) nor reads the curvature, and every
+    # iteration costs owo-molf's formula.
+    state = _matinv_setup(algo="owo-molf", nh=4, nv=120, seed=8)
     assert state.amolf is None
     calls = []
 
@@ -994,7 +1071,7 @@ def test_trainers_stay_finite_on_badly_scaled_data(
         10.0**target_exponent * rng.standard_normal((nv, m)),
     )
     data = normalize_zero_mean(raw)
-    state = init_state(algo, init_net_control(data, 3, seed), data, search_period=3)
+    state = init_state(algo, init_net_control(data, 3, seed), data, **_search_every(algo, 3))
     for _ in range(6):
         state = iterate(state)
         assert np.isfinite(state.last_error)
