@@ -7,6 +7,8 @@ outer products scaled by 2/n_patterns), hence symmetric positive
 semi-definite by construction; each is one ``linalg.pattern_sum`` Gram of
 per-pattern features, never a Jacobian in memory. Gradients sum over
 patterns with ``pattern_sum`` too, so no result depends on BLAS threads.
+Every kernel here that reads a forward pass takes the pass alone: a
+``ForwardTrace`` carries the network and dataset it ran.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
 k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
 from .linalg import pattern_sum, solve_sym
 from .network import ForwardTrace, Mlp, activation_derivative
 
@@ -44,38 +45,36 @@ class GradientBundle:
     bypass_weights: np.ndarray  # (n_outputs, n_inputs + 1)
 
 
-def output_deltas(dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
+def output_deltas(trace: ForwardTrace) -> np.ndarray:
     """Per-pattern negative-gradient output deltas, 2 * (target - output)."""
-    out = np.subtract(dataset.targets, trace.output)
+    out = np.subtract(trace.dataset.targets, trace.output)
     out *= 2.0
     return out
 
 
-def _input_gradient(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, d_out: np.ndarray
-) -> np.ndarray:
+def _input_gradient(trace: ForwardTrace, d_out: np.ndarray) -> np.ndarray:
     """Input-weight negative gradient from the output deltas ``d_out``: the
     hidden deltas f'(net) * (d_out @ woh), summed against the inputs."""
-    d_hid = activation_derivative(mlp, trace)
-    d_hid *= d_out @ mlp.woh
-    return pattern_sum(d_hid, dataset.inputs) / dataset.n_patterns
+    d_hid = activation_derivative(trace)
+    d_hid *= d_out @ trace.mlp.woh
+    return pattern_sum(d_hid, trace.dataset.inputs) / trace.dataset.n_patterns
 
 
-def input_weight_gradient(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
+def input_weight_gradient(trace: ForwardTrace) -> np.ndarray:
     """Negative gradient of the MSE for the input weights alone, the same
-    bits as ``backprop(...).input_weights``, for the trainers that solve the
-    output weights and read no other gradient."""
-    return _input_gradient(mlp, dataset, trace, output_deltas(dataset, trace))
+    bits as ``backprop(trace).input_weights``, for the trainers that solve
+    the output weights and read no other gradient."""
+    return _input_gradient(trace, output_deltas(trace))
 
 
-def backprop(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> GradientBundle:
+def backprop(trace: ForwardTrace) -> GradientBundle:
     """Negative gradients of the MSE for all weights, averaged over patterns."""
-    nv = dataset.n_patterns
-    d_out = output_deltas(dataset, trace)
+    d = trace.dataset
+    d_out = output_deltas(trace)
     return GradientBundle(
-        input_weights=_input_gradient(mlp, dataset, trace, d_out),
-        output_weights=pattern_sum(d_out, trace.activ) / nv,
-        bypass_weights=pattern_sum(d_out, dataset.inputs) / nv,
+        input_weights=_input_gradient(trace, d_out),
+        output_weights=pattern_sum(d_out, trace.activ) / d.n_patterns,
+        bypass_weights=pattern_sum(d_out, d.inputs) / d.n_patterns,
     )
 
 
@@ -95,68 +94,58 @@ def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     return ((2.0 / nv) * gram * s[:, None, :, None]).reshape(nh * q, nh * q)
 
 
-def gauss_newton_input_hessian(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
-) -> np.ndarray:
+def gauss_newton_input_hessian(trace: ForwardTrace) -> np.ndarray:
     """Gauss-Newton Hessian over the input weights, flattened row-major.
 
     Entry ((k, n), (j, m)) is 2/n_patterns times the pattern-and-output sum
     of products of output sensitivities woh(i,k) f'(net_k) x(n) and
     woh(i,j) f'(net_j) x(m): ``gauss_newton_gram`` of the features f'·x.
     """
-    fprime = activation_derivative(mlp, trace)
-    return gauss_newton_gram(mlp, fprime[:, :, None] * dataset.inputs[:, None, :])
+    fprime = activation_derivative(trace)
+    return gauss_newton_gram(trace.mlp, fprime[:, :, None] * trace.dataset.inputs[:, None, :])
 
 
-def gn_curvature_along_input_direction(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, direction: np.ndarray
-) -> float:
+def gn_curvature_along_input_direction(trace: ForwardTrace, direction: np.ndarray) -> float:
     """Gauss-Newton second derivative of the error along an input-weight
     direction, i.e. the Hessian quadratic form evaluated without forming the
     Hessian."""
-    activ_change = activation_derivative(mlp, trace)
-    activ_change *= dataset.inputs @ direction.T
-    u = activ_change @ mlp.woh.T
+    activ_change = activation_derivative(trace)
+    activ_change *= trace.dataset.inputs @ direction.T
+    u = activ_change @ trace.mlp.woh.T
     u *= u
-    return float(2.0 * u.sum() / dataset.n_patterns)
+    return float(2.0 * u.sum() / trace.dataset.n_patterns)
 
 
 def gn_curvature_along_direction(
-    mlp: Mlp,
-    dataset: Dataset,
-    trace: ForwardTrace,
-    d_w: np.ndarray,
-    d_woh: np.ndarray,
-    d_woi: np.ndarray,
+    trace: ForwardTrace, d_w: np.ndarray, d_woh: np.ndarray, d_woi: np.ndarray
 ) -> float:
     """Gauss-Newton quadratic form along a direction over all weights."""
-    u = dataset.inputs @ d_woi.T
+    inputs = trace.dataset.inputs
+    u = inputs @ d_woi.T
     u += trace.activ @ d_woh.T
-    activ_change = activation_derivative(mlp, trace)
-    activ_change *= dataset.inputs @ d_w.T
-    u += activ_change @ mlp.woh.T
+    activ_change = activation_derivative(trace)
+    activ_change *= inputs @ d_w.T
+    u += activ_change @ trace.mlp.woh.T
     u *= u
-    return float(2.0 * u.sum() / dataset.n_patterns)
+    return float(2.0 * u.sum() / trace.dataset.n_patterns)
 
 
-def curvature_map(mlp: Mlp, dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
+def curvature_map(trace: ForwardTrace) -> np.ndarray:
     """Per-weight diagonal Gauss-Newton curvature of the input weights.
 
     Entry (k, n) is 2/n_patterns times the squared-output-weight sum for
     unit k times the pattern sum of f'(net_k)^2 x(n)^2; always >= 0. Equals
     the matching diagonal entry of the full input-weight Hessian.
     """
-    nv = dataset.n_patterns
-    fprime = activation_derivative(mlp, trace)
+    inputs, woh = trace.dataset.inputs, trace.mlp.woh
+    fprime = activation_derivative(trace)
     fprime *= fprime
-    weight_sq = (mlp.woh * mlp.woh).sum(axis=0)
-    pattern_sums = pattern_sum(fprime, dataset.inputs * dataset.inputs)
-    return (2.0 / nv) * weight_sq[:, None] * pattern_sums
+    weight_sq = (woh * woh).sum(axis=0)
+    pattern_sums = pattern_sum(fprime, inputs * inputs)
+    return (2.0 / trace.dataset.n_patterns) * weight_sq[:, None] * pattern_sums
 
 
-def gauss_newton_full_hessian(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
-) -> np.ndarray:
+def gauss_newton_full_hessian(trace: ForwardTrace) -> np.ndarray:
     """Gauss-Newton Hessian over every weight, in factored form.
 
     Output i's Jacobian is the per-pattern features [f'·x, activations,
@@ -167,16 +156,17 @@ def gauss_newton_full_hessian(
     ``pack`` is G ⊙ s_i s_iᵀ added at those rows for each output i; it is
     never formed (``damped_gauss_newton_step`` solves with it).
     """
-    nv, n1, nh = dataset.n_patterns, dataset.n_inputs + 1, mlp.n_hidden
+    inputs = trace.dataset.inputs
+    (nv, n1), nh = inputs.shape, trace.mlp.n_hidden
     niw = nh * n1
     features = np.empty((nv, niw + nh + n1))
     np.multiply(
-        activation_derivative(mlp, trace)[:, :, None],
-        dataset.inputs[:, None, :],
+        activation_derivative(trace)[:, :, None],
+        inputs[:, None, :],
         out=features[:, :niw].reshape(nv, nh, n1),
     )
     features[:, niw : niw + nh] = trace.activ
-    features[:, niw + nh :] = dataset.inputs
+    features[:, niw + nh :] = inputs
     return (2.0 / nv) * pattern_sum(features, features)
 
 

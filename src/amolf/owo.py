@@ -5,6 +5,8 @@ weights solve a least-squares system built from the autocorrelation of the
 augmented basis (inputs followed by hidden activations) and its
 cross-correlation with the targets. Solving it exactly is equivalent to one
 Newton step on the output weights, and never increases the training error.
+The kernels take one forward pass, which carries its network and dataset;
+the solve returns that pass with the solved network and refreshed outputs.
 """
 
 from __future__ import annotations
@@ -13,15 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
 from .linalg import SolveReport, pattern_sum, solve_sym
-from .network import ForwardTrace, Mlp, linear_output
+from .network import ForwardTrace, linear_output
 
 
-def augmented_basis(dataset: Dataset, trace: ForwardTrace) -> np.ndarray:
+def augmented_basis(trace: ForwardTrace) -> np.ndarray:
     """Per-pattern basis [augmented inputs, hidden activations], fixing the
     column order used everywhere for correlation matrices and weight splits."""
-    return np.hstack((dataset.inputs, trace.activ))
+    return np.hstack((trace.dataset.inputs, trace.activ))
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,9 @@ class Correlations:
     c: np.ndarray  # (n_basis, n_outputs)
 
 
-def accumulate_correlations(dataset: Dataset, trace: ForwardTrace) -> Correlations:
-    basis, nv = augmented_basis(dataset, trace), dataset.n_patterns
-    r, c = pattern_sum(basis, basis), pattern_sum(basis, dataset.targets)
+def accumulate_correlations(trace: ForwardTrace) -> Correlations:
+    basis, nv = augmented_basis(trace), trace.dataset.n_patterns
+    r, c = pattern_sum(basis, basis), pattern_sum(basis, trace.dataset.targets)
     return Correlations(r=r / nv, c=c / nv)
 
 
@@ -50,14 +51,13 @@ def solve_output_weights(corr: Correlations) -> SolveReport:
     return solve_sym(corr.r, corr.c)
 
 
-def output_weight_step(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace
-) -> tuple[Mlp, ForwardTrace]:
-    """Solve and install the output weights for ``trace``, a forward pass of
-    ``mlp``. Only the outputs of the trace change, computed as ``forward``
-    computes them, so the returned trace equals a fresh forward pass of the
-    returned network bit for bit."""
-    wo = solve_output_weights(accumulate_correlations(dataset, trace)).solution.T
-    split = dataset.n_inputs + 1
-    mlp = replace(mlp, woi=wo[:, :split], woh=wo[:, split:])
-    return mlp, replace(trace, output=linear_output(mlp, dataset, trace.activ))
+def output_weight_step(trace: ForwardTrace) -> ForwardTrace:
+    """Solve and install the output weights for the pass ``trace``. Only
+    its network's output and bypass weights and its outputs change, the
+    outputs computed as ``forward`` computes them, so the returned pass
+    equals a fresh forward pass of its network bit for bit."""
+    wo = solve_output_weights(accumulate_correlations(trace)).solution.T
+    d = trace.dataset
+    split = d.n_inputs + 1
+    mlp = replace(trace.mlp, woi=wo[:, :split], woh=wo[:, split:])
+    return replace(trace, mlp=mlp, output=linear_output(mlp, d, trace.activ))

@@ -19,19 +19,22 @@ Six trainers share the same machinery:
 ``iterate`` owns the iteration boundary: it hands the forward pass of the
 state's network to the algorithm's step (``_STEPS``), and records the
 step's error and multiplies in the next state, whose ledger is a copy of
-the last one plus this entry. A step returns its network, that network's
-forward pass, a fresh error evaluation of it, its multiplies and the state
-fields it changes. No state keeps the pass, since a run keeps its states:
-``iterate`` holds only the last one, in a private slot beside the network
-and dataset it belongs to, and the next ``iterate`` takes it from there
-when its state holds those very objects (``Mlp``, ``Dataset`` and
-``ForwardTrace`` are immutable), or runs ``forward`` otherwise. So an
-iteration runs one forward pass, of the network it returns, and none of
-the network it starts from. owo-molf, owo-newton and amolf take an
-input-weight step, then solve the output weights, a solve that refreshes
-only the outputs of its forward pass; owo-bp solves them first. A search
-iteration runs one pass per candidate count and solves for the winner's;
-LM runs one per candidate and returns the accepted one's.
+the last one plus this entry. A pass carries its network and dataset, so
+every kernel that reads one takes the pass alone, and a step returns the
+forward pass of its new network, a fresh error evaluation of it, its
+multiplies and the state fields it changes. No state keeps the pass,
+since a run keeps its states: ``iterate`` holds only the last one, in a
+private slot, and the next ``iterate`` takes it from there when the
+pass's network and dataset are its state's very objects (``Mlp``,
+``Dataset`` and ``ForwardTrace`` are immutable), or runs ``forward``
+otherwise. So an iteration runs one forward pass, of the network it
+returns, and none of the network it starts from. owo-molf, owo-newton and
+amolf take an input-weight step, then solve the output weights, a solve
+that refreshes only the network and outputs of its pass; owo-bp solves
+them first. A search iteration runs one pass per candidate count and
+solves for the winner's; LM runs one per candidate and returns the
+accepted one's. An error that is NaN or infinite stops the run with a
+``ValueError``, in ``init_state`` or ``iterate``.
 
 A grouping is its group-id map (``build_partition``): one int group id
 per input weight, in the input weights' shape. The grouped kernels take
@@ -56,6 +59,7 @@ kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,7 +139,7 @@ def apply_grouped_step(mlp: Mlp, gw: np.ndarray, group: np.ndarray, z: np.ndarra
 
 
 def assemble_grouped_direct(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray, group: np.ndarray
+    trace: ForwardTrace, gw: np.ndarray, group: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped step-size system accumulated from per-pattern sums.
 
@@ -144,9 +148,9 @@ def assemble_grouped_direct(
     f'·(x·t), and the matching negative gradient.
     """
     t, ga = _grouped_gradient(gw, group)
-    delta_net = np.tensordot(dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
-    delta_net *= activation_derivative(mlp, trace)[:, :, None]
-    return gauss_newton_gram(mlp, delta_net), ga
+    delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
+    delta_net *= activation_derivative(trace)[:, :, None]
+    return gauss_newton_gram(trace.mlp, delta_net), ga
 
 
 def assemble_grouped_from_hessian(
@@ -177,10 +181,10 @@ def _optimal_step(slope: float, curvature: float) -> float:
     return slope / curvature
 
 
-def olf(mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray) -> float:
+def olf(trace: ForwardTrace, gw: np.ndarray) -> float:
     """Optimal scalar step size along the input-weight gradient ``gw``: the
     squared gradient norm over the Gauss-Newton curvature along it."""
-    curvature = gn_curvature_along_input_direction(mlp, dataset, trace, gw)
+    curvature = gn_curvature_along_input_direction(trace, gw)
     return _optimal_step(float((gw * gw).sum()), curvature)
 
 
@@ -230,30 +234,27 @@ def adapt_group_count(
     return n_groups
 
 
-def initial_group_search(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray
-) -> tuple[int, Mlp, ForwardTrace]:
+def initial_group_search(trace: ForwardTrace, gw: np.ndarray) -> tuple[int, ForwardTrace]:
     """Exhaustive group-count selection over 1..n_inputs groups.
 
     Builds the full input-weight Hessian once and groups by its diagonal,
     the per-weight curvature. For every candidate count it compresses the
     Hessian onto the grouped unknowns, solves, applies the trial step to a
     scratch copy, and runs it forward for its error. The lowest error wins;
-    ties go to the smaller count. Returns the winning count, stepped
-    network and forward pass.
+    ties go to the smaller count. Returns the winning count and the
+    forward pass of its stepped network.
     """
-    hessian = gauss_newton_input_hessian(mlp, dataset, trace)
+    hessian = gauss_newton_input_hessian(trace)
     curvature = hessian.diagonal().reshape(gw.shape)
     best, best_error = None, np.inf
-    for ng in range(1, dataset.n_inputs + 1):
+    for ng in range(1, trace.dataset.n_inputs + 1):
         group = build_partition(curvature, ng)
         ha, ga = assemble_grouped_from_hessian(hessian, gw, group)
         z = solve_sym(ha, ga).solution
-        candidate = apply_grouped_step(mlp, gw, group, z)
-        candidate_trace = forward(candidate, dataset)
-        err = output_mse(dataset, candidate_trace.output)
+        candidate = forward(apply_grouped_step(trace.mlp, gw, group, z), trace.dataset)
+        err = output_mse(candidate)
         if ng == 1 or err < best_error:
-            best, best_error = (ng, candidate, candidate_trace), err
+            best, best_error = (ng, candidate), err
     return best
 
 
@@ -298,13 +299,13 @@ class TrainerState:
     amolf: AmolfState | None = None
 
 
-# (network, dataset, forward pass) of the last network a step returned or
-# ``init_state`` started from. Holding both keys alive means an ``is`` match
-# can only be those very objects; a miss just runs ``forward`` again. Runs
-# in other threads share the slot without a lock: a race costs a miss,
-# never a wrong pass, since a pass serves only the objects stored with it
+# The forward pass of the last network a step returned or ``init_state``
+# started from. The pass holds its network and dataset alive, so an ``is``
+# match can only be those very objects; a miss just runs ``forward`` again.
+# Runs in other threads share the slot without a lock: a race costs a miss,
+# never a wrong pass, since a pass serves only its own network and dataset
 # and nothing writes into it.
-_handoff: tuple[Mlp, Dataset, ForwardTrace] | None = None
+_handoff: ForwardTrace | None = None
 
 
 def _take_handoff(mlp: Mlp, dataset: Dataset) -> ForwardTrace | None:
@@ -312,9 +313,16 @@ def _take_handoff(mlp: Mlp, dataset: Dataset) -> ForwardTrace | None:
     ``dataset``."""
     global _handoff
     held, _handoff = _handoff, None
-    if held is not None and held[0] is mlp and held[1] is dataset:
-        return held[2]
+    if held is not None and held.mlp is mlp and held.dataset is dataset:
+        return held
     return None
+
+
+def _check_error(error: float, when: str) -> float:
+    """``error``, or a one-line ``ValueError`` if it is NaN or infinite."""
+    if not math.isfinite(error):
+        raise ValueError(f"the training error {when} is {error}, not finite")
+    return error
 
 
 def init_state(
@@ -337,13 +345,14 @@ def init_state(
     global _handoff
     _handoff = None  # the last run's pass is not kept through this one
     trace = forward(mlp, dataset)
-    _handoff = (mlp, dataset, trace)
+    last_error = _check_error(output_mse(trace), "of the starting network")
+    _handoff = trace
     return TrainerState(
         mlp=mlp,
         dataset=dataset,
         algorithm=algorithm,
         ledger=CostLedger(),
-        last_error=output_mse(dataset, trace.output),
+        last_error=last_error,
         amolf=AmolfState(search_period=search_period) if algorithm == "amolf" else None,
     )
 
@@ -353,56 +362,48 @@ def _dims(state: TrainerState) -> tuple[int, int, int, int]:
     return d.n_inputs, state.mlp.n_hidden, d.n_outputs, d.n_patterns
 
 
-# (new network, its forward pass, its fresh error, modelled multiplies,
+# (the new network's forward pass, its fresh error, modelled multiplies,
 # other changed fields)
-StepResult = tuple[Mlp, ForwardTrace, float, int, dict]
+StepResult = tuple[ForwardTrace, float, int, dict]
 
 
 def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Output-weight solve, then a gradient step with the optimal step size."""
-    d = state.dataset
-    mlp, trace = output_weight_step(state.mlp, d, trace)
-    gw = input_weight_gradient(mlp, d, trace)
-    mlp = replace(mlp, w=mlp.w + olf(mlp, d, trace, gw) * gw)
-    trace = forward(mlp, d)
-    return mlp, trace, output_mse(d, trace.output), cost.mult_owo_bp(*_dims(state)), {}
+    trace = output_weight_step(trace)
+    gw = input_weight_gradient(trace)
+    mlp = replace(trace.mlp, w=trace.mlp.w + olf(trace, gw) * gw)
+    trace = forward(mlp, state.dataset)
+    return trace, output_mse(trace), cost.mult_owo_bp(*_dims(state)), {}
 
 
 def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Full second-order input-weight step, then the output-weight solve."""
-    d = state.dataset
-    mlp = state.mlp
-    gw = input_weight_gradient(mlp, d, trace)
-    hessian = gauss_newton_input_hessian(mlp, d, trace)
+    mlp = trace.mlp
+    gw = input_weight_gradient(trace)
+    hessian = gauss_newton_input_hessian(trace)
     stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, gw))
-    mlp, solved = output_weight_step(stepped, d, forward(stepped, d))
-    return mlp, solved, output_mse(d, solved.output), cost.mult_owo_newton(*_dims(state)), {}
+    solved = output_weight_step(forward(stepped, state.dataset))
+    return solved, output_mse(solved), cost.mult_owo_newton(*_dims(state)), {}
 
 
-def _grouped_step(
-    mlp: Mlp, dataset: Dataset, trace: ForwardTrace, gw: np.ndarray, n_groups: int
-) -> tuple[Mlp, ForwardTrace]:
-    """The grouped input-weight step at ``n_groups`` groups, its system read
-    off per-pattern sums, and the stepped network's forward pass."""
+def _grouped_step(trace: ForwardTrace, gw: np.ndarray, n_groups: int) -> ForwardTrace:
+    """The forward pass of the grouped input-weight step at ``n_groups``
+    groups, its system read off per-pattern sums."""
     # One group holds all of a unit's inputs in any order, so its partition
     # does not depend on the curvature.
-    curvature = (
-        np.zeros_like(mlp.w) if n_groups == 1 else curvature_map(mlp, dataset, trace)
-    )
+    curvature = np.zeros_like(trace.mlp.w) if n_groups == 1 else curvature_map(trace)
     group = build_partition(curvature, n_groups)
-    ha, ga = assemble_grouped_direct(mlp, dataset, trace, gw, group)
-    stepped = apply_grouped_step(mlp, gw, group, solve_sym(ha, ga).solution)
-    return stepped, forward(stepped, dataset)
+    ha, ga = assemble_grouped_direct(trace, gw, group)
+    stepped = apply_grouped_step(trace.mlp, gw, group, solve_sym(ha, ga).solution)
+    return forward(stepped, trace.dataset)
 
 
 def owo_molf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """One optimal step size per hidden unit (the grouped step at one
     group), then the output-weight solve."""
-    d = state.dataset
-    gw = input_weight_gradient(state.mlp, d, trace)
-    stepped, stepped_trace = _grouped_step(state.mlp, d, trace, gw, 1)
-    mlp, solved = output_weight_step(stepped, d, stepped_trace)
-    return mlp, solved, output_mse(d, solved.output), cost.mult_owo_molf(*_dims(state)), {}
+    gw = input_weight_gradient(trace)
+    solved = output_weight_step(_grouped_step(trace, gw, 1))
+    return solved, output_mse(solved), cost.mult_owo_molf(*_dims(state)), {}
 
 
 def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -410,30 +411,28 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     periodically after, error-per-multiply adaptation otherwise), take the
     grouped step, solve output weights, record the iteration's error change
     per multiply."""
-    d = state.dataset
-    mlp = state.mlp
     ast = state.amolf
     n, nh, m, nv = _dims(state)
     iteration = state.iteration + 1
 
-    gw = input_weight_gradient(mlp, d, trace)
+    gw = input_weight_gradient(trace)
 
     searched = iteration == 1 or (ast.search_period > 0 and iteration % ast.search_period == 0)
     if searched:
-        n_groups, stepped, stepped_trace = initial_group_search(mlp, d, trace, gw)
+        n_groups, stepped = initial_group_search(trace, gw)
     else:
         n_groups = ast.n_groups
         if len(ast.epm) == 2:
             n_groups = adapt_group_count(n_groups, *ast.epm, n)
-        stepped, stepped_trace = _grouped_step(mlp, d, trace, gw, n_groups)
-    mlp, stepped_trace = output_weight_step(stepped, d, stepped_trace)
-    err = output_mse(d, stepped_trace.output)
+        stepped = _grouped_step(trace, gw, n_groups)
+    stepped = output_weight_step(stepped)
+    err = output_mse(stepped)
 
     multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
     surcharge = cost.mult_amolf_search(n, nh, m, nv) if searched else 0
     epm = (*ast.epm, cost.epm(state.last_error, err, multiplies))[-2:]
     new_amolf = replace(ast, n_groups=n_groups, epm=epm)
-    return mlp, stepped_trace, err, multiplies + surcharge, {"amolf": new_amolf}
+    return stepped, err, multiplies + surcharge, {"amolf": new_amolf}
 
 
 def _moved(mlp: Mlp, d: GradientBundle, step: float) -> Mlp:
@@ -463,20 +462,19 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     the solver, so a solve reports rank deficiency only when it skipped
     pivots.
     """
-    d = state.dataset
-    mlp = state.mlp
-    gradient = backprop(mlp, d, trace)
-    gram = gauss_newton_full_hessian(mlp, d, trace)
+    mlp = trace.mlp
+    gradient = backprop(trace)
+    gram = gauss_newton_full_hessian(trace)
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     accepted = False
-    new_mlp, new_trace, err = mlp, trace, state.last_error
+    new_trace, err = trace, state.last_error
     for _ in range(LM_MAX_RETRIES):
         candidate = _moved(mlp, damped_gauss_newton_step(mlp, gram, gradient, lam), 1.0)
-        candidate_trace = forward(candidate, d)
-        candidate_error = output_mse(d, candidate_trace.output)
+        candidate_trace = forward(candidate, state.dataset)
+        candidate_error = output_mse(candidate_trace)
         if candidate_error < state.last_error:
-            new_mlp, new_trace, err, accepted = candidate, candidate_trace, candidate_error, True
+            new_trace, err, accepted = candidate_trace, candidate_error, True
             lam = max(lam / 10.0, LM_LAMBDA_MIN)
             break
         del candidate_trace  # not kept alive through the next solve
@@ -485,27 +483,24 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
         lam = min(lam * 10.0, LM_LAMBDA_MAX)
 
     changes = {"lm_lambda": lam, "lm_stalled": not accepted}
-    return new_mlp, new_trace, err, cost.mult_lm(*_dims(state)), changes
+    return new_trace, err, cost.mult_lm(*_dims(state)), changes
 
 
 def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Conjugate-gradient step over all weights, with the step size from the
     Gauss-Newton curvature along the direction."""
-    d = state.dataset
-    mlp = state.mlp
-    gradient = pack(backprop(mlp, d, trace))
+    gradient = pack(backprop(trace))
     direction = fletcher_reeves_direction(
         gradient, state.cg_direction, state.cg_gradient_norm_sq
     )
-    along = unpack(direction, mlp)
+    along = unpack(direction, trace.mlp)
     curvature = gn_curvature_along_direction(
-        mlp, d, trace, along.input_weights, along.output_weights, along.bypass_weights
+        trace, along.input_weights, along.output_weights, along.bypass_weights
     )
     step = _optimal_step(float(gradient @ direction), curvature)
-    mlp = _moved(mlp, along, step)
-    trace = forward(mlp, d)
+    trace = forward(_moved(trace.mlp, along, step), state.dataset)
     changes = {"cg_direction": direction, "cg_gradient_norm_sq": float(gradient @ gradient)}
-    return mlp, trace, output_mse(d, trace.output), cost.mult_cg(*_dims(state)), changes
+    return trace, output_mse(trace), cost.mult_cg(*_dims(state)), changes
 
 
 _STEPS = {
@@ -529,14 +524,14 @@ def iterate(state: TrainerState) -> TrainerState:
     trace = _take_handoff(state.mlp, state.dataset)
     if trace is None:
         trace = forward(state.mlp, state.dataset)
-    step = _STEPS[state.algorithm]
-    mlp, trace, error, multiplies, changes = step(state, trace)
-    _handoff = (mlp, state.dataset, trace)
+    trace, error, multiplies, changes = _STEPS[state.algorithm](state, trace)
+    _check_error(error, f"after {state.algorithm} iteration {state.iteration + 1}")
+    _handoff = trace
     ledger = CostLedger(list(state.ledger.per_iteration))
     ledger.record(multiplies)
     return replace(
         state,
-        mlp=mlp,
+        mlp=trace.mlp,
         ledger=ledger,
         last_error=error,
         iteration=state.iteration + 1,

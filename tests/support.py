@@ -214,7 +214,7 @@ def dense_full_hessian(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
     nh, m = mlp.n_hidden, mlp.n_outputs
     niw = nh * n1
     nw = niw + m * nh + m * n1
-    fprime = activation_derivative(mlp, trace)
+    fprime = activation_derivative(trace)
     jac = np.zeros((nv, m, nw))
     jac[:, :, :niw] = np.einsum(
         "ik,pk,pn->pikn", mlp.woh, fprime, dataset.inputs
@@ -254,7 +254,7 @@ def unflatten_index(flat: int, n_inputs: int) -> tuple[int, int]:
 
 def hidden_deltas(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
     """Output deltas pushed through the output weights and the activation slope."""
-    return activation_derivative(mlp, trace) * (output_deltas(dataset, trace) @ mlp.woh)
+    return activation_derivative(trace) * (output_deltas(trace) @ mlp.woh)
 
 
 # The plain-expression forms of the per-pattern kernels, which build each
@@ -349,7 +349,7 @@ def output_hessian_gradient(
     entry (i, j) at position i * n_basis + j.
     """
     nv = dataset.n_patterns
-    basis = augmented_basis(dataset, trace)
+    basis = augmented_basis(trace)
     r = basis.T @ basis / nv
     m = dataset.n_outputs
     ho = np.kron(np.eye(m), 2.0 * r)

@@ -48,7 +48,7 @@ def test_backprop_zero_at_interpolation():
     rng = np.random.default_rng(0)
     mlp, d = random_network(rng, 3, 2, 2, 10)
     exact = make_dataset(d.inputs[:, :-1], forward(mlp, d).output)
-    g = backprop(mlp, exact, forward(mlp, exact))
+    g = backprop(forward(mlp, exact))
     assert np.abs(g.input_weights).max() == 0.0
     assert np.abs(g.output_weights).max() == 0.0
     assert np.abs(g.bypass_weights).max() == 0.0
@@ -58,7 +58,7 @@ def test_backprop_zero_input_gradient_without_output_weights():
     rng = np.random.default_rng(1)
     mlp, d = random_network(rng, 3, 2, 2, 10)
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh))
-    g = backprop(mlp, d, forward(mlp, d))
+    g = backprop(forward(mlp, d))
     assert np.abs(g.input_weights).max() == 0.0
 
 
@@ -67,7 +67,7 @@ def test_backprop_zero_input_gradient_without_output_weights():
 def test_backprop_matches_finite_differences(seed, activation):
     rng = np.random.default_rng(100 + seed)
     mlp, d = random_network(rng, 4, 3, 2, 20, activation=activation)
-    g = backprop(mlp, d, forward(mlp, d))
+    g = backprop(forward(mlp, d))
     fd_w, fd_woh, fd_woi = fd_gradients(mlp, d)
     assert relative_max_error(g.input_weights, fd_w) <= 1e-5
     assert relative_max_error(g.output_weights, fd_woh) <= 1e-5
@@ -77,25 +77,25 @@ def test_backprop_matches_finite_differences(seed, activation):
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "linear"])
 def test_input_weight_gradient_is_backprops_bit_for_bit(activation):
     mlp, d, trace = extreme_network(np.random.default_rng(40), activation)
-    gw = input_weight_gradient(mlp, d, trace)
-    assert same_bits(gw, backprop(mlp, d, trace).input_weights)
+    gw = input_weight_gradient(trace)
+    assert same_bits(gw, backprop(trace).input_weights)
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
 def test_per_pattern_kernels_match_their_expressions_bit_for_bit(activation):
     rng = np.random.default_rng(41)
     mlp, d, trace = extreme_network(rng, activation)
-    assert same_bits(output_deltas(d, trace), expression_output_deltas(d, trace))
-    assert same_bits(curvature_map(mlp, d, trace), expression_curvature_map(mlp, d, trace))
+    assert same_bits(output_deltas(trace), expression_output_deltas(d, trace))
+    assert same_bits(curvature_map(trace), expression_curvature_map(mlp, d, trace))
     d_w = extreme_array(rng, mlp.w.shape)
     d_woh = extreme_array(rng, mlp.woh.shape)
     d_woi = extreme_array(rng, mlp.woi.shape)
     assert same_bits(
-        gn_curvature_along_input_direction(mlp, d, trace, d_w),
+        gn_curvature_along_input_direction(trace, d_w),
         expression_curvature_along_input_direction(mlp, d, trace, d_w),
     )
     assert same_bits(
-        gn_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi),
+        gn_curvature_along_direction(trace, d_w, d_woh, d_woi),
         expression_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi),
     )
 
@@ -104,7 +104,7 @@ def test_input_hessian_zero_without_output_weights():
     rng = np.random.default_rng(2)
     mlp, d = random_network(rng, 3, 2, 2, 10)
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh))
-    h = gauss_newton_input_hessian(mlp, d, forward(mlp, d))
+    h = gauss_newton_input_hessian(forward(mlp, d))
     assert np.abs(h).max() == 0.0
 
 
@@ -123,14 +123,14 @@ def test_input_hessian_hand_expansion_single_weighted_unit():
     fprime = o * (1.0 - o)
     x = d.inputs[0]
     expected = 2.0 * 1.5**2 * fprime**2 * np.outer(x, x)
-    h = gauss_newton_input_hessian(mlp, d, trace)
+    h = gauss_newton_input_hessian(trace)
     assert np.abs(h - expected).max() <= 1e-14
 
 
 def test_input_hessian_symmetric_psd():
     rng = np.random.default_rng(3)
     mlp, d = random_network(rng, 4, 3, 2, 25)
-    h = gauss_newton_input_hessian(mlp, d, forward(mlp, d))
+    h = gauss_newton_input_hessian(forward(mlp, d))
     assert np.array_equal(h, h.T)
     probes = rng.standard_normal((100, h.shape[0]))
     quad = np.einsum("ri,ij,rj->r", probes, h, probes)
@@ -181,7 +181,7 @@ def test_flatten_round_trip():
 
 def test_pack_unpack_round_trip():
     mlp, d = random_network(np.random.default_rng(8), 3, 4, 2, 20)
-    grads = backprop(mlp, d, forward(mlp, d))
+    grads = backprop(forward(mlp, d))
     vec = pack(grads)
     assert vec.shape == (4 * 4 + 2 * 4 + 2 * 4,)
     back = unpack(vec, mlp)
@@ -195,7 +195,7 @@ def test_output_hessian_gradient_zero_weights_single_output():
     mlp, d = random_network(rng, 3, 2, 1, 15)
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh), woi=np.zeros_like(mlp.woi))
     trace = forward(mlp, d)
-    corr = accumulate_correlations(d, trace)
+    corr = accumulate_correlations(trace)
     _, go = output_hessian_gradient(mlp, d, trace)
     assert np.abs(go - 2.0 * corr.c.ravel()).max() <= 1e-12
 
@@ -204,7 +204,7 @@ def test_output_hessian_blocks_match_correlations():
     rng = np.random.default_rng(5)
     mlp, d = random_network(rng, 3, 2, 3, 15)
     trace = forward(mlp, d)
-    corr = accumulate_correlations(d, trace)
+    corr = accumulate_correlations(trace)
     ho, _ = output_hessian_gradient(mlp, d, trace)
     nu = corr.r.shape[0]
     for i in range(3):
@@ -218,7 +218,7 @@ def test_output_newton_step_reaches_closed_form():
     rng = np.random.default_rng(6)
     mlp, d = random_network(rng, 3, 2, 1, 25)
     trace = forward(mlp, d)
-    corr = accumulate_correlations(d, trace)
+    corr = accumulate_correlations(trace)
     ho, go = output_hessian_gradient(mlp, d, trace)
     step = solve_sym(ho, go).solution
     wo_new = np.hstack((mlp.woi, mlp.woh)).ravel() + step
@@ -230,15 +230,15 @@ def test_curvature_zero_without_output_weights():
     rng = np.random.default_rng(7)
     mlp, d = random_network(rng, 3, 2, 2, 10)
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh))
-    assert np.abs(curvature_map(mlp, d, forward(mlp, d))).max() == 0.0
+    assert np.abs(curvature_map(forward(mlp, d))).max() == 0.0
 
 
 def test_curvature_equals_hessian_diagonal():
     rng = np.random.default_rng(8)
     mlp, d = random_network(rng, 4, 3, 2, 20)
     trace = forward(mlp, d)
-    hw = curvature_map(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace)
+    hw = curvature_map(trace)
+    h = gauss_newton_input_hessian(trace)
     assert np.abs(hw.ravel() - np.diag(h)).max() <= 1e-12 * (1.0 + np.abs(h).max())
     assert hw.min() >= 0.0
 
@@ -247,7 +247,7 @@ def test_curvature_matches_finite_difference_at_small_residual():
     rng = np.random.default_rng(9)
     mlp, d = near_interpolating_network(rng, 3, 2, 2, 25, noise=1e-4)
     trace = forward(mlp, d)
-    hw = curvature_map(mlp, d, trace)
+    hw = curvature_map(trace)
     for k, n in [(0, 0), (1, 2), (0, 3)]:
         def along(t, k=k, n=n):
             w = mlp.w.copy()
@@ -262,9 +262,9 @@ def test_directional_curvature_equals_quadratic_form():
     rng = np.random.default_rng(10)
     mlp, d = random_network(rng, 4, 3, 2, 20)
     trace = forward(mlp, d)
-    g = backprop(mlp, d, trace)
-    h = gauss_newton_input_hessian(mlp, d, trace)
-    direct = gn_curvature_along_input_direction(mlp, d, trace, g.input_weights)
+    g = backprop(trace)
+    h = gauss_newton_input_hessian(trace)
+    direct = gn_curvature_along_input_direction(trace, g.input_weights)
     gv = g.input_weights.ravel()
     quad = float(gv @ h @ gv)
     assert abs(direct - quad) <= 1e-10 * (1.0 + abs(quad))
@@ -274,8 +274,8 @@ def test_directional_curvature_matches_fd_second_derivative():
     rng = np.random.default_rng(11)
     mlp, d = near_interpolating_network(rng, 4, 3, 2, 30, noise=1e-4)
     trace = forward(mlp, d)
-    g = backprop(mlp, d, trace)
-    direct = gn_curvature_along_input_direction(mlp, d, trace, g.input_weights)
+    g = backprop(trace)
+    direct = gn_curvature_along_input_direction(trace, g.input_weights)
 
     def along(z):
         return mse(replace(mlp, w=mlp.w + z * g.input_weights), d)
@@ -292,14 +292,14 @@ def test_full_hessian_layout_and_quadratic_form():
     for (n, nh), m in itertools.product(((3, 2), (3, 13), (4, 21)), (1, 3)):
         mlp, d = random_network(rng, n, nh, m, 150)
         trace = forward(mlp, d)
-        g = backprop(mlp, d, trace)
-        h_full = expand_full_hessian(mlp, gauss_newton_full_hessian(mlp, d, trace))
+        g = backprop(trace)
+        h_full = expand_full_hessian(mlp, gauss_newton_full_hessian(trace))
         expected = dense_full_hessian(mlp, d, trace)
         assert np.abs(h_full - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.array_equal(h_full, h_full.T)
         g_full = pack(g)
         niw = nh * (n + 1)
-        h_in = gauss_newton_input_hessian(mlp, d, trace)
+        h_in = gauss_newton_input_hessian(trace)
         assert np.abs(h_full[:niw, :niw] - h_in).max() <= 1e-12
         assert np.abs(g_full[:niw] - g.input_weights.ravel()).max() == 0.0
         direction = rng.standard_normal(h_full.shape[0])
@@ -307,7 +307,7 @@ def test_full_hessian_layout_and_quadratic_form():
         d_w = direction[:niw].reshape(nh, n + 1)
         d_woh = direction[niw : niw + m * nh].reshape(m, nh)
         d_woi = direction[niw + m * nh :].reshape(m, n + 1)
-        direct = gn_curvature_along_direction(mlp, d, trace, d_w, d_woh, d_woi)
+        direct = gn_curvature_along_direction(trace, d_w, d_woh, d_woi)
         assert abs(direct - quad) <= 1e-10 * (1.0 + abs(quad))
 
 
@@ -319,12 +319,12 @@ def test_full_hessian_peak_allocation():
     # feature-sized temporary fails.
     data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
     mlp = init_net_control(data, 30, 0)
-    mlp, trace = output_weight_step(mlp, data, forward(mlp, data))
-    assert np.all(mlp.woh != 0.0)
+    trace = output_weight_step(forward(mlp, data))
+    assert np.all(trace.mlp.woh != 0.0)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        gauss_newton_full_hessian(mlp, data, trace)
+        gauss_newton_full_hessian(trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

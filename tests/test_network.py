@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,8 @@ def test_forward_pass_is_write_protected(activation):
     rng = np.random.default_rng(6)
     mlp, d = random_network(rng, 3, 4, 2, 10, activation=activation)
     trace = forward(mlp, d)
+    # The pass records the network and dataset it ran, by identity.
+    assert trace.mlp is mlp and trace.dataset is d
     for arr in (trace.activ, trace.output):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 7.0
@@ -141,7 +144,9 @@ def test_outputs_and_error_match_their_expressions_bit_for_bit(activation):
     activ = extreme_array(rng, trace.activ.shape)
     assert same_bits(linear_output(mlp, d, activ), expression_linear_output(mlp, d, activ))
     for output in (trace.output, extreme_array(rng, trace.output.shape)):
-        assert same_bits(output_mse(d, output), expression_output_mse(d, output))
+        assert same_bits(
+            output_mse(replace(trace, output=output)), expression_output_mse(d, output)
+        )
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])

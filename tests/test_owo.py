@@ -23,7 +23,7 @@ def test_unit_basis_single_pattern():
         woi=np.zeros((1, 3)),
         activation="tanh",
     )
-    corr = accumulate_correlations(d, forward(mlp, d))
+    corr = accumulate_correlations(forward(mlp, d))
     e = np.zeros(5)
     e[2] = 1.0  # bias position in [x1, x2, bias, o1, o2]
     assert np.array_equal(corr.r, np.outer(e, e))
@@ -34,8 +34,8 @@ def test_duplicating_patterns_leaves_correlations():
     rng = np.random.default_rng(0)
     mlp, d = random_network(rng, 3, 2, 2, 12)
     doubled = take(d, np.concatenate((np.arange(12), np.arange(12))))
-    a = accumulate_correlations(d, forward(mlp, d))
-    b = accumulate_correlations(doubled, forward(mlp, doubled))
+    a = accumulate_correlations(forward(mlp, d))
+    b = accumulate_correlations(forward(mlp, doubled))
     assert np.abs(a.r - b.r).max() <= 1e-12
     assert np.abs(a.c - b.c).max() <= 1e-12
 
@@ -43,7 +43,7 @@ def test_duplicating_patterns_leaves_correlations():
 def test_correlations_match_scalar_oracle():
     rng = np.random.default_rng(1)
     mlp, d = random_network(rng, 3, 2, 2, 10)
-    corr = accumulate_correlations(d, forward(mlp, d))
+    corr = accumulate_correlations(forward(mlp, d))
     r, c = scalar_correlations(mlp, d)
     assert np.abs(corr.r - r).max() <= 1e-12
     assert np.abs(corr.c - c).max() <= 1e-12
@@ -67,7 +67,7 @@ def test_collinear_activations_rank_deficient_but_consistent():
         activation="sigmoid",
     )
     trace = forward(mlp, d)
-    corr = accumulate_correlations(d, trace)
+    corr = accumulate_correlations(trace)
     sol = solve_output_weights(corr)
     assert sol.rank_deficient
     residual = corr.r @ sol.solution - corr.c
@@ -77,7 +77,7 @@ def test_collinear_activations_rank_deficient_but_consistent():
 def test_owo_is_minimum_under_perturbations():
     rng = np.random.default_rng(3)
     mlp, d = random_network(rng, 3, 3, 2, 40)
-    solved, _ = output_weight_step(mlp, d, forward(mlp, d))
+    solved = output_weight_step(forward(mlp, d)).mlp
     base = mse(solved, d)
     from dataclasses import replace
 
@@ -95,7 +95,7 @@ def test_owo_never_increases_error():
     for seed in range(5):
         mlp, d = random_network(np.random.default_rng(seed), 3, 3, 2, 30)
         before = mse(mlp, d)
-        solved, _ = output_weight_step(mlp, d, forward(mlp, d))
+        solved = output_weight_step(forward(mlp, d)).mlp
         assert mse(solved, d) <= before + 1e-12
 
 
@@ -103,9 +103,9 @@ def test_output_gradients_vanish_after_owo():
     rng = np.random.default_rng(5)
     mlp, d = random_network(rng, 3, 3, 2, 40)
     trace = forward(mlp, d)
-    corr = accumulate_correlations(d, trace)
-    solved, _ = output_weight_step(mlp, d, trace)
-    g = backprop(solved, d, forward(solved, d))
+    corr = accumulate_correlations(trace)
+    solved = output_weight_step(trace).mlp
+    g = backprop(forward(solved, d))
     bound = 1e-6 * (1.0 + np.abs(corr.c).max())
     assert np.abs(g.output_weights).max() <= bound
     assert np.abs(g.bypass_weights).max() <= bound
@@ -115,7 +115,7 @@ def test_basis_ordering_inputs_then_activations():
     rng = np.random.default_rng(6)
     mlp, d = random_network(rng, 3, 2, 1, 8)
     trace = forward(mlp, d)
-    basis = augmented_basis(d, trace)
+    basis = augmented_basis(trace)
     assert np.array_equal(basis[:, : d.n_inputs + 1], d.inputs)
     assert np.array_equal(basis[:, d.n_inputs + 1 :], trace.activ)
 
@@ -124,8 +124,9 @@ def test_output_weight_step_refreshes_outputs_bit_for_bit():
     for activation in ("sigmoid", "tanh"):
         mlp, d = random_network(np.random.default_rng(7), 4, 3, 2, 30, activation)
         trace = forward(mlp, d)
-        solved, refreshed = output_weight_step(mlp, d, trace)
-        wo = solve_output_weights(accumulate_correlations(d, trace)).solution.T
+        refreshed = output_weight_step(trace)
+        solved = refreshed.mlp
+        wo = solve_output_weights(accumulate_correlations(trace)).solution.T
         fresh = forward(solved, d)
         assert np.array_equal(solved.w, mlp.w)
         # Bypass weights first, then hidden, as in augmented_basis.
