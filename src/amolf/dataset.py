@@ -74,10 +74,10 @@ def take(dataset: Dataset, indices: np.ndarray) -> Dataset:
 def load_tra(path: str, n_inputs: int, n_outputs: int) -> Dataset:
     """Load a whitespace-separated text file of patterns.
 
-    Each non-empty line must carry exactly ``n_inputs + n_outputs`` decimal
-    numbers; the final ``n_outputs`` columns are the targets. Malformed
-    lines raise ValueError naming the offending line number, and so do
-    input or output counts under 1.
+    Each non-empty line must carry exactly ``n_inputs + n_outputs`` finite
+    decimal numbers; the final ``n_outputs`` columns are the targets. Malformed
+    lines raise ValueError naming the offending line number, and so do input
+    or output counts under 1.
     """
     if n_inputs < 1 or n_outputs < 1:
         raise ValueError(f"need n_inputs, n_outputs >= 1, got {n_inputs}, {n_outputs}")
@@ -96,6 +96,9 @@ def load_tra(path: str, n_inputs: int, n_outputs: int) -> Dataset:
                 rows.append([float(tok) for tok in tokens])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            bad = [tok for tok, finite in zip(tokens, np.isfinite(rows[-1])) if not finite]
+            if bad:
+                raise ValueError(f"{path}: line {lineno}: {bad[0]!r} is not finite")
     if not rows:
         raise ValueError(f"{path}: no patterns")
     data = np.asarray(rows, dtype=np.float64)

@@ -16,6 +16,7 @@ expressions, so the bits are too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +101,7 @@ class ForwardTrace:
     """Per-pattern intermediates of one forward pass, with the network and
     dataset it ran: a kernel that reads a pass takes the pass alone. The
     arrays are write-protected in place (not copied), so neither iteration
-    can change a pass that one hands to the next."""
+    can change a pass that one hands to the next; a pass caches its error."""
 
     mlp: Mlp
     dataset: Dataset
@@ -110,6 +111,11 @@ class ForwardTrace:
     def __post_init__(self) -> None:
         self.activ.setflags(write=False)
         self.output.setflags(write=False)
+
+    @cached_property
+    def error(self) -> float:
+        """Squared error summed over outputs, averaged over patterns; computed once."""
+        return _output_error(self.dataset, self.output)
 
 
 def activation_derivative(trace: ForwardTrace) -> np.ndarray:
@@ -140,12 +146,6 @@ def _output_error(dataset: Dataset, output: np.ndarray) -> float:
     residual = np.subtract(dataset.targets, output)
     residual *= residual
     return float(residual.sum() / dataset.n_patterns)
-
-
-def output_mse(trace: ForwardTrace) -> float:
-    """The error of a forward pass: squared error summed over outputs,
-    averaged over patterns."""
-    return _output_error(trace.dataset, trace.output)
 
 
 def mse(mlp: Mlp, dataset: Dataset) -> float:

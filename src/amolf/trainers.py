@@ -18,22 +18,22 @@ Six trainers share the same machinery:
 
 ``iterate`` owns the iteration boundary: it hands the forward pass of the
 state's network to the algorithm's step (``_STEPS``), and records the
-step's error and multiplies in the next state, whose ledger is a copy of
-the last one plus this entry. A pass carries its network and dataset, so
-every kernel that reads one takes the pass alone, and a step returns the
-forward pass of its new network, a fresh error evaluation of it, its
-multiplies and the state fields it changes. No state keeps the pass,
-since a run keeps its states: ``iterate`` holds only the last one, in a
-private slot, and the next ``iterate`` takes it from there when the
-pass's network and dataset are its state's very objects (``Mlp``,
-``Dataset`` and ``ForwardTrace`` are immutable), or runs ``forward``
-otherwise. So an iteration runs one forward pass, of the network it
-returns, and none of the network it starts from. owo-molf, owo-newton and
-amolf take an input-weight step, then solve the output weights, a solve
-that refreshes only the network and outputs of its pass; owo-bp solves
-them first. A search iteration runs one pass per candidate count and
-solves for the winner's; LM runs one per candidate and returns the
-accepted one's. An error that is NaN or infinite stops the run with a
+error of the pass the step returns, and the step's multiplies, in the next
+state, whose ledger is a copy of the last one plus this entry. A pass
+carries its network, dataset and error (``ForwardTrace.error``, computed
+once), so a kernel that reads one takes the pass alone and a step compares
+errors of passes, never ``last_error``. A step returns its new network's
+pass, its multiplies and the state fields it changes. No state keeps the
+pass, since a run keeps its states: ``iterate`` holds only the last one,
+in a private slot, and the next ``iterate`` takes it from there when the
+pass's network and dataset are its state's very objects (both immutable),
+or runs ``forward`` otherwise. So an iteration runs one forward pass, of
+the network it returns, and none of the network it starts from. owo-molf,
+owo-newton and amolf take an input-weight step, then solve the output
+weights, a solve that refreshes only the network and outputs of its pass;
+owo-bp solves them first. A search iteration runs one pass per candidate
+count and solves for the winner's; LM runs one per candidate and returns
+the accepted one's. An error that is NaN or infinite stops the run with a
 ``ValueError``, in ``init_state`` or ``iterate``.
 
 A grouping is its group-id map (``build_partition``): one int group id
@@ -82,7 +82,7 @@ from .gradients import (
     unpack,
 )
 from .linalg import solve_sym
-from .network import ForwardTrace, Mlp, activation_derivative, forward, output_mse
+from .network import ForwardTrace, Mlp, activation_derivative, forward
 from .owo import output_weight_step
 
 # Step-size fallback when the directional curvature is numerically zero.
@@ -240,21 +240,20 @@ def initial_group_search(trace: ForwardTrace, gw: np.ndarray) -> tuple[int, Forw
     Builds the full input-weight Hessian once and groups by its diagonal,
     the per-weight curvature. For every candidate count it compresses the
     Hessian onto the grouped unknowns, solves, applies the trial step to a
-    scratch copy, and runs it forward for its error. The lowest error wins;
+    scratch copy, and runs it forward. The pass with the lowest error wins;
     ties go to the smaller count. Returns the winning count and the
     forward pass of its stepped network.
     """
     hessian = gauss_newton_input_hessian(trace)
     curvature = hessian.diagonal().reshape(gw.shape)
-    best, best_error = None, np.inf
+    best = None
     for ng in range(1, trace.dataset.n_inputs + 1):
         group = build_partition(curvature, ng)
         ha, ga = assemble_grouped_from_hessian(hessian, gw, group)
         z = solve_sym(ha, ga).solution
         candidate = forward(apply_grouped_step(trace.mlp, gw, group, z), trace.dataset)
-        err = output_mse(candidate)
-        if ng == 1 or err < best_error:
-            best, best_error = (ng, candidate), err
+        if ng == 1 or candidate.error < best[1].error:
+            best = (ng, candidate)
     return best
 
 
@@ -282,8 +281,9 @@ class AmolfState:
 class TrainerState:
     """Snapshot of one training run after ``iteration`` completed steps.
 
-    ``last_error`` always equals a fresh error evaluation of ``mlp``, and
-    ``ledger`` holds exactly this state's ``iteration`` entries.
+    ``last_error`` is the error of ``mlp``'s forward pass on ``dataset``, a
+    record for the caller that no step reads; ``ledger`` holds exactly this
+    state's ``iteration`` entries.
     """
 
     mlp: Mlp
@@ -304,7 +304,7 @@ class TrainerState:
 # match can only be those very objects; a miss just runs ``forward`` again.
 # Runs in other threads share the slot without a lock: a race costs a miss,
 # never a wrong pass, since a pass serves only its own network and dataset
-# and nothing writes into it.
+# and caches nothing but its own error, the same float in any thread.
 _handoff: ForwardTrace | None = None
 
 
@@ -333,8 +333,8 @@ def init_state(
     search_period: int = DEFAULT_SEARCH_PERIOD,
 ) -> TrainerState:
     """State before the first iteration of ``algorithm`` from ``mlp`` on
-    ``dataset``. The forward pass that gives ``last_error`` goes into the
-    hand-off slot for the first ``iterate``. Only amolf takes a
+    ``dataset``. The forward pass whose error is ``last_error`` goes into
+    the hand-off slot for the first ``iterate``. Only amolf takes a
     ``search_period`` other than the default."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -345,7 +345,7 @@ def init_state(
     global _handoff
     _handoff = None  # the last run's pass is not kept through this one
     trace = forward(mlp, dataset)
-    last_error = _check_error(output_mse(trace), "of the starting network")
+    last_error = _check_error(trace.error, "of the starting network")
     _handoff = trace
     return TrainerState(
         mlp=mlp,
@@ -362,9 +362,9 @@ def _dims(state: TrainerState) -> tuple[int, int, int, int]:
     return d.n_inputs, state.mlp.n_hidden, d.n_outputs, d.n_patterns
 
 
-# (the new network's forward pass, its fresh error, modelled multiplies,
-# other changed fields)
-StepResult = tuple[ForwardTrace, float, int, dict]
+# (the new network's forward pass, which carries its error; modelled
+# multiplies; other changed fields)
+StepResult = tuple[ForwardTrace, int, dict]
 
 
 def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -372,8 +372,7 @@ def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     trace = output_weight_step(trace)
     gw = input_weight_gradient(trace)
     mlp = replace(trace.mlp, w=trace.mlp.w + olf(trace, gw) * gw)
-    trace = forward(mlp, state.dataset)
-    return trace, output_mse(trace), cost.mult_owo_bp(*_dims(state)), {}
+    return forward(mlp, state.dataset), cost.mult_owo_bp(*_dims(state)), {}
 
 
 def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -383,7 +382,7 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     hessian = gauss_newton_input_hessian(trace)
     stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, gw))
     solved = output_weight_step(forward(stepped, state.dataset))
-    return solved, output_mse(solved), cost.mult_owo_newton(*_dims(state)), {}
+    return solved, cost.mult_owo_newton(*_dims(state)), {}
 
 
 def _grouped_step(trace: ForwardTrace, gw: np.ndarray, n_groups: int) -> ForwardTrace:
@@ -403,7 +402,7 @@ def owo_molf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     group), then the output-weight solve."""
     gw = input_weight_gradient(trace)
     solved = output_weight_step(_grouped_step(trace, gw, 1))
-    return solved, output_mse(solved), cost.mult_owo_molf(*_dims(state)), {}
+    return solved, cost.mult_owo_molf(*_dims(state)), {}
 
 
 def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -426,13 +425,12 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
             n_groups = adapt_group_count(n_groups, *ast.epm, n)
         stepped = _grouped_step(trace, gw, n_groups)
     stepped = output_weight_step(stepped)
-    err = output_mse(stepped)
 
     multiplies = cost.mult_amolf(n, nh, m, nv, n_groups)
     surcharge = cost.mult_amolf_search(n, nh, m, nv) if searched else 0
-    epm = (*ast.epm, cost.epm(state.last_error, err, multiplies))[-2:]
+    epm = (*ast.epm, cost.epm(trace.error, stepped.error, multiplies))[-2:]
     new_amolf = replace(ast, n_groups=n_groups, epm=epm)
-    return stepped, err, multiplies + surcharge, {"amolf": new_amolf}
+    return stepped, multiplies + surcharge, {"amolf": new_amolf}
 
 
 def _moved(mlp: Mlp, d: GradientBundle, step: float) -> Mlp:
@@ -452,29 +450,27 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     Solves the Gauss-Newton system with the current damping added to its
     diagonal, through ``damped_gauss_newton_step`` on the factored Hessian,
     which is built once per iteration; each retry changes only the damping.
-    On error decrease the step is accepted and the damping shrinks tenfold,
-    otherwise it grows tenfold and the solve is retried.
+    On an error below the input pass's the step is accepted and the damping
+    shrinks tenfold, otherwise it grows tenfold and the solve is retried.
     The damping stays within [LM_LAMBDA_MIN, LM_LAMBDA_MAX]; a rejection at
     the cap ends the retries, since another solve at the same damping would
     repeat the same step. After LM_MAX_RETRIES consecutive rejections, or
     one at the cap, the iteration ends with the weights unchanged, flagged
-    stalled, and returns its own input pass. The damping lives here, not in
-    the solver, so a solve reports rank deficiency only when it skipped
-    pivots.
+    stalled, and returns its own input pass, which carries its error. The
+    damping lives here, not in the solver, so a solve reports rank
+    deficiency only when it skipped pivots.
     """
     mlp = trace.mlp
     gradient = backprop(trace)
     gram = gauss_newton_full_hessian(trace)
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
-    accepted = False
-    new_trace, err = trace, state.last_error
+    new_trace = trace
     for _ in range(LM_MAX_RETRIES):
         candidate = _moved(mlp, damped_gauss_newton_step(mlp, gram, gradient, lam), 1.0)
         candidate_trace = forward(candidate, state.dataset)
-        candidate_error = output_mse(candidate_trace)
-        if candidate_error < state.last_error:
-            new_trace, err, accepted = candidate_trace, candidate_error, True
+        if candidate_trace.error < trace.error:
+            new_trace = candidate_trace
             lam = max(lam / 10.0, LM_LAMBDA_MIN)
             break
         del candidate_trace  # not kept alive through the next solve
@@ -482,8 +478,8 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
             break
         lam = min(lam * 10.0, LM_LAMBDA_MAX)
 
-    changes = {"lm_lambda": lam, "lm_stalled": not accepted}
-    return new_trace, err, cost.mult_lm(*_dims(state)), changes
+    changes = {"lm_lambda": lam, "lm_stalled": new_trace is trace}
+    return new_trace, cost.mult_lm(*_dims(state)), changes
 
 
 def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
@@ -500,7 +496,7 @@ def cg_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     step = _optimal_step(float(gradient @ direction), curvature)
     trace = forward(_moved(trace.mlp, along, step), state.dataset)
     changes = {"cg_direction": direction, "cg_gradient_norm_sq": float(gradient @ gradient)}
-    return trace, output_mse(trace), cost.mult_cg(*_dims(state)), changes
+    return trace, cost.mult_cg(*_dims(state)), changes
 
 
 _STEPS = {
@@ -517,15 +513,15 @@ ALGORITHMS = tuple(_STEPS)
 def iterate(state: TrainerState) -> TrainerState:
     """Run one training iteration of the state's algorithm: the forward pass
     of ``state.mlp`` (handed off by the step that made it, or run afresh)
-    goes to the algorithm's step, whose error and multiplies go into the new
-    state, the ledger into a copy of this one, and whose network's forward
-    pass goes into the hand-off slot for the next iteration."""
+    goes to the algorithm's step, whose pass's error and multiplies go into
+    the new state, the ledger into a copy of this one, and whose pass goes
+    into the hand-off slot for the next iteration."""
     global _handoff
     trace = _take_handoff(state.mlp, state.dataset)
     if trace is None:
         trace = forward(state.mlp, state.dataset)
-    trace, error, multiplies, changes = _STEPS[state.algorithm](state, trace)
-    _check_error(error, f"after {state.algorithm} iteration {state.iteration + 1}")
+    trace, multiplies, changes = _STEPS[state.algorithm](state, trace)
+    error = _check_error(trace.error, f"after {state.algorithm} iteration {state.iteration + 1}")
     _handoff = trace
     ledger = CostLedger(list(state.ledger.per_iteration))
     ledger.record(multiplies)

@@ -214,6 +214,19 @@ def test_negative_seed_is_one_line_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_non_finite_data_value_names_its_line(tmp_path, capsys):
+    data = tmp_path / "f.tra"
+    data.write_text("1 2 3\nnan 1 2\n")
+    out = tmp_path / "o.csv"
+    argv = ["train", "--data", str(data), "--n", "2", "--m", "1", "--nh", "2",
+            "--algo", "lm", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data}: line 2: 'nan' is not finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["train", "kfold"])
 def test_non_positive_data_dimensions_are_one_line_error(tmp_path, capsys, verb):
     data = tmp_path / "d.tra"

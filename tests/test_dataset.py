@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,19 @@ def test_load_tra_bad_token_names_line(tmp_path):
     path = tmp_path / "bad.tra"
     path.write_text("1 2 3\n4 x 6\n")
     with pytest.raises(ValueError, match="line 2"):
+        load_tra(str(path), 2, 1)
+
+
+@pytest.mark.parametrize(
+    "line, token", [("nan 1 2", "nan"), ("1 1e400 2", "1e400"), ("1 2 -inf", "-inf")]
+)
+def test_load_tra_non_finite_value_names_line(tmp_path, line, token):
+    # A non-finite input or target used to pass the parse and fail later as
+    # "inputs contains non-finite entries", with no line number.
+    path = tmp_path / "bad.tra"
+    path.write_text(f"1 2 3\n\n{line}\n")
+    message = f"{path}: line 3: '{token}' is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_tra(str(path), 2, 1)
 
 

@@ -12,7 +12,6 @@ from amolf.network import (
     init_net_control,
     linear_output,
     mse,
-    output_mse,
     save_mlp,
 )
 from support import (
@@ -145,7 +144,7 @@ def test_outputs_and_error_match_their_expressions_bit_for_bit(activation):
     assert same_bits(linear_output(mlp, d, activ), expression_linear_output(mlp, d, activ))
     for output in (trace.output, extreme_array(rng, trace.output.shape)):
         assert same_bits(
-            output_mse(replace(trace, output=output)), expression_output_mse(d, output)
+            replace(trace, output=output).error, expression_output_mse(d, output)
         )
 
 

@@ -469,8 +469,8 @@ def test_iterate_refuses_a_non_finite_error(error, monkeypatch):
     step = amolf.trainers._STEPS["owo-bp"]
 
     def non_finite_step(state, trace):
-        trace, _, multiplies, changes = step(state, trace)
-        return trace, error, multiplies, changes
+        trace, multiplies, changes = step(state, trace)
+        return replace(trace, output=np.full_like(trace.output, error)), multiplies, changes
 
     monkeypatch.setitem(amolf.trainers._STEPS, "owo-bp", non_finite_step)
     with pytest.raises(
@@ -736,7 +736,7 @@ def test_lm_stalls_at_exact_interpolation():
     exact = make_dataset(d.inputs[:, :-1], forward(mlp, d).output)
     state = init_state("lm", mlp, exact)
     trace = forward(mlp, exact)
-    stalled_trace, _, _, changes = lm_step(state, trace)
+    stalled_trace, _, changes = lm_step(state, trace)
     assert changes["lm_stalled"]
     # The network did not move, so its own input pass is the one handed on.
     assert stalled_trace is trace and stalled_trace.mlp is mlp
@@ -848,13 +848,13 @@ def test_each_step_returns_the_forward_pass_of_its_network(algo):
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 2))
     for _ in range(4):
         step = amolf.trainers._STEPS[algo]
-        trace, error, _, _ = step(state, forward(state.mlp, state.dataset))
+        trace, _, _ = step(state, forward(state.mlp, state.dataset))
         mlp = trace.mlp
         assert trace.dataset is state.dataset
         fresh = forward(mlp, state.dataset)
         assert np.array_equal(trace.activ, fresh.activ)
         assert np.array_equal(trace.output, fresh.output)
-        assert error == mse(mlp, state.dataset)
+        assert trace.error == mse(mlp, state.dataset)
         state = iterate(state)
 
 
@@ -875,6 +875,69 @@ def test_a_handed_off_pass_serves_only_its_own_network_and_dataset(algo):
         assert state.last_error == fresh.last_error
         for a, b in zip(_arrays(state.mlp), _arrays(fresh.mlp)):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_run_continued_on_new_data_compares_errors_on_that_data(algo):
+    # A step compares against the error of the pass it starts from, never
+    # the state's last_error, which a caller may have made stale. When lm
+    # and amolf read last_error, swapping in a new dataset left every lm
+    # candidate rejected against the old data's lower error, and amolf's
+    # first error change per multiply started from the old data's error.
+    state = _matinv_setup(algo=algo, nh=4, nv=200, seed=0)
+    for _ in range(5):
+        state = iterate(state)
+    b = normalize_zero_mean(gen_matrix_inversion(200, 5))
+    start = replace(state, dataset=b)
+    state = iterate(start)
+    assert state.last_error == mse(state.mlp, b)
+    if algo == "lm":
+        assert not state.lm_stalled
+    if algo == "amolf":
+        multiplies = cost.mult_amolf(
+            b.n_inputs, 4, b.n_outputs, b.n_patterns, state.amolf.n_groups
+        )
+        assert state.amolf.epm[-1] == cost.epm(
+            mse(start.mlp, b), state.last_error, multiplies
+        )
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_each_pass_evaluates_its_error_once(algo, monkeypatch):
+    # A pass computes its error when first asked and keeps it: an iteration
+    # evaluates the error of each pass it makes once, and none of the pass
+    # it starts from, whose error init_state or the last iteration read.
+    # A search iteration evaluates each candidate count's pass and the
+    # solved winner's; lm evaluates each candidate's.
+    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 3))
+    n = state.dataset.n_inputs
+    if algo == "lm":
+        # Tiny damping after a first step forces rejections.
+        state = replace(iterate(state), lm_lambda=LM_LAMBDA_MIN)
+    evaluations, candidates = [], []
+    counted_error = amolf.network._output_error
+    counted_step = amolf.trainers.damped_gauss_newton_step
+
+    def counting_error(*args):
+        evaluations.append(1)
+        return counted_error(*args)
+
+    def counting_step(*args):
+        candidates.append(1)
+        return counted_step(*args)
+
+    monkeypatch.setattr(amolf.network, "_output_error", counting_error)
+    monkeypatch.setattr(amolf.trainers, "damped_gauss_newton_step", counting_step)
+    state = iterate(state)
+    if algo == "amolf":
+        assert len(evaluations) == n + 1  # iteration 1 searches
+        evaluations.clear()
+        iterate(state)  # iteration 2 adapts
+    if algo == "lm":
+        assert len(candidates) > 1  # some candidate was rejected
+        assert len(evaluations) == len(candidates)
+    else:
+        assert len(evaluations) == 1
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
