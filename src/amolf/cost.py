@@ -6,12 +6,18 @@ Formulas are evaluated in exact rational arithmetic and rounded to the
 nearest integer (ties to even). Throughout, nu = n + nh + 1 is the
 augmented-basis size, niw = nh * (n + 1) the input-weight count, and
 nw = m * nu + (n + 1) * nh the total weight count.
+
+Each count is memoized per size (``functools.cache``): a run asks for the
+same few counts every iteration, and the exact arithmetic costs tens of
+microseconds per call. Invalid sizes raise on every call, since a call
+that raises caches nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 
@@ -22,6 +28,7 @@ def _check_sizes(n: int, nh: int, m: int, nv: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+@cache
 def mult_ols(nu: int, m: int) -> int:
     """Solving the output-weight system by orthogonal least squares:
     nu (nu+1) [m + (2 nu + 1)/6 + 3/2]."""
@@ -29,6 +36,7 @@ def mult_ols(nu: int, m: int) -> int:
     return round(f)
 
 
+@cache
 def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration of output-weight solving plus gradient descent on the
     input weights with a second-order step size: the output-weight stage
@@ -36,6 +44,7 @@ def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     return mult_owo(n, nh, m, nv) + nv * nh * (m + n + 2)
 
 
+@cache
 def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
     """One damped full-Hessian iteration over every weight in the network."""
     _check_sizes(n, nh, m, nv)
@@ -51,6 +60,7 @@ def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
     return round(f)
 
 
+@cache
 def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     """One full second-order step on the input weights alone:
     nv [niw (2m + 1) + niw (niw + 1) (nv m / 2 + (2 niw + 1)/6 + 5/2)].
@@ -65,6 +75,7 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     return round(f)
 
 
+@cache
 def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
     """The output-weight stage on its own (forward pass plus solve):
     nv [nh (n+1) + m (2 nu + 1) + nu (nu+1) / 2] + mult_ols(nu, m)."""
@@ -75,11 +86,13 @@ def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
     return nv * per_pattern + mult_ols(nu, m)
 
 
+@cache
 def mult_owo_newton(n: int, nh: int, m: int, nv: int) -> int:
     """Output-weight stage plus the full input-weight second-order step."""
     return mult_owo(n, nh, m, nv) + mult_newton(n, nh, m, nv)
 
 
+@cache
 def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration with a compressed nh-by-nh step-size system:
     nh (nh+1) [(2 nh + 1)/6 + 5/2] + nv nh [2m + n + 2 + m (nh + 1)/2]."""
@@ -90,6 +103,7 @@ def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     return round(f)
 
 
+@cache
 def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     """One grouped-step iteration with ng groups per hidden unit and
     nl = ng * nh learning factors:
@@ -109,6 +123,7 @@ def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     return round(f)
 
 
+@cache
 def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
     """Surcharge for one exhaustive group-count search.
 
@@ -130,6 +145,7 @@ def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
     return round(total)
 
 
+@cache
 def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
     """Per-iteration count for conjugate-gradient training of all weights.
 

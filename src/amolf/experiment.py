@@ -10,13 +10,21 @@ the test-fold error of the best-validation model, averaged over k rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, kfold_split, normalize_zero_mean, take
 from .network import Mlp, init_net_control, mse
-from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD, TrainerState, init_state, iterate
+from .trainers import (
+    ALGORITHMS,
+    DEFAULT_SEARCH_PERIOD,
+    TrainerState,
+    init_state,
+    iterate,
+    release_handoff,
+)
 
 DEFAULT_PATIENCE = 20
 MIN_IMPROVEMENT = 1e-6  # relative validation-error improvement
@@ -101,13 +109,16 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     errors = np.empty((config.n_trials, config.iterations))
     multiplies = np.empty((config.n_trials, config.iterations))
     final_models = []
-    for trial in range(config.n_trials):
-        state = _start(data, config, trial)
-        for it in range(config.iterations):
-            state = iterate(state)
-            errors[trial, it] = state.last_error
-        multiplies[trial] = state.ledger.cumulative()
-        final_models.append(state.mlp)
+    try:
+        for trial in range(config.n_trials):
+            state = _start(data, config, trial)
+            for it in range(config.iterations):
+                state = iterate(state)
+                errors[trial, it] = state.last_error
+            multiplies[trial] = state.ledger.cumulative()
+            final_models.append(state.mlp)
+    finally:
+        release_handoff()
     return TrainingCurve(
         iterations=np.arange(1, config.iterations + 1),
         mean_mse=errors.mean(axis=0),
@@ -123,37 +134,52 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
     ``MIN_IMPROVEMENT`` relative to the best seen; after ``patience``
     consecutive non-improving iterations training stops, capped at
     ``config.iterations``. The reported errors are the best-validation
-    model's; its training error is the trainer's own ``last_error``.
+    model's; its training error is the trainer's own ``last_error``. A
+    validation or test error that is NaN or infinite stops the run with a
+    ``ValueError`` that names the round.
     """
     data = normalize_zero_mean(dataset)
     plan = kfold_split(data, config.k_folds, config.seed)
     train_errors: list[float] = []
     test_errors: list[float] = []
-    for round_index in range(1, config.k_folds + 1):
-        train_data, val_data, test_data = (
-            take(data, idx) for idx in plan.split(round_index)
-        )
-        state = _start(train_data, config, round_index - 1)
-        best_val = np.inf
-        best = state
-        stall = 0
-        for _ in range(config.iterations):
-            state = iterate(state)
-            val_error = mse(state.mlp, val_data)
-            if val_error <= best_val * (1.0 - MIN_IMPROVEMENT):
-                best_val = val_error
-                best = state
-                stall = 0
-            else:
-                stall += 1
-                if stall >= config.patience:
-                    break
-        train_errors.append(best.last_error)
-        test_errors.append(mse(best.mlp, test_data))
+    try:
+        for round_index in range(1, config.k_folds + 1):
+            train_data, val_data, test_data = (
+                take(data, idx) for idx in plan.split(round_index)
+            )
+            state = _start(train_data, config, round_index - 1)
+            best_val = np.inf
+            best = state
+            stall = 0
+            for _ in range(config.iterations):
+                state = iterate(state)
+                val_error = _check_round_error(
+                    mse(state.mlp, val_data), "validation", round_index
+                )
+                if val_error <= best_val * (1.0 - MIN_IMPROVEMENT):
+                    best_val = val_error
+                    best = state
+                    stall = 0
+                else:
+                    stall += 1
+                    if stall >= config.patience:
+                        break
+            train_errors.append(best.last_error)
+            test_errors.append(_check_round_error(mse(best.mlp, test_data), "test", round_index))
+    finally:
+        release_handoff()
     return KfoldReport(
         train_errors=tuple(train_errors),
         test_errors=tuple(test_errors),
     )
+
+
+def _check_round_error(error: float, kind: str, round_index: int) -> float:
+    """``error``, or a one-line ``ValueError`` naming the k-fold round if it
+    is NaN or infinite; a NaN would otherwise count as no improvement."""
+    if not math.isfinite(error):
+        raise ValueError(f"k-fold round {round_index}: the {kind} error is {error}, not finite")
+    return error
 
 
 def emit_curve(curve: TrainingCurve, path: str) -> None:

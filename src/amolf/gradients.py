@@ -8,7 +8,8 @@ semi-definite by construction; each is one ``linalg.pattern_sum`` Gram of
 per-pattern features, never a Jacobian in memory. Gradients sum over
 patterns with ``pattern_sum`` too, so no result depends on BLAS threads.
 Every kernel here that reads a forward pass takes the pass alone: a
-``ForwardTrace`` carries the network and dataset it ran.
+``ForwardTrace`` carries the network and dataset it ran, and computes its
+outputs and f'(net) once, when first read.
 
 Input weights flatten row-major: weight (unit k, input n) maps to index
 k * (n_inputs + 1) + n, and plain reshape inverts the map. The Hessian
@@ -23,7 +24,9 @@ Gram's column layout.
 Per-pattern intermediates (output and hidden deltas, the directional
 output changes, f'²) are each built in one array and updated in place, with
 the operations of the plain expressions in the same order, so they keep
-their bits and make no second pattern-sized temporary.
+their bits and make no second pattern-sized temporary. None writes into the
+pass's f'(net): a product with it scales the array the kernel allocates
+anyway (f'·(x·d) as (x·d)·f'), and IEEE multiplication commutes bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import pattern_sum, solve_sym
-from .network import ForwardTrace, Mlp, activation_derivative
+from .network import ForwardTrace, Mlp
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ def output_deltas(trace: ForwardTrace) -> np.ndarray:
 def _input_gradient(trace: ForwardTrace, d_out: np.ndarray) -> np.ndarray:
     """Input-weight negative gradient from the output deltas ``d_out``: the
     hidden deltas f'(net) * (d_out @ woh), summed against the inputs."""
-    d_hid = activation_derivative(trace)
-    d_hid *= d_out @ trace.mlp.woh
+    d_hid = d_out @ trace.mlp.woh
+    d_hid *= trace.fprime
     return pattern_sum(d_hid, trace.dataset.inputs) / trace.dataset.n_patterns
 
 
@@ -101,16 +104,16 @@ def gauss_newton_input_hessian(trace: ForwardTrace) -> np.ndarray:
     of products of output sensitivities woh(i,k) f'(net_k) x(n) and
     woh(i,j) f'(net_j) x(m): ``gauss_newton_gram`` of the features f'·x.
     """
-    fprime = activation_derivative(trace)
-    return gauss_newton_gram(trace.mlp, fprime[:, :, None] * trace.dataset.inputs[:, None, :])
+    features = trace.fprime[:, :, None] * trace.dataset.inputs[:, None, :]
+    return gauss_newton_gram(trace.mlp, features)
 
 
 def gn_curvature_along_input_direction(trace: ForwardTrace, direction: np.ndarray) -> float:
     """Gauss-Newton second derivative of the error along an input-weight
     direction, i.e. the Hessian quadratic form evaluated without forming the
     Hessian."""
-    activ_change = activation_derivative(trace)
-    activ_change *= trace.dataset.inputs @ direction.T
+    activ_change = trace.dataset.inputs @ direction.T
+    activ_change *= trace.fprime
     u = activ_change @ trace.mlp.woh.T
     u *= u
     return float(2.0 * u.sum() / trace.dataset.n_patterns)
@@ -123,8 +126,8 @@ def gn_curvature_along_direction(
     inputs = trace.dataset.inputs
     u = inputs @ d_woi.T
     u += trace.activ @ d_woh.T
-    activ_change = activation_derivative(trace)
-    activ_change *= inputs @ d_w.T
+    activ_change = inputs @ d_w.T
+    activ_change *= trace.fprime
     u += activ_change @ trace.mlp.woh.T
     u *= u
     return float(2.0 * u.sum() / trace.dataset.n_patterns)
@@ -138,10 +141,9 @@ def curvature_map(trace: ForwardTrace) -> np.ndarray:
     the matching diagonal entry of the full input-weight Hessian.
     """
     inputs, woh = trace.dataset.inputs, trace.mlp.woh
-    fprime = activation_derivative(trace)
-    fprime *= fprime
+    fprime_sq = np.multiply(trace.fprime, trace.fprime)
     weight_sq = (woh * woh).sum(axis=0)
-    pattern_sums = pattern_sum(fprime, inputs * inputs)
+    pattern_sums = pattern_sum(fprime_sq, inputs * inputs)
     return (2.0 / trace.dataset.n_patterns) * weight_sq[:, None] * pattern_sums
 
 
@@ -161,7 +163,7 @@ def gauss_newton_full_hessian(trace: ForwardTrace) -> np.ndarray:
     niw = nh * n1
     features = np.empty((nv, niw + nh + n1))
     np.multiply(
-        activation_derivative(trace)[:, :, None],
+        trace.fprime[:, :, None],
         inputs[:, None, :],
         out=features[:, :niw].reshape(nv, nh, n1),
     )

@@ -11,6 +11,11 @@ outputs, the error) build each result in one array they allocate and then
 update in place, so a forward pass makes no pattern-sized temporary beyond
 the net values; the operations and their order are those of the plain
 expressions, so the bits are too.
+
+``forward`` computes the activations alone. A pass computes its outputs,
+its activation derivatives f'(net) and its error the first time each is
+read, and keeps them, so no kernel computes them twice from one pass and a
+pass that only feeds an output solve never computes its outputs.
 """
 
 from __future__ import annotations
@@ -99,18 +104,31 @@ class Mlp:
 @dataclass(frozen=True)
 class ForwardTrace:
     """Per-pattern intermediates of one forward pass, with the network and
-    dataset it ran: a kernel that reads a pass takes the pass alone. The
-    arrays are write-protected in place (not copied), so neither iteration
-    can change a pass that one hands to the next; a pass caches its error."""
+    dataset it ran: a kernel that reads a pass takes the pass alone.
+
+    A pass holds its activations; its outputs, f'(net) and error are each
+    computed the first time they are read and kept (``cached_property``).
+    Every array, computed or not, is write-protected in place (not copied),
+    so neither iteration can change a pass that one hands to the next, and
+    no kernel can scale a pass's f'(net) for its own use."""
 
     mlp: Mlp
     dataset: Dataset
     activ: np.ndarray  # (n_patterns, n_hidden)
-    output: np.ndarray  # (n_patterns, n_outputs)
 
     def __post_init__(self) -> None:
         self.activ.setflags(write=False)
-        self.output.setflags(write=False)
+
+    @cached_property
+    def output(self) -> np.ndarray:
+        """Linear outputs, (n_patterns, n_outputs); computed once."""
+        return _read_only(linear_output(self.mlp, self.dataset, self.activ))
+
+    @cached_property
+    def fprime(self) -> np.ndarray:
+        """f'(net) for every pattern and hidden unit, from the activations,
+        (n_patterns, n_hidden); computed once."""
+        return _read_only(ACTIVATIONS[self.mlp.activation][1](self.activ))
 
     @cached_property
     def error(self) -> float:
@@ -118,19 +136,19 @@ class ForwardTrace:
         return _output_error(self.dataset, self.output)
 
 
-def activation_derivative(trace: ForwardTrace) -> np.ndarray:
-    """f'(net) for every pattern and hidden unit, from the activations."""
-    return ACTIVATIONS[trace.mlp.activation][1](trace.activ)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def forward(mlp: Mlp, dataset: Dataset) -> ForwardTrace:
-    """Batch forward pass: hidden activations and linear outputs."""
+    """Batch forward pass: the hidden activations; the pass computes its
+    linear outputs when they are first read."""
     if dataset.n_inputs != mlp.n_inputs:
         raise ValueError(f"network has {mlp.n_inputs} inputs, dataset has {dataset.n_inputs}")
     if dataset.n_outputs != mlp.n_outputs:
         raise ValueError(f"network has {mlp.n_outputs} outputs, dataset has {dataset.n_outputs}")
-    activ = ACTIVATIONS[mlp.activation][0](dataset.inputs @ mlp.w.T)
-    return ForwardTrace(mlp, dataset, activ, linear_output(mlp, dataset, activ))
+    return ForwardTrace(mlp, dataset, ACTIVATIONS[mlp.activation][0](dataset.inputs @ mlp.w.T))
 
 
 def linear_output(mlp: Mlp, dataset: Dataset, activ: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ augmented basis (inputs followed by hidden activations) and its
 cross-correlation with the targets. Solving it exactly is equivalent to one
 Newton step on the output weights, and never increases the training error.
 The kernels take one forward pass, which carries its network and dataset;
-the solve returns that pass with the solved network and refreshed outputs.
+the solve returns a pass of the solved network on the same activations,
+which computes its outputs when they are first read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import SolveReport, pattern_sum, solve_sym
-from .network import ForwardTrace, linear_output
+from .network import ForwardTrace
 
 
 def augmented_basis(trace: ForwardTrace) -> np.ndarray:
@@ -53,11 +54,9 @@ def solve_output_weights(corr: Correlations) -> SolveReport:
 
 def output_weight_step(trace: ForwardTrace) -> ForwardTrace:
     """Solve and install the output weights for the pass ``trace``. Only
-    its network's output and bypass weights and its outputs change, the
-    outputs computed as ``forward`` computes them, so the returned pass
-    equals a fresh forward pass of its network bit for bit."""
+    its network's output and bypass weights change; the returned pass
+    shares the activations and computes its outputs as ``forward`` does,
+    so it equals a fresh forward pass of its network bit for bit."""
     wo = solve_output_weights(accumulate_correlations(trace)).solution.T
-    d = trace.dataset
-    split = d.n_inputs + 1
-    mlp = replace(trace.mlp, woi=wo[:, :split], woh=wo[:, split:])
-    return replace(trace, mlp=mlp, output=linear_output(mlp, d, trace.activ))
+    split = trace.dataset.n_inputs + 1
+    return replace(trace, mlp=replace(trace.mlp, woi=wo[:, :split], woh=wo[:, split:]))

@@ -20,20 +20,25 @@ Six trainers share the same machinery:
 state's network to the algorithm's step (``_STEPS``), and records the
 error of the pass the step returns, and the step's multiplies, in the next
 state, whose ledger is a copy of the last one plus this entry. A pass
-carries its network, dataset and error (``ForwardTrace.error``, computed
-once), so a kernel that reads one takes the pass alone and a step compares
-errors of passes, never ``last_error``. A step returns its new network's
-pass, its multiplies and the state fields it changes. No state keeps the
-pass, since a run keeps its states: ``iterate`` holds only the last one,
-in a private slot, and the next ``iterate`` takes it from there when the
-pass's network and dataset are its state's very objects (both immutable),
-or runs ``forward`` otherwise. So an iteration runs one forward pass, of
-the network it returns, and none of the network it starts from. owo-molf,
-owo-newton and amolf take an input-weight step, then solve the output
-weights, a solve that refreshes only the network and outputs of its pass;
-owo-bp solves them first. A search iteration runs one pass per candidate
-count and solves for the winner's; LM runs one per candidate and returns
-the accepted one's. An error that is NaN or infinite stops the run with a
+carries its network and dataset, so a kernel that reads one takes the pass
+alone and a step compares errors of passes, never ``last_error``. A pass
+computes its outputs, f'(net) and error (``ForwardTrace.output``,
+``fprime``, ``error``) the first time each is read and keeps them, so the
+kernels of a step compute f' once between them, and a pass whose outputs
+no one reads never computes them. A step returns its new network's pass,
+its multiplies and the state fields it changes. No state keeps the pass,
+since a run keeps its states: ``iterate`` holds only the last one, in a
+private slot, and the next ``iterate`` takes it from there when the pass's
+network and dataset are its state's very objects (both immutable), or runs
+``forward`` otherwise; ``run_training`` and ``run_kfold`` empty the slot
+(``release_handoff``) when they return. So an iteration runs one forward
+pass, of the network it returns, and none of the network it starts from.
+owo-molf, owo-newton and amolf take an input-weight step, then solve the
+output weights, a solve that returns a pass of the solved network on the
+same activations, so the pre-solve pass never computes its outputs; owo-bp
+solves them first. A search iteration runs one pass per candidate count
+and solves for the winner's; LM runs one per candidate and returns the
+accepted one's. An error that is NaN or infinite stops the run with a
 ``ValueError``, in ``init_state`` or ``iterate``.
 
 A grouping is its group-id map (``build_partition``): one int group id
@@ -82,7 +87,7 @@ from .gradients import (
     unpack,
 )
 from .linalg import solve_sym
-from .network import ForwardTrace, Mlp, activation_derivative, forward
+from .network import ForwardTrace, Mlp, forward
 from .owo import output_weight_step
 
 # Step-size fallback when the directional curvature is numerically zero.
@@ -149,7 +154,7 @@ def assemble_grouped_direct(
     """
     t, ga = _grouped_gradient(gw, group)
     delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
-    delta_net *= activation_derivative(trace)[:, :, None]
+    delta_net *= trace.fprime[:, :, None]
     return gauss_newton_gram(trace.mlp, delta_net), ga
 
 
@@ -304,8 +309,16 @@ class TrainerState:
 # match can only be those very objects; a miss just runs ``forward`` again.
 # Runs in other threads share the slot without a lock: a race costs a miss,
 # never a wrong pass, since a pass serves only its own network and dataset
-# and caches nothing but its own error, the same float in any thread.
+# and caches only what it computes from them (outputs, f', error), the same
+# bits in any thread. ``release_handoff`` empties it when a run is done.
 _handoff: ForwardTrace | None = None
+
+
+def release_handoff() -> None:
+    """Empty the hand-off slot, so that no pass outlives the run that made
+    it; the next ``iterate`` of a state then runs ``forward`` afresh."""
+    global _handoff
+    _handoff = None
 
 
 def _take_handoff(mlp: Mlp, dataset: Dataset) -> ForwardTrace | None:
@@ -369,9 +382,10 @@ StepResult = tuple[ForwardTrace, int, dict]
 
 def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     """Output-weight solve, then a gradient step with the optimal step size."""
-    trace = output_weight_step(trace)
-    gw = input_weight_gradient(trace)
-    mlp = replace(trace.mlp, w=trace.mlp.w + olf(trace, gw) * gw)
+    solved = output_weight_step(trace)
+    gw = input_weight_gradient(solved)
+    mlp = replace(solved.mlp, w=solved.mlp.w + olf(solved, gw) * gw)
+    del solved  # its outputs and f' are not kept through the new pass
     return forward(mlp, state.dataset), cost.mult_owo_bp(*_dims(state)), {}
 
 
@@ -463,6 +477,7 @@ def lm_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     mlp = trace.mlp
     gradient = backprop(trace)
     gram = gauss_newton_full_hessian(trace)
+    vars(trace).pop("fprime", None)  # not kept through the retries; read no more
 
     lam = min(max(state.lm_lambda, LM_LAMBDA_MIN), LM_LAMBDA_MAX)
     new_trace = trace

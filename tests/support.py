@@ -17,7 +17,7 @@ from amolf.dataset import Dataset, make_dataset
 from amolf.experiment import TrainingCurve
 from amolf.gradients import output_deltas
 from amolf.linalg import PIVOT_RTOL, pattern_sum, solve_sym
-from amolf.network import ForwardTrace, Mlp, activation_derivative, forward, mse
+from amolf.network import ForwardTrace, Mlp, forward, mse
 from amolf.owo import augmented_basis
 from amolf.trainers import assemble_grouped_from_hessian, build_partition
 
@@ -214,7 +214,7 @@ def dense_full_hessian(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
     nh, m = mlp.n_hidden, mlp.n_outputs
     niw = nh * n1
     nw = niw + m * nh + m * n1
-    fprime = activation_derivative(trace)
+    fprime = trace.fprime
     jac = np.zeros((nv, m, nw))
     jac[:, :, :niw] = np.einsum(
         "ik,pk,pn->pikn", mlp.woh, fprime, dataset.inputs
@@ -254,7 +254,7 @@ def unflatten_index(flat: int, n_inputs: int) -> tuple[int, int]:
 
 def hidden_deltas(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
     """Output deltas pushed through the output weights and the activation slope."""
-    return activation_derivative(trace) * (output_deltas(trace) @ mlp.woh)
+    return trace.fprime * (output_deltas(trace) @ mlp.woh)
 
 
 # The plain-expression forms of the per-pattern kernels, which build each

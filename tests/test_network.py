@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mea
 from amolf.network import (
     ACTIVATIONS,
     Mlp,
+    _output_error,
     forward,
     init_net_control,
     linear_output,
@@ -78,7 +78,9 @@ def test_forward_pass_is_write_protected(activation):
     trace = forward(mlp, d)
     # The pass records the network and dataset it ran, by identity.
     assert trace.mlp is mlp and trace.dataset is d
-    for arr in (trace.activ, trace.output):
+    # Outputs and f' are computed on first read and kept, write-protected.
+    assert trace.output is trace.output and trace.fprime is trace.fprime
+    for arr in (trace.activ, trace.output, trace.fprime):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 7.0
         with pytest.raises(ValueError, match="read-only"):
@@ -142,10 +144,11 @@ def test_outputs_and_error_match_their_expressions_bit_for_bit(activation):
     mlp, d, trace = extreme_network(rng, activation)
     activ = extreme_array(rng, trace.activ.shape)
     assert same_bits(linear_output(mlp, d, activ), expression_linear_output(mlp, d, activ))
-    for output in (trace.output, extreme_array(rng, trace.output.shape)):
-        assert same_bits(
-            replace(trace, output=output).error, expression_output_mse(d, output)
-        )
+    assert same_bits(trace.fprime, EXPRESSION_ACTIVATIONS[activation][1](trace.activ))
+    assert same_bits(trace.error, expression_output_mse(d, trace.output))
+    # Any outputs, not only a network's: the kernel behind ``error``.
+    output = extreme_array(rng, trace.output.shape)
+    assert same_bits(_output_error(d, output), expression_output_mse(d, output))
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])

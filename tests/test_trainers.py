@@ -21,7 +21,7 @@ from amolf.gradients import (
     pack,
 )
 from amolf.linalg import solve_sym
-from amolf.network import Mlp, forward, init_net_control, mse
+from amolf.network import ForwardTrace, Mlp, forward, init_net_control, mse
 from amolf.trainers import (
     ALGORITHMS,
     DEFAULT_SEARCH_PERIOD,
@@ -470,7 +470,11 @@ def test_iterate_refuses_a_non_finite_error(error, monkeypatch):
 
     def non_finite_step(state, trace):
         trace, multiplies, changes = step(state, trace)
-        return replace(trace, output=np.full_like(trace.output, error)), multiplies, changes
+        # Every activation ``error`` and every output weight one: each
+        # output, and so the pass's error, is ``error`` too.
+        mlp = replace(trace.mlp, woh=np.ones_like(trace.mlp.woh))
+        activ = np.full_like(trace.activ, error)
+        return ForwardTrace(mlp, trace.dataset, activ), multiplies, changes
 
     monkeypatch.setitem(amolf.trainers._STEPS, "owo-bp", non_finite_step)
     with pytest.raises(
@@ -692,7 +696,8 @@ def test_lm_step_peak_allocation(monkeypatch):
     # forward pass (1.1 MB) and the 185-column Gram dominate, about 1.24 MB
     # in all; one 290x290 matrix is 0.67 MB, and a dense damped system with
     # solve_sym's working copy of it exceeds 2 MB. A rejected candidate's
-    # pass kept through the next solve would add 0.54 MB.
+    # pass kept through the next solve would add 0.54 MB, and the input
+    # pass's f' (0.48 MB) kept through the retries took it to 1.79 MB.
     data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
     mlp = init_net_control(data, 30, 0)
     trace = amolf.owo.output_weight_step(forward(mlp, data))
@@ -938,6 +943,67 @@ def test_each_pass_evaluates_its_error_once(algo, monkeypatch):
         assert len(evaluations) == len(candidates)
     else:
         assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_each_iteration_computes_fprime_once(algo, monkeypatch):
+    # Every kernel of a step that needs f'(net) reads it off one pass (the
+    # solved one for owo-bp, the input one otherwise), which computes it
+    # when first read and keeps it; the gradient, curvature_map and the
+    # grouped assembly each computed their own before. lm's retries read no
+    # f', so its rejected candidates add nothing.
+    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 3))
+    if algo == "lm":
+        state = replace(state, lm_lambda=LM_LAMBDA_MIN)  # forces rejections
+    act, derivative = amolf.network.ACTIVATIONS["sigmoid"]
+    calls = []
+
+    def counting_derivative(activ):
+        calls.append(1)
+        return derivative(activ)
+
+    monkeypatch.setitem(amolf.network.ACTIVATIONS, "sigmoid", (act, counting_derivative))
+    for _ in range(4):  # amolf searches on iterations 1 and 3
+        calls.clear()
+        state = iterate(state)
+        assert len(calls) == 1
+    if algo == "amolf":
+        # Iteration 5 takes the grouped step at two groups, which groups
+        # by curvature_map, another reader of f'.
+        calls.clear()
+        iterate(replace(state, amolf=replace(state.amolf, n_groups=2, epm=())))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algo", ["owo-molf", "owo-newton", "amolf"])
+def test_a_pass_that_only_feeds_the_output_solve_never_computes_its_outputs(algo, monkeypatch):
+    # The output solve reads activations only, and its pass of the solved
+    # network shares them, so an iteration computes the outputs of that
+    # pass alone, for its error. A search iteration also computes each
+    # candidate's, for the comparison.
+    state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 3))
+    n = state.dataset.n_inputs
+    counted, solve = amolf.network.linear_output, amolf.trainers.output_weight_step
+    calls, solved = [], []
+
+    def counting_output(*args):
+        calls.append(1)
+        return counted(*args)
+
+    def recording_solve(trace):
+        solved.append(trace)
+        return solve(trace)
+
+    monkeypatch.setattr(amolf.network, "linear_output", counting_output)
+    monkeypatch.setattr(amolf.trainers, "output_weight_step", recording_solve)
+    for iteration in range(1, 5):
+        calls.clear()
+        state = iterate(state)
+        searched = algo == "amolf" and iteration in (1, 3)
+        assert len(calls) == (n + 1 if searched else 1)
+        # A cached_property keeps its value in the instance's __dict__. A
+        # search compares the candidates' errors, the winner's included.
+        assert ("output" in vars(solved.pop())) == searched
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
