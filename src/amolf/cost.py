@@ -2,23 +2,21 @@
 
 Counts are formula-evaluated, never instrumented from the actual arithmetic:
 the point is a fixed cost model that implementation choices cannot perturb.
-Formulas are evaluated in exact rational arithmetic and rounded to the
-nearest integer (ties to even). Throughout, nu = n + nh + 1 is the
-augmented-basis size, niw = nh * (n + 1) the input-weight count, and
-nw = m * nu + (n + 1) * nh the total weight count.
+Throughout, nu = n + nh + 1 is the augmented-basis size, niw = nh * (n + 1)
+the input-weight count, and nw = m * nu + (n + 1) * nh the total weight
+count.
 
-Each count is memoized per size (``functools.cache``): a run asks for the
-same few counts every iteration, and the exact arithmetic costs tens of
-microseconds per call. Invalid sizes raise on every call, since a call
-that raises caches nothing.
+Every count is an exact integer, evaluated in integer arithmetic: the
+formulas' fractions all come from k (k+1) / 2, an integer because k (k+1)
+is even, and from k (k+1) (2k + 1) / 6, an integer because k (k+1) (2k + 1)
+is divisible by 6 (it is six times the sum of the first k squares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cache
 from itertools import accumulate
+from numbers import Integral
 
 
 def _check_sizes(n: int, nh: int, m: int, nv: int) -> None:
@@ -28,15 +26,22 @@ def _check_sizes(n: int, nh: int, m: int, nv: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@cache
+def _pairs(k: int) -> int:
+    """k (k+1) / 2: the entries on and above the diagonal of a k-by-k matrix."""
+    return k * (k + 1) // 2
+
+
+def _solve(k: int) -> int:
+    """k (k+1) [(2k + 1)/6 + 5/2]: solving a symmetric k-by-k system."""
+    return k * (k + 1) * (2 * k + 1) // 6 + 5 * _pairs(k)
+
+
 def mult_ols(nu: int, m: int) -> int:
     """Solving the output-weight system by orthogonal least squares:
     nu (nu+1) [m + (2 nu + 1)/6 + 3/2]."""
-    f = Fraction(nu * (nu + 1)) * (Fraction(m) + Fraction(2 * nu + 1, 6) + Fraction(3, 2))
-    return round(f)
+    return nu * (nu + 1) * m + nu * (nu + 1) * (2 * nu + 1) // 6 + 3 * _pairs(nu)
 
 
-@cache
 def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration of output-weight solving plus gradient descent on the
     input weights with a second-order step size: the output-weight stage
@@ -44,23 +49,20 @@ def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     return mult_owo(n, nh, m, nv) + nv * nh * (m + n + 2)
 
 
-@cache
 def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
     """One damped full-Hessian iteration over every weight in the network."""
     _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     nw = m * nu + (n + 1) * nh
-    f = Fraction(nv) * Fraction(
+    return nv * (
         m * nu
         + 2 * nh * (n + 1)
         + m * (n + 6 * nh + 4)
         + m * nu * (nu + 3 * nh * (n + 1))
         + 4 * nh * nh * (n + 1) * (n + 1)
-    ) + Fraction(nw**3 + nw**2)
-    return round(f)
+    ) + nw**3 + nw**2
 
 
-@cache
 def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     """One full second-order step on the input weights alone:
     nv [niw (2m + 1) + niw (niw + 1) (nv m / 2 + (2 niw + 1)/6 + 5/2)].
@@ -70,40 +72,30 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     """
     _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
-    inner = Fraction(nv * m, 2) + Fraction(2 * niw + 1, 6) + Fraction(5, 2)
-    f = Fraction(nv) * (Fraction(niw * (2 * m + 1)) + Fraction(niw * (niw + 1)) * inner)
-    return round(f)
+    return nv * (niw * (2 * m + 1) + nv * m * _pairs(niw) + _solve(niw))
 
 
-@cache
 def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
     """The output-weight stage on its own (forward pass plus solve):
     nv [nh (n+1) + m (2 nu + 1) + nu (nu+1) / 2] + mult_ols(nu, m)."""
     _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
-    # nu (nu+1) is even, so the count is an integer without rounding.
-    per_pattern = nh * (n + 1) + m * (2 * nu + 1) + nu * (nu + 1) // 2
+    per_pattern = nh * (n + 1) + m * (2 * nu + 1) + _pairs(nu)
     return nv * per_pattern + mult_ols(nu, m)
 
 
-@cache
 def mult_owo_newton(n: int, nh: int, m: int, nv: int) -> int:
     """Output-weight stage plus the full input-weight second-order step."""
     return mult_owo(n, nh, m, nv) + mult_newton(n, nh, m, nv)
 
 
-@cache
 def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration with a compressed nh-by-nh step-size system:
     nh (nh+1) [(2 nh + 1)/6 + 5/2] + nv nh [2m + n + 2 + m (nh + 1)/2]."""
     _check_sizes(n, nh, m, nv)
-    f = Fraction(nh * (nh + 1)) * (Fraction(2 * nh + 1, 6) + Fraction(5, 2)) + Fraction(
-        nv * nh
-    ) * (Fraction(2 * m + n + 2) + Fraction(m * (nh + 1), 2))
-    return round(f)
+    return _solve(nh) + nv * nh * (2 * m + n + 2) + nv * m * _pairs(nh)
 
 
-@cache
 def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     """One grouped-step iteration with ng groups per hidden unit and
     nl = ng * nh learning factors:
@@ -113,17 +105,15 @@ def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     if not 1 <= ng <= n:
         raise ValueError(f"ng must be in 1..{n}, got {ng}")
     nl = ng * nh
-    f = (
-        Fraction(nl * (nl + 1))
-        * (Fraction(2 * nl + 1, 6) + Fraction(5, 2) + Fraction(m * nv, 2))
-        + Fraction(nh * (n + 1))
-        + Fraction(nh * ng * m * (nv + 2))
-        + Fraction(nl * nv * m)
+    return (
+        _solve(nl)
+        + m * nv * _pairs(nl)
+        + nh * (n + 1)
+        + nh * ng * m * (nv + 2)
+        + nl * nv * m
     )
-    return round(f)
 
 
-@cache
 def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
     """Surcharge for one exhaustive group-count search.
 
@@ -136,16 +126,13 @@ def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
     _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
     nu = n + nh + 1
-    total = Fraction(nv * nh * (n + 1)) + Fraction(nv * m) * Fraction(niw * (niw + 1), 2)
-    trial_eval = Fraction(nv * (nh * (n + 1) + m * nu) + nv * m)
+    total = nv * nh * (n + 1) + nv * m * _pairs(niw)
+    trial_eval = nv * (nh * (n + 1) + m * nu) + nv * m
     for ng in range(1, n + 1):
-        nl = ng * nh
-        solve = Fraction(nl * (nl + 1)) * (Fraction(2 * nl + 1, 6) + Fraction(5, 2))
-        total += Fraction(2 * niw * niw) + solve + Fraction(niw) + trial_eval
-    return round(total)
+        total += 2 * niw * niw + _solve(ng * nh) + niw + trial_eval
+    return total
 
 
-@cache
 def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
     """Per-iteration count for conjugate-gradient training of all weights.
 
@@ -179,6 +166,8 @@ class CostLedger:
     per_iteration: list[int] = field(default_factory=list)
 
     def record(self, multiplies: int) -> None:
+        if not isinstance(multiplies, Integral):
+            raise ValueError(f"a multiply count must be a whole number, got {multiplies!r}")
         if multiplies <= 0:
             raise ValueError("every completed iteration must cost at least one multiply")
         self.per_iteration.append(int(multiplies))

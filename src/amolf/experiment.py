@@ -18,9 +18,9 @@ import numpy as np
 from .dataset import Dataset, kfold_split, normalize_zero_mean, take
 from .network import Mlp, init_net_control, mse
 from .trainers import (
-    ALGORITHMS,
     DEFAULT_SEARCH_PERIOD,
     TrainerState,
+    check_run_settings,
     init_state,
     iterate,
     release_handoff,
@@ -43,10 +43,7 @@ class ExperimentConfig:
     patience: int = DEFAULT_PATIENCE
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        check_run_settings(self.algorithm, self.search_period)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.n_trials < 1:
@@ -55,10 +52,6 @@ class ExperimentConfig:
             raise ValueError("n_hidden must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.search_period < 0:
-            raise ValueError("search_period must be >= 0")
-        if self.search_period != DEFAULT_SEARCH_PERIOD and self.algorithm != "amolf":
-            raise ValueError(f"search_period is for amolf only, not {self.algorithm}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 

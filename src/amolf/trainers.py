@@ -338,6 +338,17 @@ def _check_error(error: float, when: str) -> float:
     return error
 
 
+def check_run_settings(algorithm: str, search_period: int) -> None:
+    """Refuse an unknown ``algorithm``, a negative ``search_period``, and a
+    ``search_period`` other than the default outside amolf."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if search_period < 0:
+        raise ValueError(f"search_period must be >= 0, got {search_period}")
+    if search_period != DEFAULT_SEARCH_PERIOD and algorithm != "amolf":
+        raise ValueError(f"search_period is for amolf only, not {algorithm}")
+
+
 def init_state(
     algorithm: str,
     mlp: Mlp,
@@ -349,12 +360,7 @@ def init_state(
     ``dataset``. The forward pass whose error is ``last_error`` goes into
     the hand-off slot for the first ``iterate``. Only amolf takes a
     ``search_period`` other than the default."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if search_period < 0:
-        raise ValueError(f"search_period must be >= 0, got {search_period}")
-    if search_period != DEFAULT_SEARCH_PERIOD and algorithm != "amolf":
-        raise ValueError(f"search_period is for amolf only, not {algorithm}")
+    check_run_settings(algorithm, search_period)
     global _handoff
     _handoff = None  # the last run's pass is not kept through this one
     trace = forward(mlp, dataset)

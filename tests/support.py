@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -517,3 +518,99 @@ def timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+# The closed-form multiply counts of ``amolf.cost`` in exact rational
+# arithmetic, each formula spelled as its docstring states it. ``amolf.cost``
+# evaluates the same counts with integer ``//``, which is exact only if every
+# value here has denominator 1.
+
+
+def fraction_ols(nu: int, m: int) -> Fraction:
+    return Fraction(nu * (nu + 1)) * (Fraction(m) + Fraction(2 * nu + 1, 6) + Fraction(3, 2))
+
+
+def fraction_owo(n: int, nh: int, m: int, nv: int) -> Fraction:
+    nu = n + nh + 1
+    per_pattern = Fraction(nh * (n + 1) + m * (2 * nu + 1)) + Fraction(nu * (nu + 1), 2)
+    return Fraction(nv) * per_pattern + fraction_ols(nu, m)
+
+
+def fraction_owo_bp(n: int, nh: int, m: int, nv: int) -> Fraction:
+    return fraction_owo(n, nh, m, nv) + Fraction(nv * nh * (m + n + 2))
+
+
+def fraction_lm(n: int, nh: int, m: int, nv: int) -> Fraction:
+    nu = n + nh + 1
+    nw = m * nu + (n + 1) * nh
+    return Fraction(nv) * Fraction(
+        m * nu
+        + 2 * nh * (n + 1)
+        + m * (n + 6 * nh + 4)
+        + m * nu * (nu + 3 * nh * (n + 1))
+        + 4 * nh * nh * (n + 1) * (n + 1)
+    ) + Fraction(nw**3 + nw**2)
+
+
+def fraction_newton(n: int, nh: int, m: int, nv: int) -> Fraction:
+    niw = nh * (n + 1)
+    inner = Fraction(nv * m, 2) + Fraction(2 * niw + 1, 6) + Fraction(5, 2)
+    return Fraction(nv) * (Fraction(niw * (2 * m + 1)) + Fraction(niw * (niw + 1)) * inner)
+
+
+def fraction_owo_newton(n: int, nh: int, m: int, nv: int) -> Fraction:
+    return fraction_owo(n, nh, m, nv) + fraction_newton(n, nh, m, nv)
+
+
+def fraction_owo_molf(n: int, nh: int, m: int, nv: int) -> Fraction:
+    return Fraction(nh * (nh + 1)) * (Fraction(2 * nh + 1, 6) + Fraction(5, 2)) + Fraction(
+        nv * nh
+    ) * (Fraction(2 * m + n + 2) + Fraction(m * (nh + 1), 2))
+
+
+def fraction_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> Fraction:
+    nl = ng * nh
+    return (
+        Fraction(nl * (nl + 1))
+        * (Fraction(2 * nl + 1, 6) + Fraction(5, 2) + Fraction(m * nv, 2))
+        + Fraction(nh * (n + 1))
+        + Fraction(nh * ng * m * (nv + 2))
+        + Fraction(nl * nv * m)
+    )
+
+
+def fraction_amolf_search(n: int, nh: int, m: int, nv: int) -> Fraction:
+    niw = nh * (n + 1)
+    nu = n + nh + 1
+    total = Fraction(nv * nh * (n + 1)) + Fraction(nv * m) * Fraction(niw * (niw + 1), 2)
+    trial_eval = Fraction(nv * (nh * (n + 1) + m * nu) + nv * m)
+    for ng in range(1, n + 1):
+        nl = ng * nh
+        solve = Fraction(nl * (nl + 1)) * (Fraction(2 * nl + 1, 6) + Fraction(5, 2))
+        total += Fraction(2 * niw * niw) + solve + Fraction(niw) + trial_eval
+    return total
+
+
+def fraction_cg(n: int, nh: int, m: int, nv: int) -> Fraction:
+    nu = n + nh + 1
+    nw = m * nu + (n + 1) * nh
+    forward_pass = nv * (nh * (n + 1) + m * nu)
+    deltas = nv * (m + nh * (m + 1))
+    grads = nv * ((nh + m) * (n + 1) + m * nh)
+    curvature = nv * (nh * (n + 2) + m * (nh + nu) + m)
+    return Fraction(forward_pass + deltas + grads + curvature + 4 * nw)
+
+
+# Keyed by the ``amolf.cost`` function each one is the reference for.
+FRACTION_COUNTS = {
+    "mult_ols": fraction_ols,
+    "mult_owo": fraction_owo,
+    "mult_owo_bp": fraction_owo_bp,
+    "mult_lm": fraction_lm,
+    "mult_newton": fraction_newton,
+    "mult_owo_newton": fraction_owo_newton,
+    "mult_owo_molf": fraction_owo_molf,
+    "mult_amolf": fraction_amolf,
+    "mult_amolf_search": fraction_amolf_search,
+    "mult_cg": fraction_cg,
+}

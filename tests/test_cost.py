@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amolf import cost
+from support import FRACTION_COUNTS
 
 # Per-iteration multiply counts for the benchmark configurations, evaluated
 # independently with exact rational arithmetic through symbolically expanded
@@ -120,6 +122,30 @@ def test_counts_are_positive_integers(n, nh, m, nv):
         assert value > 0
 
 
+@given(
+    st.integers(1, 12),
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.integers(1, 20000),
+)
+@settings(max_examples=100, deadline=None)
+def test_counts_equal_their_exact_rational_forms(n, nh, m, nv):
+    names = sorted(name for name in vars(cost) if name.startswith("mult_"))
+    assert names == sorted(FRACTION_COUNTS)
+    for name in names:
+        if name == "mult_ols":
+            cases = [(n + nh + 1, m)]
+        elif name == "mult_amolf":
+            cases = [(n, nh, m, nv, ng) for ng in range(1, n + 1)]
+        else:
+            cases = [(n, nh, m, nv)]
+        for args in cases:
+            reference = FRACTION_COUNTS[name](*args)
+            assert reference.denominator == 1, (name, args)
+            value = getattr(cost, name)(*args)
+            assert type(value) is int and value == reference, (name, args)
+
+
 def test_epm_arithmetic():
     assert cost.epm(1.0, 0.5, 1_000_000) == 5e-7
     assert cost.epm(0.75, 0.75, 123) == 0.0
@@ -148,7 +174,9 @@ def test_ledger_cumulative_reconstruction():
 
 def test_ledger_rejects_non_positive_counts():
     ledger = cost.CostLedger()
-    with pytest.raises(ValueError):
-        ledger.record(0)
-    with pytest.raises(ValueError):
-        ledger.record(-1)
+    for value in (0, -1, 0.5, 2.9):
+        with pytest.raises(ValueError):
+            ledger.record(value)
+    assert ledger.per_iteration == []
+    ledger.record(np.int64(3))
+    assert ledger.per_iteration == [3] and type(ledger.per_iteration[0]) is int

@@ -197,6 +197,19 @@ def test_config_rejects_a_search_period_outside_amolf(algo):
     ExperimentConfig(algorithm=algo, n_hidden=3, iterations=1, search_period=DEFAULT_SEARCH_PERIOD)
 
 
+@pytest.mark.parametrize(
+    "algo, period", [("sgd", DEFAULT_SEARCH_PERIOD), ("amolf", -1), ("lm", 0)]
+)
+def test_config_and_init_state_refuse_run_settings_alike(algo, period):
+    data = normalize_zero_mean(gen_matrix_inversion(40, 0))
+    mlp = init_net_control(data, 3, trial_seed(0, 0))
+    with pytest.raises(ValueError) as config_error:
+        ExperimentConfig(algorithm=algo, n_hidden=3, iterations=1, search_period=period)
+    with pytest.raises(ValueError) as state_error:
+        init_state(algo, mlp, data, search_period=period)
+    assert str(config_error.value) == str(state_error.value)
+
+
 def _weight_bits(mlp):
     return mlp.w.tobytes(), mlp.woh.tobytes(), mlp.woi.tobytes()
 
