@@ -152,11 +152,20 @@ def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
     return forward + deltas + grads + curvature + direction_and_step
 
 
+def _multiply_count(value: int) -> int:
+    """``value`` as an int, or a one-line ``ValueError`` if it is not a
+    positive whole number. A ``bool`` is refused although Python counts it
+    as an ``Integral``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"a multiply count must be a whole number, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"a multiply count must be positive, got {value}")
+    return int(value)
+
+
 def epm(e_prev: float, e_now: float, m_it: int) -> float:
     """Error change per multiply for one iteration; negative when error rose."""
-    if m_it <= 0:
-        raise ValueError("multiply count must be positive")
-    return (e_prev - e_now) / m_it
+    return (e_prev - e_now) / _multiply_count(m_it)
 
 
 @dataclass
@@ -166,11 +175,7 @@ class CostLedger:
     per_iteration: list[int] = field(default_factory=list)
 
     def record(self, multiplies: int) -> None:
-        if not isinstance(multiplies, Integral):
-            raise ValueError(f"a multiply count must be a whole number, got {multiplies!r}")
-        if multiplies <= 0:
-            raise ValueError("every completed iteration must cost at least one multiply")
-        self.per_iteration.append(int(multiplies))
+        self.per_iteration.append(_multiply_count(multiplies))
 
     def cumulative(self) -> list[int]:
         return list(accumulate(self.per_iteration))

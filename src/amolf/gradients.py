@@ -27,6 +27,11 @@ the operations of the plain expressions in the same order, so they keep
 their bits and make no second pattern-sized temporary. None writes into the
 pass's f'(net): a product with it scales the array the kernel allocates
 anyway (f'·(x·d) as (x·d)·f'), and IEEE multiplication commutes bit for bit.
+The directional curvatures' products of the inputs with an input-side
+direction are ``linalg.input_product``s (weight operand untransposed, the
+same bits for up to 15 augmented inputs); their hidden-side products
+(``@ woh.T``, ``activ @ d_woh.T``) keep the transposed operand, since over
+15 hidden units the two kernels can round differently.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import pattern_sum, solve_sym
+from .linalg import input_product, pattern_sum, solve_sym
 from .network import ForwardTrace, Mlp
 
 
@@ -112,7 +117,7 @@ def gn_curvature_along_input_direction(trace: ForwardTrace, direction: np.ndarra
     """Gauss-Newton second derivative of the error along an input-weight
     direction, i.e. the Hessian quadratic form evaluated without forming the
     Hessian."""
-    activ_change = trace.dataset.inputs @ direction.T
+    activ_change = input_product(trace.dataset.inputs, direction)
     activ_change *= trace.fprime
     u = activ_change @ trace.mlp.woh.T
     u *= u
@@ -124,9 +129,9 @@ def gn_curvature_along_direction(
 ) -> float:
     """Gauss-Newton quadratic form along a direction over all weights."""
     inputs = trace.dataset.inputs
-    u = inputs @ d_woi.T
+    u = input_product(inputs, d_woi)
     u += trace.activ @ d_woh.T
-    activ_change = inputs @ d_w.T
+    activ_change = input_product(inputs, d_w)
     activ_change *= trace.fprime
     u += activ_change @ trace.mlp.woh.T
     u *= u

@@ -34,9 +34,26 @@ GRAM_TILE = 64
 def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     """Return ``arr`` as float64, raising if any entry is NaN or infinite."""
     out = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def input_product(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``inputs @ weights.T`` for pattern-sized ``inputs`` and an input-side
+    weight matrix ``weights`` (one row per unit, one column per input).
+
+    The weight operand goes to BLAS as a C-contiguous (n+1)×k copy, not as
+    the transposed view: at k-fold shapes OpenBLAS's untransposed kernel is
+    1.3–2.5× faster (18,000×5 by 5×4: 0.04 ms against 0.10 ms), and on
+    OpenBLAS 0.3.31 it gives the same bits whenever the inner dimension is
+    at most 15 and there is more than one pattern (checked over 12 pattern
+    counts, inner dimensions 2–32 and 11 widths). The hidden-side products
+    (``@ woh.T``) keep the transposed view: their inner dimension is the
+    hidden-unit count, and at 30 units (2000×30 by 30×4, say) the two
+    kernels round differently.
+    """
+    return inputs @ np.ascontiguousarray(weights.T)
 
 
 def pattern_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,6 +117,12 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
 
+    diag_max = float(a.diagonal().max()) if n else 0.0
+    if n and diag_max <= 0.0:
+        # PSD with a non-positive diagonal is the zero matrix: every pivot
+        # would be skipped, so every unknown is +0.0.
+        return SolveReport(solution=np.zeros(b.shape), rank_deficient=True)
+
     # Left-looking LDLᵀ on A stacked over Bᵀ. Column j of the stack becomes
     # L's column j over the rows of A and row j of D⁻¹·L⁻¹·B over the rows
     # of Bᵀ, so the factor loop also runs the forward substitution. A
@@ -108,9 +131,7 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     work = np.vstack((a, b.T if b.ndim == 2 else b[None, :]))
     d = np.zeros(n)
     skipped = np.zeros(n, dtype=bool)
-    diag_max = float(a.diagonal().max()) if n else 0.0
-    # PSD with a non-positive diagonal is the zero matrix: skip everything.
-    thresh = PIVOT_RTOL * diag_max if diag_max > 0.0 else np.inf
+    thresh = PIVOT_RTOL * diag_max
     for j in range(n):
         col = work[j:, j]
         col -= work[j:, :j] @ (d[:j] * work[j, :j])

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 import amolf
+import amolf.experiment
 import amolf.trainers
 from amolf import (
     Correlations,
@@ -25,6 +26,8 @@ from amolf import (
     init_net_control,
     init_state,
     normalize_zero_mean,
+    run_kfold,
+    run_training,
     solve_output_weights,
 )
 
@@ -91,6 +94,30 @@ def test_one_iteration_has_the_fields_the_bench_reads(monkeypatch):
         assert out.lm_lambda > 0.0 and isinstance(out.lm_stalled, bool)
         if workload.algorithm == "amolf":
             assert recorder.trials[0].n_groups == [out.amolf.n_groups]
+
+
+def test_run_loops_call_the_recorded_iterate_once_per_iteration(monkeypatch):
+    # The bench records iterations by replacing amolf.experiment.iterate
+    # with an IterationRecorder. A run loop that stepped its trainer any
+    # other way would record no iterations, and every bench run would fail
+    # its gates.
+    recorder = _load("instrument", monkeypatch).IterationRecorder(amolf.trainers)
+    monkeypatch.setattr(amolf.experiment, "iterate", recorder)
+    data = gen_matrix_inversion(60, 0)
+
+    run_training(data, ExperimentConfig("owo-bp", n_hidden=3, iterations=4, n_trials=2))
+    trials = recorder.reset()
+    assert [len(log.durations_ns) for log in trials] == [4, 4]
+    assert [log.final_state.iteration for log in trials] == [4, 4]
+
+    # patience above the iteration cap: every round runs every iteration.
+    run_kfold(
+        data, ExperimentConfig("owo-bp", n_hidden=3, iterations=3, k_folds=4, patience=5)
+    )
+    rounds = recorder.reset()
+    assert [len(log.durations_ns) for log in rounds] == [3, 3, 3, 3]
+    assert [log.final_state.iteration for log in rounds] == [3, 3, 3, 3]
+    assert (recorder.attempted, recorder.failed) == (8 + 12, 0)
 
 
 def test_output_solve_reports_rank_deficiency_as_a_bool():

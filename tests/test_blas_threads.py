@@ -3,7 +3,8 @@
 Each case trains once in a subprocess with ``OPENBLAS_NUM_THREADS=1`` and
 once with ``2`` (the library reads the variable only at start-up) and
 compares the curve CSVs byte for byte; the cases in ``THREE_THREADS``
-compare a run with ``3`` as well. Matrix inversion, 2000 patterns, seed 0.
+compare a run with ``3`` as well. Matrix inversion, 2000 patterns, seed 0;
+one k-fold case runs the benchmark's k-fold shape (20,000 patterns).
 Any change to the BLAS or LAPACK calls of a trainer must keep every case
 identical. The solver is also pinned on its own, at 1, 2 and 3 threads.
 """
@@ -34,18 +35,20 @@ def _run(threads: int, args: list[str]) -> bytes:
     ).stdout
 
 
+def _csv_bytes(tmp_path, threads: int, command: str, *args: str) -> bytes:
+    out = tmp_path / f"{command}_{threads}.csv"
+    _run(threads, ["-m", "amolf", command, "--synthetic", "matinv", "--seed", "0",
+                   "--out", str(out), *args])
+    return out.read_bytes()
+
+
 def _curve_bytes(
     tmp_path, threads: int, algo: str, n_hidden: int, iterations: int, *extra: str
 ) -> bytes:
-    out = tmp_path / f"curve_{threads}.csv"
-    _run(
-        threads,
-        ["-m", "amolf", "train", "--synthetic", "matinv",
-         "--patterns", "2000", "--nh", str(n_hidden), "--algo", algo,
-         "--iters", str(iterations), "--trials", "1", "--seed", "0", "--out", str(out),
-         *extra],
+    return _csv_bytes(
+        tmp_path, threads, "train", "--patterns", "2000", "--nh", str(n_hidden),
+        "--algo", algo, "--iters", str(iterations), "--trials", "1", *extra,
     )
-    return out.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -75,6 +78,15 @@ def test_curve_bytes_independent_of_blas_threads(tmp_path, args):
     one = _curve_bytes(tmp_path, 1, *args)
     for threads in (2, 3) if args in THREE_THREADS else (2,):
         assert _curve_bytes(tmp_path, threads, *args) == one
+
+
+def test_kfold_bytes_independent_of_blas_threads(tmp_path):
+    # The benchmark's k-fold shape: the input-side products of 18,000
+    # training patterns (18,000x5 by 5x10, about 0.9 M multiplies) are above
+    # the single-thread GEMM size.
+    args = ("--patterns", "20000", "--nh", "10", "--algo", "owo-bp", "--k", "10",
+            "--iters", "5")
+    assert _csv_bytes(tmp_path, 2, "kfold", *args) == _csv_bytes(tmp_path, 1, "kfold", *args)
 
 
 # Systems built with np.einsum, which calls no BLAS, so any difference in

@@ -150,6 +150,7 @@ def test_epm_arithmetic():
     assert cost.epm(1.0, 0.5, 1_000_000) == 5e-7
     assert cost.epm(0.75, 0.75, 123) == 0.0
     assert cost.epm(0.5, 1.0, 10) == -0.05
+    assert cost.epm(1.0, 0.5, np.int64(4)) == 0.125
 
 
 def test_epm_rejects_non_positive_multiplies():
@@ -157,6 +158,20 @@ def test_epm_rejects_non_positive_multiplies():
         cost.epm(1.0, 0.5, 0)
     with pytest.raises(ValueError):
         cost.epm(1.0, 0.5, -3)
+
+
+@pytest.mark.parametrize(
+    "count", [True, False, np.bool_(True), 2.5, 1.0, np.float64(4.0)], ids=repr
+)
+def test_counts_refuse_bools_and_non_integral_values(count):
+    # A bool is a numbers.Integral, and a float divides; neither is a count.
+    with pytest.raises(ValueError, match="whole number") as excinfo:
+        cost.epm(1.0, 0.5, count)
+    assert "\n" not in str(excinfo.value)
+    ledger = cost.CostLedger()
+    with pytest.raises(ValueError, match="whole number"):
+        ledger.record(count)
+    assert ledger.per_iteration == []
 
 
 def test_ledger_cumulative_reconstruction():

@@ -126,9 +126,22 @@ def test_pivot_threshold_is_relative_to_the_largest_diagonal():
 
 
 def test_zero_matrix_gives_zero_solution():
-    report = solve_sym(np.zeros((4, 4)), np.zeros(4))
-    assert np.array_equal(report.solution, np.zeros(4))
-    assert report.rank_deficient
+    # Every pivot is skipped, so every unknown is +0.0 in the right-hand
+    # side's shape, whatever the signs of its entries and of the zeros.
+    for shape in ((4,), (4, 1), (4, 3)):
+        b = -np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        for a in (np.zeros((4, 4)), np.full((4, 4), -0.0)):
+            report = solve_sym(a, b)
+            assert report.solution.shape == shape
+            assert report.solution.tobytes() == np.zeros(shape).tobytes()
+            assert report.rank_deficient
+
+
+def test_empty_system_skips_no_pivot():
+    for b in (np.zeros(0), np.zeros((0, 2))):
+        report = solve_sym(np.zeros((0, 0)), b)
+        assert report.solution.shape == b.shape
+        assert not report.rank_deficient
 
 
 def test_damped_system_is_a_full_rank_solve():
