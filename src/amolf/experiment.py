@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, kfold_split, normalize_zero_mean, take
-from .network import Mlp, init_net_control, mse
+from .network import ACTIVATIONS, Mlp, init_net_control, mse
 from .trainers import (
     DEFAULT_SEARCH_PERIOD,
     TrainerState,
@@ -50,6 +50,12 @@ class ExperimentConfig:
             raise ValueError("n_trials must be >= 1")
         if self.n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
+        if self.k_folds < 3:
+            raise ValueError(
+                f"k_folds must be >= 3 (train, validation, and test roles), got {self.k_folds}"
+            )
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:

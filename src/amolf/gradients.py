@@ -27,11 +27,9 @@ the operations of the plain expressions in the same order, so they keep
 their bits and make no second pattern-sized temporary. None writes into the
 pass's f'(net): a product with it scales the array the kernel allocates
 anyway (f'·(x·d) as (x·d)·f'), and IEEE multiplication commutes bit for bit.
-The directional curvatures' products of the inputs with an input-side
-direction are ``linalg.input_product``s (weight operand untransposed, the
-same bits for up to 15 augmented inputs); their hidden-side products
-(``@ woh.T``, ``activ @ d_woh.T``) keep the transposed operand, since over
-15 hidden units the two kernels can round differently.
+Every product of a pattern-sized array with a transposed weight matrix or
+direction is a ``linalg.weight_product``; the ``linalg`` docstring says
+which BLAS kernel it takes and why its bits are those of ``a @ w.T``.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import input_product, pattern_sum, solve_sym
+from .linalg import pattern_sum, solve_sym, weight_product
 from .network import ForwardTrace, Mlp
 
 
@@ -117,9 +115,9 @@ def gn_curvature_along_input_direction(trace: ForwardTrace, direction: np.ndarra
     """Gauss-Newton second derivative of the error along an input-weight
     direction, i.e. the Hessian quadratic form evaluated without forming the
     Hessian."""
-    activ_change = input_product(trace.dataset.inputs, direction)
+    activ_change = weight_product(trace.dataset.inputs, direction)
     activ_change *= trace.fprime
-    u = activ_change @ trace.mlp.woh.T
+    u = weight_product(activ_change, trace.mlp.woh)
     u *= u
     return float(2.0 * u.sum() / trace.dataset.n_patterns)
 
@@ -129,11 +127,11 @@ def gn_curvature_along_direction(
 ) -> float:
     """Gauss-Newton quadratic form along a direction over all weights."""
     inputs = trace.dataset.inputs
-    u = input_product(inputs, d_woi)
-    u += trace.activ @ d_woh.T
-    activ_change = input_product(inputs, d_w)
+    u = weight_product(inputs, d_woi)
+    u += weight_product(trace.activ, d_woh)
+    activ_change = weight_product(inputs, d_w)
     activ_change *= trace.fprime
-    u += activ_change @ trace.mlp.woh.T
+    u += weight_product(activ_change, trace.mlp.woh)
     u *= u
     return float(2.0 * u.sum() / trace.dataset.n_patterns)
 

@@ -1,4 +1,5 @@
-"""Dense linear algebra: pattern sums and small symmetric PSD solves.
+"""Dense linear algebra: pattern sums, weight products and small symmetric
+PSD solves.
 
 Storage is plain float64 numpy throughout: a matrix is a 2-D C-contiguous
 array, a vector is 1-D. Every system solved in this package is at most a
@@ -9,6 +10,18 @@ package that sums over patterns is a ``pattern_sum``, and no solve calls
 LAPACK. ``solve_sym``'s only BLAS calls are matrix-vector products, whose
 bits do not change with the thread count at the sizes solved here (a test
 pins this up to 900 rows).
+
+It also owns the rule that keeps the kernel choice out of the bits: every
+product of a pattern-sized array with a transposed weight matrix is a
+``weight_product``. OpenBLAS multiplies by the transposed view ``w.T`` with
+one kernel and by a C-contiguous copy of it with a faster one (18,000×10 by
+10×4 at one BLAS thread on a Xeon: 74 µs against 155 µs). On OpenBLAS
+0.3.31 the two give the same bits whenever the inner dimension is at most
+``UNTRANSPOSED_MAX_INNER`` (15) and the pattern-sized operand has more than
+one row. A single row (numpy's matrix-vector path) or an inner dimension of
+16 or more (30 hidden units, or 15 inputs and the bias) can round
+differently, so those products keep the transposed view.
+``tests/test_linalg.py`` pins the rule on the installed OpenBLAS.
 """
 
 from __future__ import annotations
@@ -29,6 +42,9 @@ PIVOT_RTOL = 1e-10
 # that size, in a fixed order, so its bits do not depend on the thread count.
 GEMM_SINGLE_THREAD_SIZE = 2**18
 GRAM_TILE = 64
+# Largest inner dimension at which OpenBLAS's untransposed and transposed
+# kernels round alike (see the module docstring).
+UNTRANSPOSED_MAX_INNER = 15
 
 
 def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
@@ -39,21 +55,22 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return out
 
 
-def input_product(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``inputs @ weights.T`` for pattern-sized ``inputs`` and an input-side
-    weight matrix ``weights`` (one row per unit, one column per input).
+def weight_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w.T`` for a pattern-sized ``a`` and a weight matrix ``w`` (one
+    row per unit), bit for bit, on the faster kernel where the module's
+    rule allows it."""
+    if w.shape[1] <= UNTRANSPOSED_MAX_INNER and a.shape[0] > 1:
+        return _untransposed_product(a, w)
+    return a @ w.T
 
-    The weight operand goes to BLAS as a C-contiguous (n+1)×k copy, not as
-    the transposed view: at k-fold shapes OpenBLAS's untransposed kernel is
-    1.3–2.5× faster (18,000×5 by 5×4: 0.04 ms against 0.10 ms), and on
-    OpenBLAS 0.3.31 it gives the same bits whenever the inner dimension is
-    at most 15 and there is more than one pattern (checked over 12 pattern
-    counts, inner dimensions 2–32 and 11 widths). The hidden-side products
-    (``@ woh.T``) keep the transposed view: their inner dimension is the
-    hidden-unit count, and at 30 units (2000×30 by 30×4, say) the two
-    kernels round differently.
-    """
-    return inputs @ np.ascontiguousarray(weights.T)
+
+@np.errstate(invalid="ignore")
+def _untransposed_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w.T`` with a C-contiguous copy of ``w.T``. OpenBLAS's kernel
+    for it sets the invalid-operation flag on ±inf operands although its
+    result equals the transposed kernel's, which sets none, so the flag is
+    ignored here (the decorator costs about 1 µs a call)."""
+    return a @ np.ascontiguousarray(w.T)
 
 
 def pattern_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

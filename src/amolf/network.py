@@ -11,11 +11,10 @@ outputs, the error) build each result in one array they allocate and then
 update in place, and ``forward`` computes the activations in place in its
 net-value array, so a pass makes no pattern-sized temporary; the
 operations and their order are those of the plain expressions, so the
-bits are too. The net values and the bypass term are
-``linalg.input_product``s, which hand BLAS the weight operand untransposed
-(faster, and the same bits for up to 15 augmented inputs); the hidden-side
-``activ @ woh.T`` keeps its transposed operand, since over 15 hidden units
-the two kernels can round differently.
+bits are too. Every product with a transposed weight matrix (the net
+values, the bypass and hidden-unit terms of the outputs) is a
+``linalg.weight_product``; the ``linalg`` docstring says which BLAS kernel
+it takes and why its bits are those of ``a @ w.T``.
 
 ``forward`` computes the activations alone. A pass computes its outputs,
 its activation derivatives f'(net) and its error the first time each is
@@ -31,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import check_finite, input_product
+from .linalg import check_finite, weight_product
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -156,15 +155,15 @@ def forward(mlp: Mlp, dataset: Dataset) -> ForwardTrace:
         raise ValueError(f"network has {mlp.n_inputs} inputs, dataset has {dataset.n_inputs}")
     if dataset.n_outputs != mlp.n_outputs:
         raise ValueError(f"network has {mlp.n_outputs} outputs, dataset has {dataset.n_outputs}")
-    net = input_product(dataset.inputs, mlp.w)
+    net = weight_product(dataset.inputs, mlp.w)
     return ForwardTrace(mlp, dataset, ACTIVATIONS[mlp.activation][0](net, out=net))
 
 
 def linear_output(mlp: Mlp, dataset: Dataset, activ: np.ndarray) -> np.ndarray:
     """The forward pass's last stage: linear outputs for given activations,
     the bypass product with the hidden-unit product added in place."""
-    out = input_product(dataset.inputs, mlp.woi)
-    out += activ @ mlp.woh.T
+    out = weight_product(dataset.inputs, mlp.woi)
+    out += weight_product(activ, mlp.woh)
     return out
 
 
@@ -204,7 +203,7 @@ def init_net_control(
     n = dataset.n_inputs
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_hidden, n + 1))
-    raw_net = input_product(dataset.inputs[:, :n], w[:, :n])
+    raw_net = weight_product(dataset.inputs[:, :n], w[:, :n])
     variances = raw_net.var(axis=0)
     if np.any(variances <= 0.0):
         raise ValueError("degenerate dataset: a hidden unit's net variance is zero")

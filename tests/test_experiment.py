@@ -190,6 +190,26 @@ def test_config_validation():
     ExperimentConfig(algorithm="amolf", n_hidden=3, iterations=1, search_period=0)
 
 
+def test_config_refuses_an_unknown_activation():
+    with pytest.raises(ValueError, match=r"^unknown activation 'relu'$"):
+        ExperimentConfig(algorithm="owo-bp", n_hidden=3, iterations=2, activation="relu")
+    data = normalize_zero_mean(gen_matrix_inversion(40, 0))
+    with pytest.raises(ValueError, match=r"^unknown activation 'relu'$"):
+        init_net_control(data, 3, 0, "relu")
+    for activation in ("sigmoid", "tanh", "linear"):
+        ExperimentConfig(algorithm="owo-bp", n_hidden=3, iterations=2, activation=activation)
+
+
+@pytest.mark.parametrize("k_folds", [2, 1, 0, -3])
+def test_config_refuses_fewer_than_three_folds(k_folds):
+    with pytest.raises(
+        ValueError,
+        match=rf"^k_folds must be >= 3 \(train, validation, and test roles\), got {k_folds}$",
+    ):
+        ExperimentConfig(algorithm="owo-bp", n_hidden=3, iterations=2, k_folds=k_folds)
+    ExperimentConfig(algorithm="owo-bp", n_hidden=3, iterations=2, k_folds=3)
+
+
 @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "amolf"])
 def test_config_rejects_a_search_period_outside_amolf(algo):
     with pytest.raises(ValueError, match=rf"^search_period is for amolf only, not {algo}$"):

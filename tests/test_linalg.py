@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amolf.linalg import PIVOT_RTOL, SolveReport, solve_sym
+from amolf.linalg import PIVOT_RTOL, SolveReport, solve_sym, weight_product
 from support import fixed_order_elimination, gauss_elimination_solve, random_spd
 
 
@@ -194,3 +196,45 @@ def test_report_is_frozen():
     assert isinstance(report, SolveReport)
     with pytest.raises(AttributeError):
         report.rank_deficient = True
+
+
+WEIGHT_PRODUCT_ROWS = (1, 2, 3, 64, 2000, 18000)
+WEIGHT_PRODUCT_INNER = range(1, 33)
+WEIGHT_PRODUCT_WIDTHS = (1, 2, 4, 10, 30)
+
+
+def test_weight_product_has_the_bits_of_the_transposed_product():
+    # The contract behind every pattern-sized product with a weight matrix:
+    # whichever kernel the helper picks, its bits are those of ``a @ w.T``.
+    # This also checks the size rule on the installed OpenBLAS: where its
+    # untransposed kernel rounds apart at a shape the rule lets through
+    # (more than one row, inner dimension <= UNTRANSPOSED_MAX_INNER), the
+    # shape is listed.
+    rng = np.random.default_rng(0)
+    differ = []
+    for rows in WEIGHT_PRODUCT_ROWS:
+        for inner in WEIGHT_PRODUCT_INNER:
+            a = rng.standard_normal((rows, inner))
+            for width in WEIGHT_PRODUCT_WIDTHS:
+                w = rng.standard_normal((width, inner))
+                if weight_product(a, w).tobytes() != (a @ w.T).tobytes():
+                    differ.append((rows, inner, width))
+    assert differ == []
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_weight_product_of_infinite_patterns_warns_of_nothing(value):
+    # OpenBLAS's untransposed kernel raises the invalid-operation flag on
+    # infinite operands; the result is the transposed kernel's, so no
+    # warning may escape (pytest turns one into an error).
+    rng = np.random.default_rng(2)
+    for rows in WEIGHT_PRODUCT_ROWS[:4]:
+        for inner in WEIGHT_PRODUCT_INNER:
+            a = np.full((rows, inner), value)
+            for width in WEIGHT_PRODUCT_WIDTHS:
+                w = rng.uniform(0.5, 2.0, (width, inner))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = weight_product(a, w)
+                np.testing.assert_array_equal(out, a @ w.T)
+                assert np.all(out == value)
