@@ -13,7 +13,15 @@ bit. The runs, all on zero-mean matrix-inversion data:
   (2000 patterns, nh=30, 20 iterations or 8 for lm, 2 trials, amolf search
   period 4), hashing ``mean_mse``, ``cum_multiplies`` and the final weights;
 * ``run_kfold`` for every trainer (600 patterns, nh=8, k=5, 15 iterations),
-  hashing the per-round training and test errors.
+  hashing the per-round training and test errors;
+* runs stepped with ``iterate`` (600 patterns, nh=8, amolf search period 4),
+  hashing every state's ledger, training error and weights, so that the
+  hand-off of one iteration's forward pass to the next is checked where it
+  is taken and where it is missed: for every trainer, a run of 4 iterations
+  and a branch of 3 taken from the state after its first; for every trainer,
+  a run of 3 iterations continued for 3 more on other data with
+  ``replace(state, dataset=other)``; and an amolf and an owo-bp run stepped
+  alternately for 6 iterations each.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
@@ -30,9 +39,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from amolf.dataset import gen_matrix_inversion  # noqa: E402
+from amolf.dataset import gen_matrix_inversion, normalize_zero_mean  # noqa: E402
 from amolf.experiment import ExperimentConfig, run_kfold, run_training  # noqa: E402
-from amolf.trainers import ALGORITHMS  # noqa: E402
+from amolf.network import init_net_control  # noqa: E402
+from amolf.trainers import ALGORITHMS, init_state, iterate  # noqa: E402
 
 
 def _digest(arrays) -> str:
@@ -40,6 +50,27 @@ def _digest(arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def _state_digest(states) -> str:
+    return _digest(
+        a
+        for s in states
+        for a in (s.ledger.per_iteration, [s.last_error], s.mlp.w, s.mlp.woh, s.mlp.woi)
+    )
+
+
+def _steps(state, count: int) -> list:
+    """``state`` and the ``count`` states that ``iterate`` steps from it."""
+    states = [state]
+    for _ in range(count):
+        states.append(iterate(states[-1]))
+    return states
+
+
+def _start(algo: str, data, seed: int = 0):
+    mlp = init_net_control(data, 8, seed)
+    return init_state(algo, mlp, data, **({"search_period": 4} if algo == "amolf" else {}))
 
 
 def main() -> None:
@@ -63,6 +94,21 @@ def main() -> None:
         config = ExperimentConfig(algorithm=algo, n_hidden=8, iterations=15, k_folds=5)
         report = run_kfold(data, config)
         print(f"kfold {algo} {_digest([report.train_errors, report.test_errors])}", flush=True)
+    data = normalize_zero_mean(data)
+    other = normalize_zero_mean(gen_matrix_inversion(600, 1))
+    for algo in ALGORITHMS:
+        run = _steps(_start(algo, data), 4)
+        branch = _steps(run[1], 3)  # the slot holds run[4]'s pass: a miss
+        print(f"branch {algo} {_state_digest(run + branch)}", flush=True)
+    for algo in ALGORITHMS:
+        run = _steps(_start(algo, data), 3)
+        continued = _steps(replace(run[-1], dataset=other), 3)
+        print(f"continue {algo} {_state_digest(run + continued)}", flush=True)
+    runs = [[_start("amolf", data)], [_start("owo-bp", data, seed=1)]]
+    for _ in range(6):
+        for states in runs:
+            states.append(iterate(states[-1]))  # the slot holds the other run's pass
+    print(f"alternate amolf owo-bp {_state_digest(runs[0] + runs[1])}", flush=True)
 
 
 if __name__ == "__main__":

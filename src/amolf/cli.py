@@ -17,16 +17,9 @@ import sys
 
 from . import cost
 from .dataset import Dataset, gen_matrix_inversion, load_tra, save_tra
-from .experiment import (
-    DEFAULT_PATIENCE,
-    ExperimentConfig,
-    emit_curve,
-    emit_kfold,
-    run_kfold,
-    run_training,
-)
+from .experiment import ExperimentConfig, emit_curve, emit_kfold, run_kfold, run_training
 from .network import save_mlp
-from .trainers import ALGORITHMS, DEFAULT_SEARCH_PERIOD
+from .trainers import ALGORITHMS
 
 SYNTHETIC_GENERATORS = ("matinv",)
 SYNTHETIC_PATTERNS = 2000
@@ -51,13 +44,15 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nh", type=int, required=True, help="hidden unit count")
     parser.add_argument("--algo", choices=ALGORITHMS, required=True)
     parser.add_argument("--iters", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--activation", choices=("sigmoid", "tanh"), default="sigmoid")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    parser.add_argument(
+        "--activation", choices=("sigmoid", "tanh"), default=ExperimentConfig.activation
+    )
     parser.add_argument(
         "--search-period",
         type=int,
         help="iterations between exhaustive group-count searches "
-        f"(amolf only, default {DEFAULT_SEARCH_PERIOD})",
+        f"(amolf only, default {ExperimentConfig.search_period})",
     )
 
 
@@ -76,19 +71,18 @@ def _load_data(args: argparse.Namespace) -> Dataset:
 
 def _config(args: argparse.Namespace, **verb_fields) -> ExperimentConfig:
     """The experiment settings shared by ``train`` and ``kfold``, plus the
-    verb's own fields."""
-    search_period = args.search_period
-    if search_period is None:
-        search_period = DEFAULT_SEARCH_PERIOD
-    elif args.algo != "amolf":
-        raise ValueError("--search-period is for --algo amolf")
+    verb's own fields; an absent ``--search-period`` leaves the config's
+    default."""
+    if args.search_period is not None:
+        if args.algo != "amolf":
+            raise ValueError("--search-period is for --algo amolf")
+        verb_fields["search_period"] = args.search_period
     return ExperimentConfig(
         algorithm=args.algo,
         n_hidden=args.nh,
         iterations=args.iters,
         seed=args.seed,
         activation=args.activation,
-        search_period=search_period,
         **verb_fields,
     )
 
@@ -148,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="emit an averaged training curve")
     _add_data_args(p_train)
     _add_train_args(p_train)
-    p_train.add_argument("--trials", type=int, default=10)
+    p_train.add_argument("--trials", type=int, default=ExperimentConfig.n_trials)
     p_train.add_argument("--out", required=True, help="output CSV path")
     p_train.add_argument("--save-model", help="also save the first trial's final model")
     p_train.set_defaults(func=_cmd_train)
@@ -156,14 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_kfold = sub.add_parser("kfold", help="k-fold validation/test protocol")
     _add_data_args(p_kfold)
     _add_train_args(p_kfold)
-    p_kfold.add_argument("--k", type=int, default=10)
-    p_kfold.add_argument("--patience", type=int, default=DEFAULT_PATIENCE)
+    p_kfold.add_argument("--k", type=int, default=ExperimentConfig.k_folds)
+    p_kfold.add_argument("--patience", type=int, default=ExperimentConfig.patience)
     p_kfold.add_argument("--out", required=True, help="output CSV path")
     p_kfold.set_defaults(func=_cmd_kfold)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset")
     p_gen.add_argument("--patterns", type=int, default=SYNTHETIC_PATTERNS)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen_data)
 

@@ -69,6 +69,9 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
 
     The nv m / 2 term sits inside a bracket that is itself scaled by nv,
     which makes the count quadratic in nv; evaluated exactly as defined.
+    owo-newton's curves use this count; README's cost paragraph compares it
+    with the Hessian build and solve priced as ``mult_amolf_search`` and
+    ``mult_amolf`` price them, about 1,900x less at matinv sizes.
     """
     _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)

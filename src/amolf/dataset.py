@@ -59,10 +59,15 @@ class Dataset:
 
 
 def make_dataset(raw_inputs: np.ndarray, targets: np.ndarray) -> Dataset:
-    """Build a Dataset from un-augmented inputs, appending the bias column."""
-    raw = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
+    """Build a Dataset from un-augmented inputs, appending the bias column.
+    Both arrays must be 2-D, one row per pattern."""
+    raw = np.asarray(raw_inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    for name, array in (("raw_inputs", raw), ("targets", targets)):
+        if array.ndim != 2:
+            raise ValueError(f"{name} must be 2-D (patterns x columns), got shape {array.shape}")
     bias = np.ones((raw.shape[0], 1))
-    return Dataset(np.hstack((raw, bias)), np.atleast_2d(np.asarray(targets, dtype=np.float64)))
+    return Dataset(np.hstack((raw, bias)), targets)
 
 
 def take(dataset: Dataset, indices: np.ndarray) -> Dataset:

@@ -10,7 +10,6 @@ the test-fold error of the best-validation model, averaged over k rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +19,13 @@ from .network import ACTIVATIONS, Mlp, init_net_control, mse
 from .trainers import (
     DEFAULT_SEARCH_PERIOD,
     TrainerState,
+    check_error,
     check_run_settings,
     init_state,
     iterate,
     release_handoff,
 )
 
-DEFAULT_PATIENCE = 20
 MIN_IMPROVEMENT = 1e-6  # relative validation-error improvement
 
 
@@ -40,7 +39,7 @@ class ExperimentConfig:
     seed: int = 0
     activation: str = "sigmoid"
     search_period: int = DEFAULT_SEARCH_PERIOD
-    patience: int = DEFAULT_PATIENCE
+    patience: int = 20
 
     def __post_init__(self) -> None:
         check_run_settings(self.algorithm, self.search_period)
@@ -152,8 +151,9 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
             stall = 0
             for _ in range(config.iterations):
                 state = iterate(state)
-                val_error = _check_round_error(
-                    mse(state.mlp, val_data), "validation", round_index
+                # A NaN would count as no improvement, so it is refused.
+                val_error = check_error(
+                    mse(state.mlp, val_data), f"k-fold round {round_index}: the validation error"
                 )
                 if val_error <= best_val * (1.0 - MIN_IMPROVEMENT):
                     best_val = val_error
@@ -164,21 +164,15 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
                     if stall >= config.patience:
                         break
             train_errors.append(best.last_error)
-            test_errors.append(_check_round_error(mse(best.mlp, test_data), "test", round_index))
+            test_errors.append(
+                check_error(mse(best.mlp, test_data), f"k-fold round {round_index}: the test error")
+            )
     finally:
         release_handoff()
     return KfoldReport(
         train_errors=tuple(train_errors),
         test_errors=tuple(test_errors),
     )
-
-
-def _check_round_error(error: float, kind: str, round_index: int) -> float:
-    """``error``, or a one-line ``ValueError`` naming the k-fold round if it
-    is NaN or infinite; a NaN would otherwise count as no improvement."""
-    if not math.isfinite(error):
-        raise ValueError(f"k-fold round {round_index}: the {kind} error is {error}, not finite")
-    return error
 
 
 def emit_curve(curve: TrainingCurve, path: str) -> None:

@@ -512,14 +512,6 @@ def quadratic_line_minimum(f, h: float = 0.5) -> float:
     return h * num / den
 
 
-def timed(fn):
-    import time
-
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
 # The closed-form multiply counts of ``amolf.cost`` in exact rational
 # arithmetic, each formula spelled as its docstring states it. ``amolf.cost``
 # evaluates the same counts with integer ``//``, which is exact only if every

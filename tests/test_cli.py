@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import amolf.trainers
-from amolf.cli import main
+from amolf.cli import _config, build_parser, main
 from amolf.dataset import gen_matrix_inversion, normalize_zero_mean
-from amolf.experiment import trial_seed
+from amolf.experiment import ExperimentConfig, trial_seed
 from amolf.network import init_net_control
 from amolf.trainers import init_state, iterate
 from support import load_mlp
@@ -146,6 +146,19 @@ def test_count_mults_rejects_impossible_configurations(change, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "verb, verb_flags",
+    [("train", {"trials": "n_trials"}), ("kfold", {"k": "k_folds", "patience": "patience"})],
+)
+def test_absent_run_flags_take_the_config_defaults(verb, verb_flags):
+    argv = [verb, "--synthetic", "matinv", "--nh", "3", "--algo", "amolf", "--out", "x.csv"]
+    args = build_parser().parse_args(argv)
+    for flag, field in {"seed": "seed", "activation": "activation", **verb_flags}.items():
+        assert getattr(args, flag) == getattr(ExperimentConfig, field), flag
+    assert args.search_period is None
+    assert _config(args).search_period == ExperimentConfig.search_period
 
 
 def test_missing_file_is_one_line_error(tmp_path):

@@ -198,6 +198,22 @@ def test_dataset_rejects_non_finite():
         make_dataset(np.array([[np.inf]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize(
+    "raw, targets, name, shape",
+    [
+        (np.arange(5.0), np.arange(5.0), "raw_inputs", (5,)),
+        (np.zeros((5, 2)), np.arange(5.0), "targets", (5,)),
+        (np.zeros((5, 2, 1)), np.zeros((5, 1)), "raw_inputs", (5, 2, 1)),
+    ],
+)
+def test_make_dataset_refuses_arrays_that_are_not_2d(raw, targets, name, shape):
+    # A 1-D array is neither one pattern nor one column: it is refused by
+    # name and shape, not read as a single pattern.
+    message = rf"^{name} must be 2-D \(patterns x columns\), got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        make_dataset(raw, targets)
+
+
 def test_dataset_arrays_immutable():
     d = gen_matrix_inversion(5, 0)
     with pytest.raises(ValueError):
