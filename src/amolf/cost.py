@@ -6,24 +6,26 @@ Throughout, nu = n + nh + 1 is the augmented-basis size, niw = nh * (n + 1)
 the input-weight count, and nw = m * nu + (n + 1) * nh the total weight
 count.
 
-Every count is an exact integer, evaluated in integer arithmetic: the
-formulas' fractions all come from k (k+1) / 2, an integer because k (k+1)
-is even, and from k (k+1) (2k + 1) / 6, an integer because k (k+1) (2k + 1)
-is divisible by 6 (it is six times the sum of the first k squares).
+Every count is an exact integer, evaluated in Python integers, so numpy
+sizes cannot overflow: the formulas' fractions all come from k (k+1) / 2,
+an integer because k (k+1) is even, and from k (k+1) (2k + 1) / 6, an
+integer because k (k+1) (2k + 1) is divisible by 6 (it is six times the
+sum of the first k squares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
+
+from .linalg import check_count
 
 
-def _check_sizes(n: int, nh: int, m: int, nv: int) -> None:
-    """Reject sizes no network or dataset has; the formulas would count them."""
-    for name, value in (("n", n), ("nh", nh), ("m", m), ("nv", nv)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+def _check_sizes(n: int, nh: int, m: int, nv: int) -> tuple[int, ...]:
+    """The sizes as Python ints. Sizes no network or dataset has are
+    refused; the formulas would count them."""
+    sizes = (("n", n), ("nh", nh), ("m", m), ("nv", nv))
+    return tuple(check_count(value, name, 1) for name, value in sizes)
 
 
 def _pairs(k: int) -> int:
@@ -46,12 +48,13 @@ def mult_owo_bp(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration of output-weight solving plus gradient descent on the
     input weights with a second-order step size: the output-weight stage
     plus nv nh (m + n + 2) for the gradient step."""
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     return mult_owo(n, nh, m, nv) + nv * nh * (m + n + 2)
 
 
 def mult_lm(n: int, nh: int, m: int, nv: int) -> int:
     """One damped full-Hessian iteration over every weight in the network."""
-    _check_sizes(n, nh, m, nv)
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     nw = m * nu + (n + 1) * nh
     return nv * (
@@ -73,7 +76,7 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
     with the Hessian build and solve priced as ``mult_amolf_search`` and
     ``mult_amolf`` price them, about 1,900x less at matinv sizes.
     """
-    _check_sizes(n, nh, m, nv)
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
     return nv * (niw * (2 * m + 1) + nv * m * _pairs(niw) + _solve(niw))
 
@@ -81,7 +84,7 @@ def mult_newton(n: int, nh: int, m: int, nv: int) -> int:
 def mult_owo(n: int, nh: int, m: int, nv: int) -> int:
     """The output-weight stage on its own (forward pass plus solve):
     nv [nh (n+1) + m (2 nu + 1) + nu (nu+1) / 2] + mult_ols(nu, m)."""
-    _check_sizes(n, nh, m, nv)
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     per_pattern = nh * (n + 1) + m * (2 * nu + 1) + _pairs(nu)
     return nv * per_pattern + mult_ols(nu, m)
@@ -95,7 +98,7 @@ def mult_owo_newton(n: int, nh: int, m: int, nv: int) -> int:
 def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     """One iteration with a compressed nh-by-nh step-size system:
     nh (nh+1) [(2 nh + 1)/6 + 5/2] + nv nh [2m + n + 2 + m (nh + 1)/2]."""
-    _check_sizes(n, nh, m, nv)
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     return _solve(nh) + nv * nh * (2 * m + n + 2) + nv * m * _pairs(nh)
 
 
@@ -104,8 +107,9 @@ def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     nl = ng * nh learning factors:
     nl (nl+1) [(2 nl + 1)/6 + 5/2 + m nv / 2] + nh (n+1) + nh ng m (nv + 2)
     + nl nv m."""
-    _check_sizes(n, nh, m, nv)
-    if not 1 <= ng <= n:
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
+    ng = check_count(ng, "ng", 1)
+    if ng > n:
         raise ValueError(f"ng must be in 1..{n}, got {ng}")
     nl = ng * nh
     return (
@@ -126,7 +130,7 @@ def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
     unknowns, solving, applying a trial step, and one forward error
     evaluation.
     """
-    _check_sizes(n, nh, m, nv)
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
     nu = n + nh + 1
     total = nv * nh * (n + 1) + nv * m * _pairs(niw)
@@ -144,7 +148,7 @@ def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
     direction bookkeeping, the directional curvature pass for the step
     size, and the weight update.
     """
-    _check_sizes(n, nh, m, nv)
+    n, nh, m, nv = _check_sizes(n, nh, m, nv)
     nu = n + nh + 1
     nw = m * nu + (n + 1) * nh
     forward = nv * (nh * (n + 1) + m * nu)
@@ -155,20 +159,9 @@ def mult_cg(n: int, nh: int, m: int, nv: int) -> int:
     return forward + deltas + grads + curvature + direction_and_step
 
 
-def _multiply_count(value: int) -> int:
-    """``value`` as an int, or a one-line ``ValueError`` if it is not a
-    positive whole number. A ``bool`` is refused although Python counts it
-    as an ``Integral``; numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"a multiply count must be a whole number, got {value!r}")
-    if value <= 0:
-        raise ValueError(f"a multiply count must be positive, got {value}")
-    return int(value)
-
-
 def epm(e_prev: float, e_now: float, m_it: int) -> float:
     """Error change per multiply for one iteration; negative when error rose."""
-    return (e_prev - e_now) / _multiply_count(m_it)
+    return (e_prev - e_now) / check_count(m_it, "a multiply count", 1)
 
 
 @dataclass
@@ -178,7 +171,7 @@ class CostLedger:
     per_iteration: list[int] = field(default_factory=list)
 
     def record(self, multiplies: int) -> None:
-        self.per_iteration.append(_multiply_count(multiplies))
+        self.per_iteration.append(check_count(multiplies, "a multiply count", 1))
 
     def cumulative(self) -> list[int]:
         return list(accumulate(self.per_iteration))

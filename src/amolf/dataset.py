@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_finite
+from .linalg import check_count, check_finite
+
+FOLD_ROLES = "train, validation, and test roles"
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,18 @@ def load_tra(path: str, n_inputs: int, n_outputs: int) -> Dataset:
     lines raise ValueError naming the offending line number, and so do input
     or output counts under 1.
     """
-    if n_inputs < 1 or n_outputs < 1:
-        raise ValueError(f"need n_inputs, n_outputs >= 1, got {n_inputs}, {n_outputs}")
+    n_inputs = check_count(n_inputs, "n_inputs", 1)
+    n_outputs = check_count(n_outputs, "n_outputs", 1)
     expected = n_inputs + n_outputs
     rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
+    with open(path, "rb") as fh:
+        # Decoded line by line, so a byte that is not ASCII names its line.
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                tokens = raw.decode("ascii").split()
+            except UnicodeDecodeError as exc:
+                bad = f"byte {raw[exc.start]:#04x} at column {exc.start + 1} is not ASCII"
+                raise ValueError(f"{path}: line {lineno}: {bad}") from None
             if not tokens:
                 continue
             if len(tokens) != expected:
@@ -135,10 +142,8 @@ def gen_matrix_inversion(n_patterns: int, seed: int) -> Dataset:
     in [0.3, 2]; the four targets are the row-major entries of the exact
     inverse. Deterministic for a given seed.
     """
-    if n_patterns < 1:
-        raise ValueError("n_patterns must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_patterns = check_count(n_patterns, "n_patterns", 1)
+    seed = check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
     accepted = 0
@@ -181,13 +186,11 @@ class FoldPlan:
 
 def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     """Deterministic shuffled split into k folds of near-equal size."""
-    if k < 3:
-        raise ValueError("k must be >= 3 (train, validation, and test roles)")
+    k = check_count(k, "k", 3, FOLD_ROLES)
     nv = dataset.n_patterns
     if nv < k:
         raise ValueError(f"cannot split {nv} patterns into {k} folds")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = check_count(seed, "seed", 0)
     perm = np.random.default_rng(seed).permutation(nv)
     # Fold f takes the next ``base`` patterns of perm, one more if f <= extra.
     base, extra = divmod(nv, k)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, kfold_split, normalize_zero_mean, take
+from .dataset import FOLD_ROLES, Dataset, kfold_split, normalize_zero_mean, take
+from .linalg import check_count
 from .network import ACTIVATIONS, Mlp, init_net_control, mse
 from .trainers import (
     DEFAULT_SEARCH_PERIOD,
@@ -43,22 +44,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_run_settings(self.algorithm, self.search_period)
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.n_hidden < 1:
-            raise ValueError("n_hidden must be >= 1")
-        if self.k_folds < 3:
-            raise ValueError(
-                f"k_folds must be >= 3 (train, validation, and test roles), got {self.k_folds}"
-            )
+        for name in ("iterations", "n_trials", "n_hidden", "patience"):
+            check_count(getattr(self, name), name, 1)
+        check_count(self.k_folds, "k_folds", 3, FOLD_ROLES)
+        check_count(self.seed, "seed", 0)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
 
 @dataclass(frozen=True)

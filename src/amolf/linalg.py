@@ -1,5 +1,6 @@
 """Dense linear algebra: pattern sums, weight products and small symmetric
-PSD solves.
+PSD solves, and the two input checks the package shares: ``check_finite``
+for arrays and ``check_count`` for counts, sizes and seeds.
 
 Storage is plain float64 numpy throughout: a matrix is a 2-D C-contiguous
 array, a vector is 1-D. Every system solved in this package is at most a
@@ -27,6 +28,7 @@ differently, so those products keep the transposed view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +55,18 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def check_count(value: int, name: str, minimum: int, reason: str = "") -> int:
+    """``value`` as a Python int, or a one-line ``ValueError`` naming ``name``
+    (and ``reason``, if given) unless it is a whole number of at least
+    ``minimum``. numpy integers pass; a ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        why = f" ({reason})" if reason else ""
+        raise ValueError(f"{name} must be >= {minimum}{why}, got {value}")
+    return int(value)
 
 
 def weight_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:

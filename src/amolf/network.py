@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset
-from .linalg import check_finite, weight_product
+from .linalg import check_count, check_finite, weight_product
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -196,10 +196,8 @@ def init_net_control(
     Raises if any hidden unit's pre-scale net variance is zero (degenerate
     dataset, e.g. a single pattern or constant inputs).
     """
-    if n_hidden < 1:
-        raise ValueError("n_hidden must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_hidden = check_count(n_hidden, "n_hidden", 1)
+    seed = check_count(seed, "seed", 0)
     n = dataset.n_inputs
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n_hidden, n + 1))

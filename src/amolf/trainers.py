@@ -86,7 +86,7 @@ from .gradients import (
     pack,
     unpack,
 )
-from .linalg import solve_sym
+from .linalg import check_count, solve_sym
 from .network import ForwardTrace, Mlp, forward
 from .owo import output_weight_step
 
@@ -116,7 +116,8 @@ def build_partition(curvature: np.ndarray, n_groups: int) -> np.ndarray:
     for every unit; groups never span units.
     """
     n1 = curvature.shape[1]
-    if not 1 <= n_groups <= n1:
+    n_groups = check_count(n_groups, "n_groups", 1)
+    if n_groups > n1:
         raise ValueError(f"n_groups must be in 1..{n1}, got {n_groups}")
     order = np.argsort(-curvature, axis=1, kind="stable")
     base, extra = divmod(n1, n_groups)
@@ -340,12 +341,11 @@ def check_error(error: float, what: str) -> float:
 
 
 def check_run_settings(algorithm: str, search_period: int) -> None:
-    """Refuse an unknown ``algorithm``, a negative ``search_period``, and a
-    ``search_period`` other than the default outside amolf."""
+    """Refuse an unknown ``algorithm``, a ``search_period`` that is not a
+    whole number >= 0, and one other than the default outside amolf."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if search_period < 0:
-        raise ValueError(f"search_period must be >= 0, got {search_period}")
+    check_count(search_period, "search_period", 0)
     if search_period != DEFAULT_SEARCH_PERIOD and algorithm != "amolf":
         raise ValueError(f"search_period is for amolf only, not {algorithm}")
 

@@ -49,6 +49,21 @@ def test_load_tra_rejects_non_positive_counts(tmp_path, n_inputs, n_outputs):
         load_tra(str(path), n_inputs, n_outputs)
 
 
+@pytest.mark.parametrize(
+    "content, line, byte, column",
+    [(b"\xef\xbb\xbf0.1 0.2 0.3\n", 1, "0xef", 1), (b"1 2 3\r\n\r\n4 5 \xb56\n", 3, "0xb5", 5)],
+    ids=["utf8-bom", "latin1-micro"],
+)
+def test_load_tra_names_the_line_of_a_byte_that_is_not_ascii(tmp_path, content, line, byte, column):
+    # Like any other malformed line, a byte that is not ASCII is an error
+    # naming the file and the line.
+    path = tmp_path / "bad.tra"
+    path.write_bytes(content)
+    message = f"^{re.escape(str(path))}: line {line}: byte {byte} at column {column} is not ASCII$"
+    with pytest.raises(ValueError, match=message):
+        load_tra(str(path), 2, 1)
+
+
 def test_load_tra_bad_token_names_line(tmp_path):
     path = tmp_path / "bad.tra"
     path.write_text("1 2 3\n4 x 6\n")

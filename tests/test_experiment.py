@@ -8,6 +8,7 @@ import amolf.trainers
 from amolf import cost
 from amolf.dataset import gen_matrix_inversion, kfold_split, normalize_zero_mean
 from amolf.experiment import (
+    MIN_IMPROVEMENT,
     ExperimentConfig,
     emit_curve,
     emit_kfold,
@@ -327,6 +328,44 @@ def test_a_run_leaves_the_hand_off_slot_empty(run):
     # alive; after a k-fold run that was 2.94 MB kept until the next run.
     run(gen_matrix_inversion(90, 4), _config(k_folds=3))
     assert amolf.trainers._handoff is None
+
+
+def test_kfold_stops_after_patience_and_reports_the_best_validation_state(monkeypatch):
+    # Each round's validation errors are scripted: iteration 3 improves on
+    # iteration 2 by twice MIN_IMPROVEMENT, iteration 4 on iteration 3 by
+    # half of it, which is no improvement, and iterations 4-6 are the three
+    # non-improving ones that patience=3 allows.
+    best_val = 0.5 * (1.0 - 2 * MIN_IMPROVEMENT)
+    script = [1.0, 0.5, best_val, best_val * (1.0 - MIN_IMPROVEMENT / 2), 2.0, best_val]
+    rounds = [[]]  # the states each round's iterations made
+    tested = []  # (network, test error) of each round
+    pending = []  # a validation error is due
+    mse = amolf.experiment.mse
+
+    def counting_iterate(state):
+        rounds[-1].append(iterate(state))
+        pending.append(1)
+        return rounds[-1][-1]
+
+    def scripted_mse(mlp, data):
+        if pending:
+            pending.clear()
+            return script[min(len(rounds[-1]), len(script)) - 1]
+        tested.append((mlp, mse(mlp, data)))
+        rounds.append([])
+        return tested[-1][1]
+
+    monkeypatch.setattr(amolf.experiment, "iterate", counting_iterate)
+    monkeypatch.setattr(amolf.experiment, "mse", scripted_mse)
+    report = run_kfold(gen_matrix_inversion(90, 4), _config(k_folds=3, iterations=20, patience=3))
+    assert [len(states) for states in rounds] == [6, 6, 6, 0]
+    for states, (mlp, test_error), train_error, reported_test in zip(
+        rounds, tested, report.train_errors, report.test_errors
+    ):
+        best = states[2]
+        assert mlp is best.mlp
+        assert train_error == best.last_error != states[-1].last_error
+        assert reported_test == test_error
 
 
 @pytest.mark.parametrize(

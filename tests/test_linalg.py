@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from amolf import cost
+from amolf.dataset import gen_matrix_inversion, kfold_split, load_tra, normalize_zero_mean
+from amolf.experiment import ExperimentConfig
 from amolf.linalg import PIVOT_RTOL, SolveReport, solve_sym, weight_product
+from amolf.network import init_net_control
+from amolf.trainers import build_partition, init_state
 from support import fixed_order_elimination, gauss_elimination_solve, random_spd
 
 
@@ -238,3 +244,74 @@ def test_weight_product_of_infinite_patterns_warns_of_nothing(value):
                     out = weight_product(a, w)
                 np.testing.assert_array_equal(out, a @ w.T)
                 assert np.all(out == value)
+
+
+# Every count, size and seed that linalg.check_count refuses for the
+# package, as (name in the message, call with the value in that place); the
+# ledger's counts are in test_cost.py. load_tra reads ``d.tra`` in the
+# working directory.
+_DATA = normalize_zero_mean(gen_matrix_inversion(40, 0))
+_COUNT_ARGUMENTS = {
+    **{
+        f"ExperimentConfig.{name}": (
+            name,
+            lambda v, name=name: ExperimentConfig(
+                **{"algorithm": "amolf", "n_hidden": 2, "iterations": 3, name: v}
+            ),
+        )
+        for name in (
+            "iterations", "n_trials", "n_hidden", "k_folds", "seed", "patience", "search_period"
+        )
+    },
+    "init_state.search_period": (
+        "search_period",
+        lambda v: init_state("amolf", init_net_control(_DATA, 2, 0), _DATA, search_period=v),
+    ),
+    "init_net_control.n_hidden": ("n_hidden", lambda v: init_net_control(_DATA, v, 0)),
+    "init_net_control.seed": ("seed", lambda v: init_net_control(_DATA, 2, v)),
+    "load_tra.n_inputs": ("n_inputs", lambda v: load_tra("d.tra", v, 1)),
+    "load_tra.n_outputs": ("n_outputs", lambda v: load_tra("d.tra", 1, v)),
+    "gen_matrix_inversion.n_patterns": ("n_patterns", lambda v: gen_matrix_inversion(v, 0)),
+    "gen_matrix_inversion.seed": ("seed", lambda v: gen_matrix_inversion(10, v)),
+    "kfold_split.k": ("k", lambda v: kfold_split(_DATA, v, 0)),
+    "kfold_split.seed": ("seed", lambda v: kfold_split(_DATA, 3, v)),
+    **{
+        f"mult_lm.{name}": (name, lambda v, i=i: cost.mult_lm(*[3] * i, v, *[3] * (3 - i)))
+        for i, name in enumerate(("n", "nh", "m", "nv"))
+    },
+    "mult_amolf.ng": ("ng", lambda v: cost.mult_amolf(4, 3, 4, 100, v)),
+    "build_partition.n_groups": ("n_groups", lambda v: build_partition(np.ones((2, 5)), v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("argument", sorted(_COUNT_ARGUMENTS))
+def test_every_count_refuses_a_value_that_is_not_a_whole_number(
+    argument, value, tmp_path, monkeypatch
+):
+    # A float or a bool passes a plain range check, then fails inside a run
+    # or runs.
+    (tmp_path / "d.tra").write_text("1 2\n3 4\n")
+    monkeypatch.chdir(tmp_path)
+    name, call = _COUNT_ARGUMENTS[argument]
+    message = f"^{re.escape(name)} must be a whole number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        cost.mult_owo_bp, cost.mult_lm, cost.mult_newton, cost.mult_owo,
+        cost.mult_owo_newton, cost.mult_owo_molf, cost.mult_amolf_search, cost.mult_cg,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_counts_of_numpy_sizes_are_exact_python_ints(formula):
+    # In int64 arithmetic these sizes overflow mult_newton, to
+    # -6,766,229,150,391,698,944.
+    sizes = (100, 1000, 10, 10**6)
+    count = formula(*map(np.int64, sizes))
+    assert type(count) is int and count == formula(*sizes)
+    if formula is cost.mult_newton:
+        assert count == 51_348_969_272_057_000_000_000
