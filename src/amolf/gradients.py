@@ -30,6 +30,16 @@ anyway (f'·(x·d) as (x·d)·f'), and IEEE multiplication commutes bit for bit.
 Every product of a pattern-sized array with a transposed weight matrix or
 direction is a ``linalg.weight_product``; the ``linalg`` docstring says
 which BLAS kernel it takes and why its bits are those of ``a @ w.T``.
+No pattern-sized product has a stride-0 innermost axis: broadcasting f'
+(nv, nh) against a few inputs or groups that way runs one tiny numpy inner
+loop per (pattern, unit) pair. The outer products f'·x go through
+``np.einsum`` into a C-ordered buffer the caller owns
+(``_fprime_input_products``), never one whose layout einsum picks: the
+layout decides which BLAS kernel ``pattern_sum`` takes, and with it the
+bits. Each element is still one IEEE product, but einsum stores 0 + a·b, so
+a -0.0 product is stored as +0.0. That keeps the Gram's bits: the features'
+only reader is ``pattern_sum``, whose BLAS accumulators start at +0.0, and
++0.0 + (-0.0) is +0.0.
 """
 
 from __future__ import annotations
@@ -84,6 +94,12 @@ def backprop(trace: ForwardTrace) -> GradientBundle:
     )
 
 
+def _fprime_input_products(fprime: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:
+    """Write f'(net_k)·x(n) for every pattern p into ``out[p, k, n]``, the
+    caller's (n_patterns, n_hidden, n_inputs + 1) buffer."""
+    np.einsum("pk,pn->pkn", fprime, inputs, out=out)
+
+
 def gauss_newton_gram(mlp: Mlp, features: np.ndarray) -> np.ndarray:
     """Gauss-Newton Hessian over q unknowns per hidden unit, unit-major.
 
@@ -107,7 +123,9 @@ def gauss_newton_input_hessian(trace: ForwardTrace) -> np.ndarray:
     of products of output sensitivities woh(i,k) f'(net_k) x(n) and
     woh(i,j) f'(net_j) x(m): ``gauss_newton_gram`` of the features f'·x.
     """
-    features = trace.fprime[:, :, None] * trace.dataset.inputs[:, None, :]
+    inputs = trace.dataset.inputs
+    features = np.empty((inputs.shape[0], trace.mlp.n_hidden, inputs.shape[1]))
+    _fprime_input_products(trace.fprime, inputs, features)
     return gauss_newton_gram(trace.mlp, features)
 
 
@@ -165,11 +183,7 @@ def gauss_newton_full_hessian(trace: ForwardTrace) -> np.ndarray:
     (nv, n1), nh = inputs.shape, trace.mlp.n_hidden
     niw = nh * n1
     features = np.empty((nv, niw + nh + n1))
-    np.multiply(
-        trace.fprime[:, :, None],
-        inputs[:, None, :],
-        out=features[:, :niw].reshape(nv, nh, n1),
-    )
+    _fprime_input_products(trace.fprime, inputs, features[:, :niw].reshape(nv, nh, n1))
     features[:, niw : niw + nh] = trace.activ
     features[:, niw + nh :] = inputs
     return (2.0 / nv) * pattern_sum(features, features)

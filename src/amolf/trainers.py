@@ -155,7 +155,9 @@ def assemble_grouped_direct(
     """
     t, ga = _grouped_gradient(gw, group)
     delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
-    delta_net *= trace.fprime[:, :, None]
+    # One product per group, no stride-0 broadcast: see the gradients docstring.
+    for c in range(delta_net.shape[2]):
+        np.multiply(delta_net[:, :, c], trace.fprime, out=delta_net[:, :, c])
     return gauss_newton_gram(trace.mlp, delta_net), ga
 
 

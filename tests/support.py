@@ -16,11 +16,11 @@ import numpy as np
 
 from amolf.dataset import Dataset, make_dataset
 from amolf.experiment import TrainingCurve
-from amolf.gradients import output_deltas
+from amolf.gradients import gauss_newton_gram, output_deltas
 from amolf.linalg import PIVOT_RTOL, pattern_sum, solve_sym
 from amolf.network import ForwardTrace, Mlp, forward, mse
 from amolf.owo import augmented_basis
-from amolf.trainers import assemble_grouped_from_hessian, build_partition
+from amolf.trainers import _grouped_gradient, assemble_grouped_from_hessian, build_partition
 
 
 def read_curve(path: str) -> TrainingCurve:
@@ -307,6 +307,30 @@ def expression_curvature_map(mlp: Mlp, dataset: Dataset, trace) -> np.ndarray:
     weight_sq = (mlp.woh * mlp.woh).sum(axis=0)
     pattern_sums = pattern_sum(fprime * fprime, dataset.inputs * dataset.inputs)
     return (2.0 / dataset.n_patterns) * weight_sq[:, None] * pattern_sums
+
+
+# The plain broadcast forms of the Gauss-Newton feature products, whose
+# innermost axis has stride 0; the kernels must match them bit for bit.
+def expression_fprime_input_features(trace) -> np.ndarray:
+    return trace.fprime[:, :, None] * trace.dataset.inputs[:, None, :]
+
+
+def expression_input_hessian(trace) -> np.ndarray:
+    return gauss_newton_gram(trace.mlp, expression_fprime_input_features(trace))
+
+
+def expression_full_hessian(trace) -> np.ndarray:
+    inputs = trace.dataset.inputs
+    nv = inputs.shape[0]
+    features = expression_fprime_input_features(trace).reshape(nv, -1)
+    features = np.hstack((features, trace.activ, inputs))
+    return (2.0 / nv) * pattern_sum(features, features)
+
+
+def expression_grouped_hessian(trace, gw: np.ndarray, group: np.ndarray) -> np.ndarray:
+    t, _ = _grouped_gradient(gw, group)
+    delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))
+    return gauss_newton_gram(trace.mlp, delta_net * trace.fprime[:, :, None])
 
 
 def same_bits(actual, expected) -> bool:

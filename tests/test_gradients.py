@@ -329,3 +329,23 @@ def test_full_hessian_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 4.5e6
+
+
+def test_input_hessian_peak_allocation():
+    # Matrix inversion at the benchmark's size: 2000 patterns, nh=30, five
+    # inputs with the bias. The features f'·x take 2000·30·5·8 bytes = 2.4 MB
+    # and the 150-column Gram and its scaled copies about 0.2 MB each, so a
+    # second feature-sized array (a product made outside the one feature
+    # buffer and copied in) fails.
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    mlp = init_net_control(data, 30, 0)
+    trace = output_weight_step(forward(mlp, data))
+    trace.fprime  # computed on first read; not this kernel's allocation
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gauss_newton_input_hessian(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6e6

@@ -18,6 +18,7 @@ from amolf.gradients import (
     damped_gauss_newton_step,
     gauss_newton_full_hessian,
     gauss_newton_input_hessian,
+    input_weight_gradient,
     pack,
 )
 from amolf.linalg import solve_sym
@@ -45,6 +46,10 @@ from amolf import cost
 from support import (
     dense_full_hessian,
     expand_full_hessian,
+    expression_fprime_input_features,
+    expression_full_hessian,
+    expression_grouped_hessian,
+    expression_input_hessian,
     grouped_gradient_from_residuals,
     grouped_quadratic_drop,
     matrix_relative_error,
@@ -55,6 +60,7 @@ from support import (
     random_network,
     random_spd,
     rank_partition,
+    same_bits,
     single_group_partition,
 )
 
@@ -202,6 +208,42 @@ def test_molf_dual_construction():
     ha_comp, ga_comp = assemble_grouped_from_hessian(h, g.input_weights, group)
     assert matrix_relative_error(ha_direct, ha_comp) <= 1e-10
     assert matrix_relative_error(ga_direct, ga_comp) <= 1e-10
+
+
+def _feature_trace(case):
+    if case == "saturated":
+        # Unit 0's bias weight saturates its sigmoid: its activation is
+        # exactly 1.0, so f' is +0.0 and its products with the negative
+        # inputs are -0.0.
+        mlp, d = random_network(np.random.default_rng(25), 4, 30, 4, 2000)
+        w = mlp.w.copy()
+        w[0, -1] = 1000.0
+        return forward(replace(mlp, w=w), d)
+    state = _matinv_setup(algo="amolf", nh=case, nv=2000, seed=0)
+    for _ in range(6):
+        state = iterate(state)
+    return forward(state.mlp, state.dataset)
+
+
+@pytest.mark.parametrize("case", [29, 30, "saturated"])
+def test_gauss_newton_feature_kernels_keep_the_broadcast_bits(case):
+    # The kernels build f'·x and f'·(x·t) without the plain expressions'
+    # stride-0 broadcast of f'; every Hessian keeps their bytes, and on the
+    # saturated trace the oracle's -0.0 features (stored by the kernels as
+    # +0.0) give the same Grams.
+    trace = _feature_trace(case)
+    if case == "saturated":
+        assert np.all(trace.activ[:, 0] == 1.0)
+        features = expression_fprime_input_features(trace)
+        assert np.any(np.signbit(features[features == 0.0]))
+    assert same_bits(gauss_newton_input_hessian(trace), expression_input_hessian(trace))
+    assert same_bits(gauss_newton_full_hessian(trace), expression_full_hessian(trace))
+    gw = input_weight_gradient(trace)
+    curvature = curvature_map(trace)
+    for ng in range(1, trace.dataset.n_inputs + 2):
+        group = build_partition(curvature, ng)
+        hessian, _ = assemble_grouped_direct(trace, gw, group)
+        assert same_bits(hessian, expression_grouped_hessian(trace, gw, group))
 
 
 def test_molf_zero_gradient_gives_zero_steps():
@@ -723,6 +765,27 @@ def test_lm_step_peak_allocation(monkeypatch):
         tracemalloc.stop()
     assert max(peaks) < 4.5e6
     assert peaks[1] < 1.5e6
+
+
+def test_grouped_direct_peak_allocation():
+    # Matrix inversion at the benchmark's size: 2000 patterns, nh=30, two
+    # groups. The features f'·(x·t) take 2000·30·2·8 bytes = 0.96 MB and the
+    # 60-column Gram and its scaled copies under 0.03 MB each, so a second
+    # feature-sized array, or a product made outside the one feature buffer
+    # at f'-size (0.48 MB), fails.
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    mlp = init_net_control(data, 30, 0)
+    trace = amolf.owo.output_weight_step(forward(mlp, data))
+    gw = input_weight_gradient(trace)
+    group = build_partition(curvature_map(trace), 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assemble_grouped_direct(trace, gw, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.44e6
 
 
 def test_lm_decreases_error_and_adapts_damping():
