@@ -7,7 +7,10 @@ Run it in two checkouts (say, a change and its parent) and diff the output:
 
 It imports ``amolf`` from the ``src`` directory beside it, and it refuses to
 run unless ``OPENBLAS_NUM_THREADS=1``, since results are compared bit for
-bit. The runs, all on zero-mean matrix-inversion data:
+bit. Its first line names the numpy version and the BLAS build numpy reports
+(``np.show_config(mode="dicts")``), since the bits depend on both: two
+outputs are comparable only where that line is equal. Then come the runs,
+all on zero-mean matrix-inversion data:
 
 * ``run_training`` for every trainer with sigmoid and tanh hidden units
   (2000 patterns, nh=30, 20 iterations or 8 for lm, 2 trials, amolf search
@@ -60,6 +63,12 @@ def _state_digest(states) -> str:
     )
 
 
+def _build() -> str:
+    """The numpy version and its BLAS build, from numpy's own build record."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__} blas {blas.get('name')} {blas.get('version')}"
+
+
 def _steps(state, count: int) -> list:
     """``state`` and the ``count`` states that ``iterate`` steps from it."""
     states = [state]
@@ -74,6 +83,7 @@ def _start(algo: str, data, seed: int = 0):
 
 
 def main() -> None:
+    print(_build(), flush=True)
     data = gen_matrix_inversion(2000, 0)
     for algo in ALGORITHMS:
         for activation in ("sigmoid", "tanh"):

@@ -102,6 +102,19 @@ def mult_owo_molf(n: int, nh: int, m: int, nv: int) -> int:
     return _solve(nh) + nv * nh * (2 * m + n + 2) + nv * m * _pairs(nh)
 
 
+def amolf_group_counts(n: int) -> range:
+    """amolf's group counts per hidden unit with n inputs, 1..n: the counts
+    its search tries, its adaptation stays within, and ``mult_amolf`` and
+    ``mult_amolf_search`` price.
+
+    amolf adapts between owo-molf (one group) and an n-group step, not
+    owo-newton's n + 1 singleton groups (one per input weight, bias
+    included). The cap stays below the augmented input count because
+    all-singleton groups would make collinear inputs resurface as singular
+    systems."""
+    return range(1, n + 1)
+
+
 def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     """One grouped-step iteration with ng groups per hidden unit and
     nl = ng * nh learning factors:
@@ -109,8 +122,9 @@ def mult_amolf(n: int, nh: int, m: int, nv: int, ng: int) -> int:
     + nl nv m."""
     n, nh, m, nv = _check_sizes(n, nh, m, nv)
     ng = check_count(ng, "ng", 1)
-    if ng > n:
-        raise ValueError(f"ng must be in 1..{n}, got {ng}")
+    counts = amolf_group_counts(n)
+    if ng not in counts:
+        raise ValueError(f"ng must be in {counts[0]}..{counts[-1]}, got {ng}")
     nl = ng * nh
     return (
         _solve(nl)
@@ -126,16 +140,16 @@ def mult_amolf_search(n: int, nh: int, m: int, nv: int) -> int:
 
     Counts building the full input-weight Hessian once (Jacobian factors
     plus its pattern-and-output accumulation over the upper triangle), then
-    per candidate group count 1..n: compressing the Hessian onto the grouped
-    unknowns, solving, applying a trial step, and one forward error
-    evaluation.
+    per candidate group count in ``amolf_group_counts(n)``: compressing the
+    Hessian onto the grouped unknowns, solving, applying a trial step, and
+    one forward error evaluation.
     """
     n, nh, m, nv = _check_sizes(n, nh, m, nv)
     niw = nh * (n + 1)
     nu = n + nh + 1
     total = nv * nh * (n + 1) + nv * m * _pairs(niw)
     trial_eval = nv * (nh * (n + 1) + m * nu) + nv * m
-    for ng in range(1, n + 1):
+    for ng in amolf_group_counts(n):
         total += 2 * niw * niw + _solve(ng * nh) + niw + trial_eval
     return total
 

@@ -232,9 +232,8 @@ def adapt_group_count(
     n_groups: int, previous_epm: float, current_epm: float, max_groups: int
 ) -> int:
     """Double the group count when the error change per multiply rose,
-    halve it when it fell, hold on a tie. Clamped to [1, max_groups]; the
-    cap stays below the augmented input count, where all-singleton groups
-    would make collinear inputs resurface as singular systems."""
+    halve it when it fell, hold on a tie. Clamped to [1, max_groups];
+    amolf passes the largest of ``cost.amolf_group_counts``."""
     if current_epm > previous_epm:
         return min(2 * n_groups, max_groups)
     if current_epm < previous_epm:
@@ -243,7 +242,7 @@ def adapt_group_count(
 
 
 def initial_group_search(trace: ForwardTrace, gw: np.ndarray) -> tuple[int, ForwardTrace]:
-    """Exhaustive group-count selection over 1..n_inputs groups.
+    """Exhaustive group-count selection over ``cost.amolf_group_counts``.
 
     Builds the full input-weight Hessian once and groups by its diagonal,
     the per-weight curvature. For every candidate count it compresses the
@@ -255,12 +254,12 @@ def initial_group_search(trace: ForwardTrace, gw: np.ndarray) -> tuple[int, Forw
     hessian = gauss_newton_input_hessian(trace)
     curvature = hessian.diagonal().reshape(gw.shape)
     best = None
-    for ng in range(1, trace.dataset.n_inputs + 1):
+    for ng in cost.amolf_group_counts(trace.dataset.n_inputs):
         group = build_partition(curvature, ng)
         ha, ga = assemble_grouped_from_hessian(hessian, gw, group)
         z = solve_sym(ha, ga).solution
         candidate = forward(apply_grouped_step(trace.mlp, gw, group, z), trace.dataset)
-        if ng == 1 or candidate.error < best[1].error:
+        if best is None or candidate.error < best[1].error:
             best = (ng, candidate)
     return best
 
@@ -452,7 +451,7 @@ def amolf_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
     else:
         n_groups = ast.n_groups
         if len(ast.epm) == 2:
-            n_groups = adapt_group_count(n_groups, *ast.epm, n)
+            n_groups = adapt_group_count(n_groups, *ast.epm, max(cost.amolf_group_counts(n)))
         stepped = _grouped_step(trace, gw, n_groups)
     stepped = output_weight_step(stepped)
 

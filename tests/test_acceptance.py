@@ -353,7 +353,7 @@ def test_compression_gives_better_conditioned_systems():
             hessian = gauss_newton_input_hessian(trace)
             full = _jacobi_condition(hessian)
             curvature = hessian.diagonal().reshape(gw.shape)
-            for ng in range(1, d.n_inputs + 1):
+            for ng in cost.amolf_group_counts(d.n_inputs):
                 group = build_partition(curvature, ng)
                 grouped = _jacobi_condition(assemble_grouped_from_hessian(hessian, gw, group)[0])
                 assert 0.0 < grouped < full, (seed, stop, ng, grouped, full)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import amolf.trainers
+from amolf import cost
 from amolf.cli import _config, build_parser, main
 from amolf.dataset import gen_matrix_inversion, normalize_zero_mean
 from amolf.experiment import ExperimentConfig, trial_seed
@@ -129,7 +130,7 @@ def test_count_mults_stdout(capsys):
     "change",
     [
         ("--ng", "0"),
-        ("--ng", "5"),
+        ("--ng", str(max(cost.amolf_group_counts(4)) + 1)),
         ("--n", "0"),
         ("--m", "0"),
         ("--nh", "0"),

@@ -978,7 +978,7 @@ def test_each_pass_evaluates_its_error_once(algo, monkeypatch):
     # A search iteration evaluates each candidate count's pass and the
     # solved winner's; lm evaluates each candidate's.
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 3))
-    n = state.dataset.n_inputs
+    counts_searched = len(cost.amolf_group_counts(state.dataset.n_inputs))
     if algo == "lm":
         # Tiny damping after a first step forces rejections.
         state = replace(iterate(state), lm_lambda=LM_LAMBDA_MIN)
@@ -998,7 +998,7 @@ def test_each_pass_evaluates_its_error_once(algo, monkeypatch):
     monkeypatch.setattr(amolf.trainers, "damped_gauss_newton_step", counting_step)
     state = iterate(state)
     if algo == "amolf":
-        assert len(evaluations) == n + 1  # iteration 1 searches
+        assert len(evaluations) == counts_searched + 1  # iteration 1 searches
         evaluations.clear()
         iterate(state)  # iteration 2 adapts
     if algo == "lm":
@@ -1045,7 +1045,7 @@ def test_a_pass_that_only_feeds_the_output_solve_never_computes_its_outputs(algo
     # pass alone, for its error. A search iteration also computes each
     # candidate's, for the comparison.
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 3))
-    n = state.dataset.n_inputs
+    counts_searched = len(cost.amolf_group_counts(state.dataset.n_inputs))
     counted, solve = amolf.network.linear_output, amolf.trainers.output_weight_step
     calls, solved = [], []
 
@@ -1063,7 +1063,7 @@ def test_a_pass_that_only_feeds_the_output_solve_never_computes_its_outputs(algo
         calls.clear()
         state = iterate(state)
         searched = algo == "amolf" and iteration in (1, 3)
-        assert len(calls) == (n + 1 if searched else 1)
+        assert len(calls) == (counts_searched + 1 if searched else 1)
         # A cached_property keeps its value in the instance's __dict__. A
         # search compares the candidates' errors, the winner's included.
         assert ("output" in vars(solved.pop())) == searched
@@ -1177,6 +1177,15 @@ def test_curvature_map_only_where_the_partition_needs_it(algo, first_calls, monk
     assert per_iteration[0] == first_calls
 
 
+def _amolf_setup_with_inputs(n_inputs, seed):
+    """amolf, search period 3, on 120 seeded patterns of ``n_inputs``
+    inputs whose three targets are sines of random mixes of them."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((120, n_inputs))
+    data = make_dataset(raw, np.sin(raw @ rng.standard_normal((n_inputs, 3))))
+    return init_state("amolf", init_net_control(data, 4, seed), data, search_period=3)
+
+
 def test_a_search_iteration_does_its_work_once(monkeypatch):
     # The winning candidate's step is the iteration's step: a search
     # iteration solves each candidate count's system and the output weights,
@@ -1186,9 +1195,7 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     # by its Hessian's diagonal, not by ``curvature_map``; an adapting
     # iteration assembles and solves its one grouped system, runs the
     # stepped network forward once, and reads the curvature once if it has
-    # more than one group.
-    state = _matinv_setup(algo="amolf", nh=4, nv=120, seed=8, search_period=3)
-    n = state.dataset.n_inputs
+    # more than one group. Checked on matinv's 4 inputs and on 2 and 6.
     solves, assemblies, forwards, curvatures = [], [], [], []
     counted_solve = amolf.trainers.solve_sym
     counted_assemble = amolf.trainers.assemble_grouped_direct
@@ -1218,16 +1225,29 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     monkeypatch.setattr(amolf.network, "forward", counting_forward)
     monkeypatch.setattr(amolf.trainers, "forward", counting_forward)
     monkeypatch.setattr(amolf.trainers, "curvature_map", counting_curvature_map)
-    for searched in (True, False, True, False):  # iterations 1 to 4
-        for counts in (solves, assemblies, forwards, curvatures):
-            counts.clear()
-        state = iterate(state)
-        counted = (len(assemblies), len(solves), len(forwards), len(curvatures))
-        if searched:
-            assert counted == (0, n + 1, n, 0)
-        else:
-            assert counted == (1, 2, 1, int(state.amolf.n_groups > 1))
-    assert state.amolf.n_groups > 1  # so iteration 4 read the curvature
+    # Each run starts when the last has ended: an iteration reuses the pass
+    # of the state it starts from only while no other pass was made since.
+    last_group_counts = []
+    for start in (
+        lambda: _matinv_setup(algo="amolf", nh=4, nv=120, seed=8, search_period=3),
+        lambda: _amolf_setup_with_inputs(2, seed=8),
+        lambda: _amolf_setup_with_inputs(6, seed=8),
+    ):
+        state = start()
+        candidates = len(cost.amolf_group_counts(state.dataset.n_inputs))
+        for searched in (True, False, True, False):  # iterations 1 to 4
+            for counts in (solves, assemblies, forwards, curvatures):
+                counts.clear()
+            state = iterate(state)
+            counted = (len(assemblies), len(solves), len(forwards), len(curvatures))
+            if searched:
+                assert counted == (0, candidates + 1, candidates, 0)
+            else:
+                assert counted == (1, 2, 1, int(state.amolf.n_groups > 1))
+        last_group_counts.append(state.amolf.n_groups)
+    # So iteration 4 read the curvature on matinv and on 6 inputs; on 2
+    # inputs it may have halved back to one group.
+    assert last_group_counts[0] > 1 and last_group_counts[2] > 1
 
 
 def test_owo_molf_is_the_grouped_step_pinned_at_one_group(monkeypatch):
