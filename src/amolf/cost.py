@@ -15,7 +15,7 @@ sum of the first k squares).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .linalg import check_count
@@ -178,14 +178,17 @@ def epm(e_prev: float, e_now: float, m_it: int) -> float:
     return (e_prev - e_now) / check_count(m_it, "a multiply count", 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostLedger:
-    """Per-iteration multiply counts for one training run."""
+    """Per-iteration multiply counts for one training run: a value, so that
+    states can share one without copying it."""
 
-    per_iteration: list[int] = field(default_factory=list)
+    per_iteration: tuple[int, ...] = ()
 
-    def record(self, multiplies: int) -> None:
-        self.per_iteration.append(check_count(multiplies, "a multiply count", 1))
+    def record(self, multiplies: int) -> CostLedger:
+        """This ledger with one more iteration's count."""
+        count = check_count(multiplies, "a multiply count", 1)
+        return CostLedger((*self.per_iteration, count))
 
     def cumulative(self) -> list[int]:
         return list(accumulate(self.per_iteration))

@@ -57,10 +57,14 @@ class TrainingCurve:
     """Per-iteration record of mean error and mean cumulative multiplies,
     with each trial's final network."""
 
-    iterations: np.ndarray  # (n_iterations,) 1-based
     mean_mse: np.ndarray
     cum_multiplies: np.ndarray
     final_models: tuple[Mlp, ...] = ()
+
+    @property
+    def iterations(self) -> np.ndarray:
+        """The 1-based iteration numbers, one per entry of ``mean_mse``."""
+        return np.arange(1, len(self.mean_mse) + 1)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,6 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     finally:
         release_handoff()
     return TrainingCurve(
-        iterations=np.arange(1, config.iterations + 1),
         mean_mse=errors.mean(axis=0),
         cum_multiplies=multiplies.mean(axis=0),
         final_models=tuple(final_models),

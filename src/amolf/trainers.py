@@ -19,7 +19,7 @@ Six trainers share the same machinery:
 ``iterate`` owns the iteration boundary: it hands the forward pass of the
 state's network to the algorithm's step (``_STEPS``), and records the
 error of the pass the step returns, and the step's multiplies, in the next
-state, whose ledger is a copy of the last one plus this entry. A pass
+state, whose ledger is the last one's ``record`` of this entry. A pass
 carries its network and dataset, so a kernel that reads one takes the pass
 alone and a step compares errors of passes, never ``last_error``. A pass
 computes its outputs, f'(net) and error (``ForwardTrace.output``,
@@ -289,8 +289,8 @@ class TrainerState:
     """Snapshot of one training run after ``iteration`` completed steps.
 
     ``last_error`` is the error of ``mlp``'s forward pass on ``dataset``, a
-    record for the caller that no step reads; ``ledger`` holds exactly this
-    state's ``iteration`` entries.
+    record for the caller that no step reads; ``ledger`` holds one entry per
+    completed step, and its length is the state's ``iteration``.
     """
 
     mlp: Mlp
@@ -298,12 +298,15 @@ class TrainerState:
     algorithm: str
     ledger: CostLedger
     last_error: float
-    iteration: int = 0
     lm_lambda: float = LM_LAMBDA_START
     lm_stalled: bool = False
     cg_direction: np.ndarray | None = None
     cg_gradient_norm_sq: float | None = None
     amolf: AmolfState | None = None
+
+    @property
+    def iteration(self) -> int:
+        return len(self.ledger.per_iteration)
 
 
 # The forward pass of the last network a step returned or ``init_state``
@@ -543,9 +546,9 @@ ALGORITHMS = tuple(_STEPS)
 def iterate(state: TrainerState) -> TrainerState:
     """Run one training iteration of the state's algorithm: the forward pass
     of ``state.mlp`` (handed off by the step that made it, or run afresh)
-    goes to the algorithm's step, whose pass's error and multiplies go into
-    the new state, the ledger into a copy of this one, and whose pass goes
-    into the hand-off slot for the next iteration."""
+    goes to the algorithm's step, whose pass's error goes into the new
+    state, its multiplies into this state's ``ledger.record``, and whose
+    pass goes into the hand-off slot for the next iteration."""
     global _handoff
     trace = _take_handoff(state.mlp, state.dataset)
     if trace is None:
@@ -555,13 +558,10 @@ def iterate(state: TrainerState) -> TrainerState:
         trace.error, f"the training error after {state.algorithm} iteration {state.iteration + 1}"
     )
     _handoff = trace
-    ledger = CostLedger(list(state.ledger.per_iteration))
-    ledger.record(multiplies)
     return replace(
         state,
         mlp=trace.mlp,
-        ledger=ledger,
+        ledger=state.ledger.record(multiplies),
         last_error=error,
-        iteration=state.iteration + 1,
         **changes,
     )

@@ -31,8 +31,9 @@ def read_curve(path: str) -> TrainingCurve:
         if header != "iteration,mean_mse,cum_multiplies":
             raise ValueError(f"{path}: unexpected header {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if [int(r[0]) for r in rows] != list(range(1, len(rows) + 1)):
+        raise ValueError(f"{path}: the iteration column is not 1..{len(rows)}")
     return TrainingCurve(
-        iterations=np.array([int(r[0]) for r in rows]),
         mean_mse=np.array([float(r[1]) for r in rows]),
         cum_multiplies=np.array([float(r[2]) for r in rows]),
     )

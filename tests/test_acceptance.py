@@ -5,11 +5,13 @@ criterion with the measured margins. Criterion 7 trains 10 networks for 150
 iterations twice and takes a few tens of seconds; everything else is fast.
 """
 
+import functools
 import subprocess
 import sys
 import time
 
 import numpy as np
+import pytest
 
 from amolf import cost
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
@@ -32,6 +34,7 @@ from amolf.trainers import (
     init_state,
     iterate,
     newton_input_step,
+    release_handoff,
 )
 from support import (
     fd_gradients,
@@ -267,7 +270,7 @@ def test_criterion_08_cost_formulas_and_ledger():
     rng = np.random.default_rng(8)
     entries = [int(v) for v in rng.integers(1, 10**9, size=50)]
     for value in entries:
-        ledger.record(value)
+        ledger = ledger.record(value)
     cumulative = ledger.cumulative()
     recovered = [cumulative[0]] + [b - a for a, b in zip(cumulative, cumulative[1:])]
     assert recovered == entries
@@ -363,3 +366,63 @@ def test_compression_gives_better_conditioned_systems():
         f"full/grouped scaled condition {min(margins):.1f}x to {max(margins):.0f}x "
         f"over {len(margins)} systems",
     )
+
+
+# The paper's headline: amolf's error at a fixed multiply budget is at or
+# below owo-molf's and lm's. The data, sizes, seeds and budgets were fixed
+# before the margins were looked at: matinv, 2000 patterns, data seed 0,
+# nh=30, sigmoid, init seeds 0 and 1, budgets 5e8, 1e9 and 2e9.
+HEADLINE_BUDGETS = (5e8, 1e9, 2e9)
+# Where amolf trails owo-molf, with its group count capped at n per unit.
+# They are strict expected failures, so a change that lifts them must
+# unmark them.
+HEADLINE_TRAILS = {(1, 1e9, "owo-molf"), (1, 2e9, "owo-molf")}
+
+
+@functools.cache
+def _errors_by_multiplies(algorithm, seed):
+    """(ledger total, error) of each state of one run, from the start until
+    the ledger passes the largest budget."""
+    data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    state = init_state(algorithm, init_net_control(data, 30, seed), data)
+    points = [(state.ledger.total(), state.last_error)]
+    try:
+        while points[-1][0] <= max(HEADLINE_BUDGETS):
+            state = iterate(state)
+            points.append((state.ledger.total(), state.last_error))
+    finally:
+        release_handoff()
+    return tuple(points)
+
+
+def _error_at_budget(algorithm, seed, budget):
+    """The error after the run's last iteration whose ledger total is at or
+    under ``budget``."""
+    return [error for total, error in _errors_by_multiplies(algorithm, seed) if total <= budget][-1]
+
+
+@pytest.mark.parametrize(
+    "seed, budget, rival",
+    [
+        pytest.param(
+            seed,
+            budget,
+            rival,
+            id=f"seed{seed}-{budget:.0e}-{rival}",
+            marks=[pytest.mark.xfail(strict=True, reason="amolf trails owo-molf here")]
+            if (seed, budget, rival) in HEADLINE_TRAILS
+            else [],
+        )
+        for seed in (0, 1)
+        for budget in HEADLINE_BUDGETS
+        for rival in ("owo-molf", "lm")
+    ],
+)
+def test_amolf_error_at_equal_multiplies(seed, budget, rival):
+    ours = _error_at_budget("amolf", seed, budget)
+    theirs = _error_at_budget(rival, seed, budget)
+    print(
+        f"seed {seed} at {budget:.0e} multiplies: amolf {ours:.4e}, {rival} {theirs:.4e}, "
+        f"margin {theirs - ours:+.3e}"
+    )
+    assert ours <= theirs

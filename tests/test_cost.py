@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,14 +173,14 @@ def test_counts_refuse_bools_and_non_integral_values(count):
     ledger = cost.CostLedger()
     with pytest.raises(ValueError, match="whole number"):
         ledger.record(count)
-    assert ledger.per_iteration == []
+    assert ledger.per_iteration == ()
 
 
 def test_ledger_cumulative_reconstruction():
     ledger = cost.CostLedger()
     for value in (10, 20, 5, 7):
-        ledger.record(value)
-    assert ledger.per_iteration == [10, 20, 5, 7]
+        ledger = ledger.record(value)
+    assert ledger.per_iteration == (10, 20, 5, 7)
     assert ledger.cumulative() == [10, 30, 35, 42]
     assert ledger.total() == 42
     rebuilt = [ledger.cumulative()[0]]
@@ -192,6 +194,18 @@ def test_ledger_rejects_non_positive_counts():
     for value in (0, -1, 0.5, 2.9):
         with pytest.raises(ValueError):
             ledger.record(value)
-    assert ledger.per_iteration == []
-    ledger.record(np.int64(3))
-    assert ledger.per_iteration == [3] and type(ledger.per_iteration[0]) is int
+    assert ledger.per_iteration == ()
+    ledger = ledger.record(np.int64(3))
+    assert ledger.per_iteration == (3,) and type(ledger.per_iteration[0]) is int
+
+
+def test_ledger_record_returns_a_new_ledger():
+    # A ledger is a value: recording leaves the one recorded on unchanged,
+    # so states that share a ledger cannot write into each other's.
+    start = cost.CostLedger((10, 20))
+    longer = start.record(5)
+    assert longer is not start
+    assert start.per_iteration == (10, 20) and start.total() == 30
+    assert longer.per_iteration == (10, 20, 5) and longer.total() == 35
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        start.per_iteration = ()

@@ -583,14 +583,16 @@ def test_owo_molf_matrix_inversion_converges():
 
 
 def test_amolf_pinned_single_group_matches_owo_molf():
-    # One amolf iteration at one group that neither searches (iteration 2)
-    # nor adapts (no EPMs yet) is one owo-molf iteration, bit for bit, from
-    # several points of an owo-molf run.
+    # One amolf iteration at one group that neither searches (iteration 2,
+    # after a one-entry ledger whose count no step reads) nor adapts (no
+    # EPMs yet) is one owo-molf iteration, bit for bit, from several points
+    # of an owo-molf run.
     data = normalize_zero_mean(gen_matrix_inversion(300, 5))
     state_m = init_state("owo-molf", init_net_control(data, 8, 11), data)
+    after_one = cost.CostLedger((1,))
     for _ in range(4):
         state_a = iterate(
-            replace(state_m, algorithm="amolf", iteration=1, amolf=AmolfState(n_groups=1))
+            replace(state_m, algorithm="amolf", ledger=after_one, amolf=AmolfState(n_groups=1))
         )
         state_m = iterate(state_m)
         assert state_a.amolf.n_groups == 1
@@ -1078,9 +1080,19 @@ def test_each_state_ledger_holds_exactly_its_own_iterations(algo):
     states = [root, first, second]
     for _ in range(3):
         states.append(iterate(states[-1]))
-    for state in states:
-        assert len(state.ledger.per_iteration) == state.iteration
+    assert [state.iteration for state in states] == [0, 1, 1, 2, 3, 4]
+    assert root.ledger.per_iteration == ()
     assert first.ledger.per_iteration == second.ledger.per_iteration
+    assert states[-1].ledger.per_iteration[:1] == first.ledger.per_iteration
+
+
+def test_a_state_iteration_is_its_ledger_length():
+    # A state has no iteration count of its own to disagree with its ledger.
+    state = _matinv_setup(algo="owo-molf", nh=4, nv=120, seed=8)
+    later = replace(state, ledger=cost.CostLedger((5, 7, 9)))
+    assert (state.iteration, later.iteration) == (0, 3)
+    assert iterate(later).iteration == 4
+    assert "iteration" not in {field.name for field in dataclasses.fields(state)}
 
 
 def _arrays(value):
@@ -1157,7 +1169,8 @@ def test_curvature_map_only_where_the_partition_needs_it(algo, first_calls, monk
     # from two groups reads it once in each iteration with more than one group.
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8)
     if algo == "amolf":
-        state = replace(state, iteration=1, amolf=AmolfState(n_groups=2))
+        # Iteration 2, after a one-entry ledger: no search, so it adapts.
+        state = replace(state, ledger=cost.CostLedger((1,)), amolf=AmolfState(n_groups=2))
     calls = []
     counted = amolf.trainers.curvature_map
 
@@ -1274,9 +1287,9 @@ def test_owo_molf_is_the_grouped_step_pinned_at_one_group(monkeypatch):
     assert calls == []
     assert state.amolf is None
     d = state.dataset
-    assert state.ledger.per_iteration == [
-        cost.mult_owo_molf(d.n_inputs, 4, d.n_outputs, d.n_patterns)
-    ] * 4
+    assert state.ledger.per_iteration == (
+        cost.mult_owo_molf(d.n_inputs, 4, d.n_outputs, d.n_patterns),
+    ) * 4
 
 
 def test_init_state_rejects_unknown_algorithm():
