@@ -20,11 +20,13 @@ all on zero-mean matrix-inversion data:
 * runs stepped with ``iterate`` (600 patterns, nh=8, amolf search period 4),
   hashing every state's ledger, training error and weights, so that the
   hand-off of one iteration's forward pass to the next is checked where it
-  is taken and where it is missed: for every trainer, a run of 4 iterations
-  and a branch of 3 taken from the state after its first; for every trainer,
-  a run of 3 iterations continued for 3 more on other data with
-  ``replace(state, dataset=other)``; and an amolf and an owo-bp run stepped
-  alternately for 6 iterations each.
+  is taken and where it is missed. A state's pass is taken by the first
+  ``iterate`` from it, and ``replace`` does not copy it, so these miss: for
+  every trainer, a run of 4 iterations and a branch of 3 taken from the
+  older state after its first; for every trainer, a run of 3 iterations
+  continued for 3 more on other data with ``replace(state, dataset=other)``.
+  An amolf and an owo-bp run stepped alternately for 6 iterations each
+  take their own passes.
 """
 
 from __future__ import annotations
@@ -108,16 +110,16 @@ def main() -> None:
     other = normalize_zero_mean(gen_matrix_inversion(600, 1))
     for algo in ALGORITHMS:
         run = _steps(_start(algo, data), 4)
-        branch = _steps(run[1], 3)  # the slot holds run[4]'s pass: a miss
+        branch = _steps(run[1], 3)  # run[2] took run[1]'s pass: a miss
         print(f"branch {algo} {_state_digest(run + branch)}", flush=True)
     for algo in ALGORITHMS:
         run = _steps(_start(algo, data), 3)
-        continued = _steps(replace(run[-1], dataset=other), 3)
+        continued = _steps(replace(run[-1], dataset=other), 3)  # the copy has no pass
         print(f"continue {algo} {_state_digest(run + continued)}", flush=True)
     runs = [[_start("amolf", data)], [_start("owo-bp", data, seed=1)]]
     for _ in range(6):
         for states in runs:
-            states.append(iterate(states[-1]))  # the slot holds the other run's pass
+            states.append(iterate(states[-1]))  # each run takes its own pass
     print(f"alternate amolf owo-bp {_state_digest(runs[0] + runs[1])}", flush=True)
 
 

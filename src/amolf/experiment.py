@@ -24,7 +24,6 @@ from .trainers import (
     check_run_settings,
     init_state,
     iterate,
-    release_handoff,
 )
 
 MIN_IMPROVEMENT = 1e-6  # relative validation-error improvement
@@ -88,11 +87,27 @@ def trial_seed(seed: int, index: int) -> int:
     return seed ^ index
 
 
-def _start(data: Dataset, config: ExperimentConfig, index: int) -> TrainerState:
-    """Initial state of trial or round ``index`` (0-based) on ``data``."""
+def _drop_pass(state: TrainerState | None) -> None:
+    """Free the forward pass ``state`` holds for its next ``iterate``."""
+    if state is not None:
+        state._trace = None
+
+
+def _start(
+    data: Dataset, config: ExperimentConfig, index: int, last: TrainerState | None
+) -> TrainerState:
+    """Initial state of trial or round ``index`` (0-based) on ``data``, after
+    ``last``, the state the previous one ended in, if any."""
     mlp = init_net_control(
         data, config.n_hidden, trial_seed(config.seed, index), config.activation
     )
+    # The last trial's pass is freed here, after this one's data and network
+    # are allocated, and no earlier: freed at the end of each k-fold round
+    # instead, its pages go back to the system and the next round faults them
+    # in again (owo-bp run_kfold, 20,000 patterns, nh=10, k=10, 50 iterations,
+    # one BLAS thread: same bits, minor faults 48,018-49,746 -> 124,664-125,848
+    # a run, system time 0.05-0.10 -> 0.15-0.27 s).
+    _drop_pass(last)
     return init_state(config.algorithm, mlp, data, search_period=config.search_period)
 
 
@@ -102,16 +117,17 @@ def run_training(dataset: Dataset, config: ExperimentConfig) -> TrainingCurve:
     errors = np.empty((config.n_trials, config.iterations))
     multiplies = np.empty((config.n_trials, config.iterations))
     final_models = []
+    state = None
     try:
         for trial in range(config.n_trials):
-            state = _start(data, config, trial)
+            state = _start(data, config, trial, state)
             for it in range(config.iterations):
                 state = iterate(state)
                 errors[trial, it] = state.last_error
             multiplies[trial] = state.ledger.cumulative()
             final_models.append(state.mlp)
     finally:
-        release_handoff()
+        _drop_pass(state)
     return TrainingCurve(
         mean_mse=errors.mean(axis=0),
         cum_multiplies=multiplies.mean(axis=0),
@@ -134,12 +150,13 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
     plan = kfold_split(data, config.k_folds, config.seed)
     train_errors: list[float] = []
     test_errors: list[float] = []
+    state = None
     try:
         for round_index in range(1, config.k_folds + 1):
             train_data, val_data, test_data = (
                 take(data, idx) for idx in plan.split(round_index)
             )
-            state = _start(train_data, config, round_index - 1)
+            state = _start(train_data, config, round_index - 1, state)
             best_val = np.inf
             best = state
             stall = 0
@@ -162,7 +179,7 @@ def run_kfold(dataset: Dataset, config: ExperimentConfig) -> KfoldReport:
                 check_error(mse(best.mlp, test_data), f"k-fold round {round_index}: the test error")
             )
     finally:
-        release_handoff()
+        _drop_pass(state)
     return KfoldReport(
         train_errors=tuple(train_errors),
         test_errors=tuple(test_errors),

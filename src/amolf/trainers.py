@@ -26,13 +26,15 @@ computes its outputs, f'(net) and error (``ForwardTrace.output``,
 ``fprime``, ``error``) the first time each is read and keeps them, so the
 kernels of a step compute f' once between them, and a pass whose outputs
 no one reads never computes them. A step returns its new network's pass,
-its multiplies and the state fields it changes. No state keeps the pass,
-since a run keeps its states: ``iterate`` holds only the last one, in a
-private slot, and the next ``iterate`` takes it from there when the pass's
-network and dataset are its state's very objects (both immutable), or runs
-``forward`` otherwise; ``run_training`` and ``run_kfold`` empty the slot
-(``release_handoff``) when they return. So an iteration runs one forward
-pass, of the network it returns, and none of the network it starts from.
+its multiplies and the state fields it changes. A run's newest state holds
+its network's pass: ``init_state`` and ``iterate`` put it there, and
+``iterate`` takes it out of the state it is given, using it when the pass's
+network and dataset are that state's very objects (both immutable) and
+running ``forward`` otherwise. So older states hold no pass, runs stepped
+alternately or in threads keep their own, and an iteration runs one
+forward pass, of the network it returns, and none of the network it starts
+from. ``run_training`` and ``run_kfold`` drop the pass of each trial's
+last state, so no state they leave behind holds one.
 owo-molf, owo-newton and amolf take an input-weight step, then solve the
 output weights, a solve that returns a pass of the solved network on the
 same activations, so the pre-solve pass never computes its outputs; owo-bp
@@ -65,7 +67,7 @@ kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -290,7 +292,9 @@ class TrainerState:
 
     ``last_error`` is the error of ``mlp``'s forward pass on ``dataset``, a
     record for the caller that no step reads; ``ledger`` holds one entry per
-    completed step, and its length is the state's ``iteration``.
+    completed step, and its length is the state's ``iteration``. The newest
+    state of a run holds that pass for the next ``iterate``, which takes it;
+    ``replace`` leaves it behind, so a copy runs ``forward`` afresh.
     """
 
     mlp: Mlp
@@ -303,37 +307,11 @@ class TrainerState:
     cg_direction: np.ndarray | None = None
     cg_gradient_norm_sq: float | None = None
     amolf: AmolfState | None = None
+    _trace: ForwardTrace | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def iteration(self) -> int:
         return len(self.ledger.per_iteration)
-
-
-# The forward pass of the last network a step returned or ``init_state``
-# started from. The pass holds its network and dataset alive, so an ``is``
-# match can only be those very objects; a miss just runs ``forward`` again.
-# Runs in other threads share the slot without a lock: a race costs a miss,
-# never a wrong pass, since a pass serves only its own network and dataset
-# and caches only what it computes from them (outputs, f', error), the same
-# bits in any thread. ``release_handoff`` empties it when a run is done.
-_handoff: ForwardTrace | None = None
-
-
-def release_handoff() -> None:
-    """Empty the hand-off slot, so that no pass outlives the run that made
-    it; the next ``iterate`` of a state then runs ``forward`` afresh."""
-    global _handoff
-    _handoff = None
-
-
-def _take_handoff(mlp: Mlp, dataset: Dataset) -> ForwardTrace | None:
-    """Empty the hand-off slot and return its pass if it is ``mlp``'s on
-    ``dataset``."""
-    global _handoff
-    held, _handoff = _handoff, None
-    if held is not None and held.mlp is mlp and held.dataset is dataset:
-        return held
-    return None
 
 
 def check_error(error: float, what: str) -> float:
@@ -362,30 +340,21 @@ def init_state(
     search_period: int = DEFAULT_SEARCH_PERIOD,
 ) -> TrainerState:
     """State before the first iteration of ``algorithm`` from ``mlp`` on
-    ``dataset``. The forward pass whose error is ``last_error`` goes into
-    the hand-off slot for the first ``iterate``. Only amolf takes a
-    ``search_period`` other than the default."""
+    ``dataset``, holding the forward pass whose error is ``last_error`` for
+    the first ``iterate``. Only amolf takes a ``search_period`` other than
+    the default."""
     check_run_settings(algorithm, search_period)
-    global _handoff
-    # The last run's pass is not kept through this one. It is freed here, after
-    # the caller has allocated this run's data and network, and no earlier:
-    # freed at the end of each k-fold round instead, its pages go back to the
-    # system and the next round faults them in again (owo-bp run_kfold, 20,000
-    # patterns, nh=10, k=10, 50 iterations, one BLAS thread: same bits, minor
-    # faults 48,018-49,746 -> 124,664-125,848 a run, system time 0.05-0.10 ->
-    # 0.15-0.27 s).
-    _handoff = None
     trace = forward(mlp, dataset)
-    last_error = check_error(trace.error, "the training error of the starting network")
-    _handoff = trace
-    return TrainerState(
+    state = TrainerState(
         mlp=mlp,
         dataset=dataset,
         algorithm=algorithm,
         ledger=CostLedger(),
-        last_error=last_error,
+        last_error=check_error(trace.error, "the training error of the starting network"),
         amolf=AmolfState(search_period=search_period) if algorithm == "amolf" else None,
     )
+    state._trace = trace
+    return state
 
 
 def _dims(state: TrainerState) -> tuple[int, int, int, int]:
@@ -545,23 +514,23 @@ ALGORITHMS = tuple(_STEPS)
 
 def iterate(state: TrainerState) -> TrainerState:
     """Run one training iteration of the state's algorithm: the forward pass
-    of ``state.mlp`` (handed off by the step that made it, or run afresh)
-    goes to the algorithm's step, whose pass's error goes into the new
-    state, its multiplies into this state's ``ledger.record``, and whose
-    pass goes into the hand-off slot for the next iteration."""
-    global _handoff
-    trace = _take_handoff(state.mlp, state.dataset)
-    if trace is None:
+    of ``state.mlp`` (taken out of ``state``, or run afresh) goes to the
+    algorithm's step, whose pass's error goes into the new state, its
+    multiplies into this state's ``ledger.record``, and whose pass the new
+    state holds for the next iteration."""
+    trace, state._trace = state._trace, None
+    if trace is None or trace.mlp is not state.mlp or trace.dataset is not state.dataset:
         trace = forward(state.mlp, state.dataset)
     trace, multiplies, changes = _STEPS[state.algorithm](state, trace)
     error = check_error(
         trace.error, f"the training error after {state.algorithm} iteration {state.iteration + 1}"
     )
-    _handoff = trace
-    return replace(
+    new = replace(
         state,
         mlp=trace.mlp,
         ledger=state.ledger.record(multiplies),
         last_error=error,
         **changes,
     )
+    new._trace = trace
+    return new

@@ -34,7 +34,6 @@ from amolf.trainers import (
     init_state,
     iterate,
     newton_input_step,
-    release_handoff,
 )
 from support import (
     fd_gradients,
@@ -386,12 +385,9 @@ def _errors_by_multiplies(algorithm, seed):
     data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
     state = init_state(algorithm, init_net_control(data, 30, seed), data)
     points = [(state.ledger.total(), state.last_error)]
-    try:
-        while points[-1][0] <= max(HEADLINE_BUDGETS):
-            state = iterate(state)
-            points.append((state.ledger.total(), state.last_error))
-    finally:
-        release_handoff()
+    while points[-1][0] <= max(HEADLINE_BUDGETS):
+        state = iterate(state)
+        points.append((state.ledger.total(), state.last_error))
     return tuple(points)
 
 

@@ -1,9 +1,11 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import amolf.experiment
+import amolf.network
 import amolf.trainers
 from amolf import cost
 from amolf.dataset import gen_matrix_inversion, kfold_split, normalize_zero_mean
@@ -240,25 +242,36 @@ def _curve_bits(curve):
     return curve.mean_mse.tobytes(), curve.cum_multiplies.tobytes(), weights
 
 
-def _run_bits(dataset, algo):
+def _state_bits(states):
+    return [(s.ledger.per_iteration, s.last_error, _weight_bits(s.mlp)) for s in states]
+
+
+def _run_bits(dataset, algo, step=iterate):
     """Bits of a training curve with its final weights, of a k-fold report,
     and of one trial's states (ledger, error, weights) with a branch taken
-    from an earlier state."""
+    from an earlier state, the trial stepped with ``step``."""
     period = {"search_period": 2} if algo == "amolf" else {}
     config = _config(algorithm=algo, iterations=6, k_folds=5, **period)
     data = normalize_zero_mean(dataset)
     state = init_state(algo, init_net_control(data, 4, 0), data, **period)
     states = [state]
     for _ in range(5):
-        states.append(iterate(states[-1]))
-    states.append(iterate(states[2]))
+        states.append(step(states[-1]))
+    states.append(step(states[2]))
     report = run_kfold(dataset, config)
     return (
         _curve_bits(run_training(dataset, config)),
         report.train_errors,
         report.test_errors,
-        [(s.ledger.per_iteration, s.last_error, _weight_bits(s.mlp)) for s in states],
+        _state_bits(states),
     )
+
+
+def _without_pass(state):
+    """``iterate`` after emptying the pass ``state`` holds, so that it runs
+    ``forward`` afresh."""
+    state._trace = None
+    return iterate(state)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -275,59 +288,167 @@ def test_the_forward_pass_hand_off_changes_no_bit(algo, monkeypatch):
     handed_off = _run_bits(dataset, algo)
     handed_off_passes = len(passes)
     passes.clear()
-    monkeypatch.setattr(amolf.trainers, "_take_handoff", lambda mlp, data: None)
-    assert _run_bits(dataset, algo) == handed_off
+    monkeypatch.setattr(amolf.experiment, "iterate", _without_pass)
+    assert _run_bits(dataset, algo, _without_pass) == handed_off
     assert handed_off_passes < len(passes)
 
 
-def test_two_threads_training_on_one_dataset_match_the_sequential_runs(monkeypatch):
-    # The hand-off slot is shared and holds one pass. The threads take
-    # their iterations in lockstep, so in every round at least one of them
-    # finds the other's pass there and must run its own.
+def test_runs_stepped_alternately_or_in_threads_keep_their_own_passes(monkeypatch):
+    # Each run reuses its own pass, so it runs as many forward passes as it
+    # does alone, with the same bits. With one pass shared between runs,
+    # alternated runs took each other's and missed on every iteration.
     dataset = gen_matrix_inversion(200, 5)
     configs = (
         _config(algorithm="owo-bp", iterations=10),
         _config(algorithm="amolf", iterations=10, search_period=3, seed=1),
     )
-    rounds = 2 * 10  # both configs run two trials
-    sequential = [_curve_bits(run_training(dataset, c)) for c in configs]
-    lockstep = threading.Barrier(2, timeout=60)
-    take = amolf.trainers._take_handoff
-    misses = []
+    data = normalize_zero_mean(dataset)
+    calling = threading.local()  # the index of the run a thread steps
+    passes = ([], [])
+    counted = amolf.trainers.forward
 
-    def counting_take(mlp, data):
-        trace = take(mlp, data)
-        if trace is None:
-            misses.append(1)
-        return trace
+    def counting_forward(mlp, data):
+        passes[calling.run].append(1)
+        return counted(mlp, data)
+
+    def counts():
+        counted_passes = [len(p) for p in passes]
+        for p in passes:
+            p.clear()
+        return counted_passes
+
+    monkeypatch.setattr(amolf.trainers, "forward", counting_forward)
+
+    def start(run):
+        calling.run = run
+        c = configs[run]
+        mlp = init_net_control(data, c.n_hidden, c.seed)
+        return [init_state(c.algorithm, mlp, data, search_period=c.search_period)]
+
+    def step(run, states):
+        calling.run = run
+        states.append(iterate(states[-1]))
+
+    lone = []
+    for run in range(2):
+        lone.append(start(run))
+        for _ in range(10):
+            step(run, lone[-1])
+    lone_bits, lone_passes = [_state_bits(states) for states in lone], counts()
+    assert lone_passes[0] == 1 + 10  # owo-bp runs one pass an iteration
+    alternated = [start(0), start(1)]
+    for _ in range(10):
+        for run in range(2):
+            step(run, alternated[run])
+    assert [_state_bits(states) for states in alternated] == lone_bits
+    assert counts() == lone_passes
+
+    def train(run, results):
+        calling.run = run
+        results[run] = _curve_bits(run_training(dataset, configs[run]))
+
+    sequential = [None, None]
+    for run in range(2):
+        train(run, sequential)
+    sequential_passes = counts()
+    assert sequential_passes[0] == 2 * (1 + 10)  # two trials
+    lockstep = threading.Barrier(2, timeout=60)
 
     def iterate_in_lockstep(state):
         lockstep.wait()
         return iterate(state)
 
-    monkeypatch.setattr(amolf.trainers, "_take_handoff", counting_take)
     monkeypatch.setattr(amolf.experiment, "iterate", iterate_in_lockstep)
     threaded = [None, None]
-
-    def train(index):
-        threaded[index] = _curve_bits(run_training(dataset, configs[index]))
-
-    threads = [threading.Thread(target=train, args=(i,)) for i in range(2)]
+    threads = [threading.Thread(target=train, args=(run, threaded)) for run in range(2)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert threaded == sequential
-    assert len(misses) >= rounds
+    assert counts() == sequential_passes
+
+
+def _keeping_states(monkeypatch):
+    """Every state that ``amolf.experiment.iterate`` is given or returns,
+    from now on."""
+    states = []
+
+    def keeping_iterate(state):
+        states.extend((state, iterate(state)))
+        return states[-1]
+
+    monkeypatch.setattr(amolf.experiment, "iterate", keeping_iterate)
+    return states
 
 
 @pytest.mark.parametrize("run", [run_training, run_kfold])
-def test_a_run_leaves_the_hand_off_slot_empty(run):
-    # The slot's pass holds its network, dataset and per-pattern arrays
-    # alive; after a k-fold run that was 2.94 MB kept until the next run.
+def test_no_state_of_a_run_holds_a_pass_when_it_returns(run, monkeypatch):
+    # A pass holds its network, dataset and per-pattern arrays alive, and a
+    # caller may keep every trial's final state.
+    states = _keeping_states(monkeypatch)
     run(gen_matrix_inversion(90, 4), _config(k_folds=3))
-    assert amolf.trainers._handoff is None
+    assert states
+    assert all(state._trace is None for state in states)
+
+
+@pytest.mark.parametrize("run", [run_training, run_kfold])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_trials_last_pass_lives_through_the_next_network_and_no_further(
+    algo, run, monkeypatch
+):
+    # The last pass of a trial or k-fold round is freed after the next one's
+    # network is drawn and before its first forward pass. Freed at the end
+    # of a round instead, its pages went back to the system and the next
+    # round faulted them in again.
+    made = []  # a weak reference to every pass made
+    newest = [lambda: None]  # a weak reference to the newest state's pass
+    events = []  # (where, whether the last trial's pass is alive)
+    first_pass_due = []
+    init, net, forward, step = (
+        amolf.network.ForwardTrace.__init__,
+        amolf.experiment.init_net_control,
+        amolf.trainers.forward,
+        amolf.experiment.iterate,
+    )
+
+    def recording_init(trace, *args, **kwargs):
+        init(trace, *args, **kwargs)
+        made.append(weakref.ref(trace))
+
+    def is_pass_of(ref, state):
+        trace = ref()
+        return trace is not None and trace.mlp is state.mlp and trace.dataset is state.dataset
+
+    def recording_iterate(state):
+        state = step(state)
+        (newest[0],) = [ref for ref in made if is_pass_of(ref, state)]
+        return state
+
+    def checking_net(*args, **kwargs):
+        events.append(("net drawn", newest[0]() is not None))
+        mlp = net(*args, **kwargs)
+        events.append(("net returned", newest[0]() is not None))
+        first_pass_due.append(1)
+        return mlp
+
+    def checking_forward(mlp, data):
+        if first_pass_due:
+            first_pass_due.clear()
+            events.append(("first pass", newest[0]() is not None))
+        return forward(mlp, data)
+
+    monkeypatch.setattr(amolf.network.ForwardTrace, "__init__", recording_init)
+    monkeypatch.setattr(amolf.experiment, "iterate", recording_iterate)
+    monkeypatch.setattr(amolf.experiment, "init_net_control", checking_net)
+    monkeypatch.setattr(amolf.trainers, "forward", checking_forward)
+    period = {"search_period": 2} if algo == "amolf" else {}
+    run(gen_matrix_inversion(90, 4), _config(algorithm=algo, n_trials=3, k_folds=3, **period))
+    first = [("net drawn", False), ("net returned", False), ("first pass", False)]
+    later = [("net drawn", True), ("net returned", True), ("first pass", False)]
+    assert events == first + 2 * later
+    assert newest[0]() is None
 
 
 def test_kfold_stops_after_patience_and_reports_the_best_validation_state(monkeypatch):
@@ -387,8 +508,10 @@ def test_kfold_refuses_a_non_finite_error_naming_its_round(
         return value if len(calls) == bad_call else mse(mlp, data)
 
     monkeypatch.setattr(amolf.experiment, "mse", patched_mse)
+    states = _keeping_states(monkeypatch)
     with pytest.raises(
         ValueError, match=rf"^k-fold round {round_index}: the {kind} error is {value}, not finite$"
     ):
         run_kfold(gen_matrix_inversion(90, 4), _config(k_folds=3, iterations=1))
-    assert amolf.trainers._handoff is None
+    assert states
+    assert all(state._trace is None for state in states)

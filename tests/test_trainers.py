@@ -879,12 +879,13 @@ def test_cg_quadratic_five_step_termination():
 def test_one_forward_pass_per_iteration(algo, monkeypatch):
     # An iteration runs one forward pass, of the network it returns; the
     # pass of the network it starts from is the one the previous iteration
-    # handed off. LM runs one pass per candidate and hands off the accepted
-    # one's.
+    # left on its state. LM runs one pass per candidate and leaves the
+    # accepted one's.
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8)
     state = iterate(state)  # amolf searches the group count here
     if algo == "lm":
-        state = replace(state, lm_lambda=LM_LAMBDA_MIN)  # forces rejections
+        # Forces rejections; set in place, since a replace copy holds no pass.
+        state.lm_lambda = LM_LAMBDA_MIN
     calls, candidates = [], []
     counted = amolf.network.forward
     counted_step = amolf.trainers.damped_gauss_newton_step
@@ -929,19 +930,19 @@ def test_each_step_returns_the_forward_pass_of_its_network(algo):
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_a_handed_off_pass_serves_only_its_own_network_and_dataset(algo):
-    # Branching from a state after the slot moved on must run that state's
-    # own forward pass: the slot holds another network on the same dataset,
-    # then the same network on another dataset of the same size.
+def test_a_held_pass_serves_only_its_own_network_and_dataset(algo):
+    # A state whose network or dataset was changed in place must run its
+    # own forward pass: the pass it holds is of its dataset with another
+    # network, then of its network on another dataset of the same size.
     period = _search_every(algo, 2)
     data, other = (normalize_zero_mean(gen_matrix_inversion(120, s)) for s in (8, 9))
-    mlp = init_net_control(data, 4, 8)
-    start = init_state(algo, mlp, other, **period)
-    fresh = iterate(start)
-    branched = iterate(start)
-    init_state(algo, mlp, data, **period)
-    moved = iterate(start)
-    for state in (branched, moved):
+    mlp, another = (init_net_control(data, 4, seed) for seed in (8, 9))
+    fresh = iterate(init_state(algo, mlp, other, **period))
+    moved_net = init_state(algo, another, other, **period)
+    moved_net.mlp = mlp
+    moved_data = init_state(algo, mlp, data, **period)
+    moved_data.dataset = other
+    for state in (iterate(moved_net), iterate(moved_data)):
         assert state.last_error == fresh.last_error
         for a, b in zip(_arrays(state.mlp), _arrays(fresh.mlp)):
             assert np.array_equal(a, b)
@@ -982,8 +983,10 @@ def test_each_pass_evaluates_its_error_once(algo, monkeypatch):
     state = _matinv_setup(algo=algo, nh=4, nv=120, seed=8, **_search_every(algo, 3))
     counts_searched = len(cost.amolf_group_counts(state.dataset.n_inputs))
     if algo == "lm":
-        # Tiny damping after a first step forces rejections.
-        state = replace(iterate(state), lm_lambda=LM_LAMBDA_MIN)
+        # Tiny damping after a first step forces rejections; set in place,
+        # since a replace copy holds no pass.
+        state = iterate(state)
+        state.lm_lambda = LM_LAMBDA_MIN
     evaluations, candidates = [], []
     counted_error = amolf.network._output_error
     counted_step = amolf.trainers.damped_gauss_newton_step
@@ -1115,19 +1118,21 @@ def _arrays(value):
 def test_no_state_keeps_a_pattern_sized_array(algo):
     # Runs keep their final states, so a per-pattern array (a forward pass,
     # a Jacobian) held by a state would stay alive for the whole run. Only
-    # the dataset may be pattern-sized.
+    # the dataset may be pattern-sized, and the newest state's forward pass,
+    # which the next iteration takes and the run loops drop.
     nv = 97
     state = _matinv_setup(algo=algo, nh=3, nv=nv, seed=8, **_search_every(algo, 2))
     weight_dims = {dim for a in _arrays(state.mlp) for dim in (*a.shape, a.size)}
     assert nv not in weight_dims
     assert nv != sum(a.size for a in _arrays(state.mlp))
     for _ in range(4):
-        state = iterate(state)
-        for f in dataclasses.fields(state):
-            if f.name == "dataset":
-                continue
-            for a in _arrays(getattr(state, f.name)):
-                assert nv not in a.shape, f"{f.name} holds an array of shape {a.shape}"
+        older, state = state, iterate(state)
+        for kept, pattern_sized in ((older, {"dataset"}), (state, {"dataset", "_trace"})):
+            for f in dataclasses.fields(kept):
+                if f.name in pattern_sized:
+                    continue
+                for a in _arrays(getattr(kept, f.name)):
+                    assert nv not in a.shape, f"{f.name} holds an array of shape {a.shape}"
 
 
 @pytest.mark.parametrize("algo", ["owo-bp", "owo-molf", "owo-newton", "amolf", "lm", "cg"])
@@ -1203,8 +1208,8 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     # The winning candidate's step is the iteration's step: a search
     # iteration solves each candidate count's system and the output weights,
     # assembles nothing from per-pattern sums, runs one forward pass per
-    # candidate and none of its own network, whose pass the last iteration
-    # handed off, and reuses the winner's for the output solve, and groups
+    # candidate and none of its own network, whose pass the last iteration left
+    # on its state, and reuses the winner's for the output solve, and groups
     # by its Hessian's diagonal, not by ``curvature_map``; an adapting
     # iteration assembles and solves its one grouped system, runs the
     # stepped network forward once, and reads the curvature once if it has
