@@ -30,7 +30,7 @@ from .experiment import (
 from .gradients import GradientBundle, backprop, curvature_map
 from .linalg import SolveReport, solve_sym
 from .network import ForwardTrace, Mlp, forward, init_net_control, mse
-from .owo import Correlations, accumulate_correlations, solve_output_weights
+from .owo import accumulate_correlations, solve_output_weights
 from .trainers import (
     ALGORITHMS,
     AmolfState,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "AmolfState",
-    "Correlations",
     "CostLedger",
     "Dataset",
     "ExperimentConfig",

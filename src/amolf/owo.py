@@ -12,7 +12,7 @@ which computes its outputs when they are first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,30 +26,24 @@ def augmented_basis(trace: ForwardTrace) -> np.ndarray:
     return np.hstack((trace.dataset.inputs, trace.activ))
 
 
-@dataclass(frozen=True)
-class Correlations:
-    """Basis autocorrelation and basis/target cross-correlation, both
-    carrying the 1/n_patterns factor, in ``augmented_basis`` column order."""
-
-    r: np.ndarray  # (n_basis, n_basis), symmetric PSD
-    c: np.ndarray  # (n_basis, n_outputs)
-
-
-def accumulate_correlations(trace: ForwardTrace) -> Correlations:
+def accumulate_correlations(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Basis autocorrelation r, (n_basis, n_basis) and symmetric PSD, and
+    basis/target cross-correlation c, (n_basis, n_outputs), both carrying
+    the 1/n_patterns factor, in ``augmented_basis`` column order."""
     basis, nv = augmented_basis(trace), trace.dataset.n_patterns
     r, c = pattern_sum(basis, basis), pattern_sum(basis, trace.dataset.targets)
-    return Correlations(r=r / nv, c=c / nv)
+    return r / nv, c / nv
 
 
-def solve_output_weights(corr: Correlations) -> SolveReport:
-    """Least-squares output weights from the correlation system: one column
-    per output, in basis order.
+def solve_output_weights(r: np.ndarray, c: np.ndarray) -> SolveReport:
+    """Least-squares output weights from the correlations ``r`` and ``c``:
+    one column per output, in basis order.
 
     Rank deficiency (collinear basis columns) is handled by pivot skipping
     and reported, not fatal: skipped columns get zero weight and the fitted
     outputs are unchanged.
     """
-    return solve_sym(corr.r, corr.c)
+    return solve_sym(r, c)
 
 
 def output_weight_step(trace: ForwardTrace) -> ForwardTrace:
@@ -57,6 +51,6 @@ def output_weight_step(trace: ForwardTrace) -> ForwardTrace:
     its network's output and bypass weights change; the returned pass
     shares the activations and computes its outputs as ``forward`` does,
     so it equals a fresh forward pass of its network bit for bit."""
-    wo = solve_output_weights(accumulate_correlations(trace)).solution.T
+    wo = solve_output_weights(*accumulate_correlations(trace)).solution.T
     split = trace.dataset.n_inputs + 1
     return replace(trace, mlp=replace(trace.mlp, woi=wo[:, :split], woh=wo[:, split:]))

@@ -175,8 +175,7 @@ def test_criterion_05_output_solve_equals_newton_step():
         rng = np.random.default_rng(500 + seed)
         mlp, d = random_network(rng, 4, 3, 1, 30)
         trace = forward(mlp, d)
-        corr = accumulate_correlations(trace)
-        solution = solve_output_weights(corr)
+        solution = solve_output_weights(*accumulate_correlations(trace))
         ho, go = output_hessian_gradient(mlp, d, trace)
         step = solve_sym(ho, go).solution
         newton_wo = np.hstack((mlp.woi, mlp.woh)).ravel() + step

@@ -20,7 +20,6 @@ import amolf
 import amolf.experiment
 import amolf.trainers
 from amolf import (
-    Correlations,
     ExperimentConfig,
     gen_matrix_inversion,
     init_net_control,
@@ -121,7 +120,7 @@ def test_run_loops_call_the_recorded_iterate_once_per_iteration(monkeypatch):
 
 
 def test_output_solve_reports_rank_deficiency_as_a_bool():
-    report = solve_output_weights(Correlations(r=np.eye(2), c=np.ones((2, 1))))
+    report = solve_output_weights(np.eye(2), np.ones((2, 1)))
     assert type(report.rank_deficient) is bool
 
 

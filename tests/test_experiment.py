@@ -1,3 +1,4 @@
+import os
 import threading
 import weakref
 
@@ -515,3 +516,14 @@ def test_kfold_refuses_a_non_finite_error_naming_its_round(
         run_kfold(gen_matrix_inversion(90, 4), _config(k_folds=3, iterations=1))
     assert states
     assert all(state._trace is None for state in states)
+
+
+def test_readme_library_use_runs_as_written():
+    # README's "Library use" block, executed verbatim: it trains the
+    # 10-trial amolf curve, steps one run by hand and calls the kernels.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text[text.index("\n## Library use\n") :]
+    block = section[section.index("```python\n") + len("```python\n") : section.index("\n```\n")]
+    exec(compile(block, "README.md (Library use)", "exec"), {})

@@ -195,21 +195,21 @@ def test_output_hessian_gradient_zero_weights_single_output():
     mlp, d = random_network(rng, 3, 2, 1, 15)
     mlp = replace(mlp, woh=np.zeros_like(mlp.woh), woi=np.zeros_like(mlp.woi))
     trace = forward(mlp, d)
-    corr = accumulate_correlations(trace)
+    _, c = accumulate_correlations(trace)
     _, go = output_hessian_gradient(mlp, d, trace)
-    assert np.abs(go - 2.0 * corr.c.ravel()).max() <= 1e-12
+    assert np.abs(go - 2.0 * c.ravel()).max() <= 1e-12
 
 
 def test_output_hessian_blocks_match_correlations():
     rng = np.random.default_rng(5)
     mlp, d = random_network(rng, 3, 2, 3, 15)
     trace = forward(mlp, d)
-    corr = accumulate_correlations(trace)
+    r, _ = accumulate_correlations(trace)
     ho, _ = output_hessian_gradient(mlp, d, trace)
-    nu = corr.r.shape[0]
+    nu = r.shape[0]
     for i in range(3):
         block = ho[i * nu : (i + 1) * nu, i * nu : (i + 1) * nu]
-        assert np.abs(block - 2.0 * corr.r).max() <= 1e-12
+        assert np.abs(block - 2.0 * r).max() <= 1e-12
     off = ho[:nu, nu : 2 * nu]
     assert np.abs(off).max() == 0.0
 
@@ -218,11 +218,11 @@ def test_output_newton_step_reaches_closed_form():
     rng = np.random.default_rng(6)
     mlp, d = random_network(rng, 3, 2, 1, 25)
     trace = forward(mlp, d)
-    corr = accumulate_correlations(trace)
+    r, c = accumulate_correlations(trace)
     ho, go = output_hessian_gradient(mlp, d, trace)
     step = solve_sym(ho, go).solution
     wo_new = np.hstack((mlp.woi, mlp.woh)).ravel() + step
-    closed = solve_sym(corr.r, corr.c).solution.ravel()
+    closed = solve_sym(r, c).solution.ravel()
     assert np.abs(wo_new - closed).max() <= 1e-8
 
 

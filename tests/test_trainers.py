@@ -586,8 +586,10 @@ def test_amolf_pinned_single_group_matches_owo_molf():
     # One amolf iteration at one group that neither searches (iteration 2,
     # after a one-entry ledger whose count no step reads) nor adapts (no
     # EPMs yet) is one owo-molf iteration, bit for bit, from several points
-    # of an owo-molf run.
+    # of an owo-molf run. The two ledgers still price it differently,
+    # each by its own formula (README's cost paragraph).
     data = normalize_zero_mean(gen_matrix_inversion(300, 5))
+    dims = (data.n_inputs, 8, data.n_outputs, data.n_patterns)
     state_m = init_state("owo-molf", init_net_control(data, 8, 11), data)
     after_one = cost.CostLedger((1,))
     for _ in range(4):
@@ -596,6 +598,8 @@ def test_amolf_pinned_single_group_matches_owo_molf():
         )
         state_m = iterate(state_m)
         assert state_a.amolf.n_groups == 1
+        assert state_a.ledger.per_iteration[-1] == cost.mult_amolf(*dims, 1)
+        assert state_m.ledger.per_iteration[-1] == cost.mult_owo_molf(*dims)
         assert state_a.last_error == state_m.last_error
         assert np.array_equal(state_a.mlp.w, state_m.mlp.w)
         assert np.array_equal(state_a.mlp.woh, state_m.mlp.woh)
