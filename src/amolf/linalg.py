@@ -5,12 +5,13 @@ for arrays and ``check_count`` for counts, sizes and seeds.
 Storage is plain float64 numpy throughout: a matrix is a 2-D C-contiguous
 array, a vector is 1-D. Every system solved in this package is at most a
 few hundred rows, so dense row-major storage and a left-looking LDLᵀ with
-pivots in fixed order win on simplicity and cache behaviour. This module
-owns the rule that keeps BLAS threads out of the bits: every product in the
-package that sums over patterns is a ``pattern_sum``, and no solve calls
-LAPACK. ``solve_sym``'s only BLAS calls are matrix-vector products, whose
-bits do not change with the thread count at the sizes solved here (a test
-pins this up to 900 rows).
+pivots in fixed order win on simplicity and cache behaviour; a pivot at or
+below ``PIVOT_RTOL`` times the largest diagonal entry is skipped, and its
+unknown is +0.0. This module owns the rule that keeps BLAS threads out of
+the bits: every product in the package that sums over patterns is a
+``pattern_sum``, and no solve calls LAPACK. ``solve_sym``'s only BLAS calls
+are matrix-vector products, whose bits do not change with the thread count
+at the sizes solved here (a test pins this up to 900 rows).
 
 It also owns the rule that keeps the kernel choice out of the bits: every
 product of a pattern-sized array with a transposed weight matrix is a
@@ -34,8 +35,8 @@ import numpy as np
 
 # Relative tolerance for the symmetry check in solve_sym.
 SYMMETRY_RTOL = 1e-9
-# A pivot counts as zero when its magnitude is below PIVOT_RTOL times the
-# largest diagonal entry of the matrix.
+# A pivot counts as zero when its magnitude is at or below PIVOT_RTOL times
+# the largest diagonal entry of the matrix.
 PIVOT_RTOL = 1e-10
 # OpenBLAS runs a GEMM of m·n·k at or under 2**18 multiplies on one thread
 # (65536 times its default multithread threshold of 4); a larger product
@@ -112,8 +113,8 @@ def pattern_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SolveReport:
     """Outcome of a symmetric solve.
 
-    ``rank_deficient`` is set exactly when zero pivots were skipped, so the
-    returned solution leaves some unknowns at zero.
+    ``rank_deficient`` is set exactly when pivots were skipped, so the
+    returned solution leaves their unknowns at +0.0.
     """
 
     solution: np.ndarray
@@ -126,10 +127,10 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     Left-looking LDLᵀ factorization with diagonal pivots taken in fixed
     order (Golub & Van Loan, *Matrix Computations*, 4th ed., §4.1–4.2):
     column j of L is one matrix-vector product with the columns before it.
-    Pivots whose magnitude falls below ``PIVOT_RTOL * max(diag)`` are
-    skipped and the corresponding solution rows are zero, mirroring the
+    Pivots whose magnitude is at or below ``PIVOT_RTOL * max(diag, 0)`` are
+    skipped and the corresponding solution rows are +0.0, mirroring the
     column-dropping behaviour of an orthogonal least-squares solve on a
-    rank-deficient system.
+    rank-deficient system. A zero matrix skips every pivot.
 
     B may be a vector or a matrix of right-hand sides; the solution matches
     its shape. Deterministic: identical inputs give bit-identical output.
@@ -148,39 +149,32 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
 
-    diag_max = float(a.diagonal().max()) if n else 0.0
-    if n and diag_max <= 0.0:
-        # PSD with a non-positive diagonal is the zero matrix: every pivot
-        # would be skipped, so every unknown is +0.0.
-        return SolveReport(solution=np.zeros(b.shape), rank_deficient=True)
-
     # Left-looking LDLᵀ on A stacked over Bᵀ. Column j of the stack becomes
     # L's column j over the rows of A and row j of D⁻¹·L⁻¹·B over the rows
     # of Bᵀ, so the factor loop also runs the forward substitution. A
-    # skipped pivot leaves its column of L and its entry of D at zero, which
-    # drops its unknown from every later column, as eliminating it would.
+    # skipped pivot leaves its column of L, its entry of D and its unknown
+    # at zero, which drops the unknown from every later column, as
+    # eliminating it would. A kept pivot exceeds the threshold, which is at
+    # least 0, so the zeros of D are the skips.
     work = np.vstack((a, b.T if b.ndim == 2 else b[None, :]))
     d = np.zeros(n)
-    skipped = np.zeros(n, dtype=bool)
-    thresh = PIVOT_RTOL * diag_max
+    thresh = PIVOT_RTOL * float(a.diagonal().max(initial=0.0))
     for j in range(n):
         col = work[j:, j]
         col -= work[j:, :j] @ (d[:j] * work[j, :j])
-        if abs(col[0]) < thresh:
-            skipped[j] = True
+        if abs(col[0]) <= thresh:
             col[:] = 0.0
             continue
         d[j] = col[0]
         col[1:] /= d[j]
 
-    # Back substitution with Lᵀ; a skipped unknown keeps its zeroed row.
+    # Back substitution with Lᵀ. A skipped unknown stays +0.0: its column of
+    # L is zero, so it subtracts a ±0.0 from +0.0.
     x = work[n:].T.copy()
     for j in range(n - 1, -1, -1):
-        if not skipped[j]:
-            x[j] -= work[j + 1 : n, j] @ x[j + 1 :]
+        x[j] -= work[j + 1 : n, j] @ x[j + 1 :]
 
     check_finite(x, "solution")
     return SolveReport(
-        solution=x[:, 0] if b.ndim == 1 else x,
-        rank_deficient=bool(skipped.any()),
+        solution=x[:, 0] if b.ndim == 1 else x, rank_deficient=not d.all()
     )

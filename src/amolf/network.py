@@ -190,8 +190,9 @@ def init_net_control(
     part of each row is rescaled so the unit's net values have sample
     variance 1 over the dataset, and the bias weight is then set so their
     sample mean is 0.5. Expects a zero-mean-normalized dataset. Output and
-    bypass weights start at zero; every trainer here solves them in its
-    first iteration, so all trainers share one initial point.
+    bypass weights start at zero, so all trainers share one initial point;
+    owo-bp, owo-molf, owo-newton and amolf solve them in their first
+    iteration, and lm's and cg's steps move them.
 
     Raises if any hidden unit's pre-scale net variance is zero (degenerate
     dataset, e.g. a single pattern or constant inputs).

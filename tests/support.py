@@ -168,9 +168,9 @@ def fixed_order_elimination(a: np.ndarray, b: np.ndarray):
     """The elimination ``solve_sym`` ran before its LDLᵀ, as its oracle.
 
     Gaussian elimination on the augmented [A | B] with diagonal pivots in
-    fixed order, one rank-1 update per pivot. A pivot under
-    ``PIVOT_RTOL * max(diag)`` is skipped: its row and column are zeroed and
-    its unknown is 0. Returns (solution shaped like ``b``, skipped mask,
+    fixed order, one rank-1 update per pivot. A pivot at or below
+    ``PIVOT_RTOL * max(diag, 0)`` is skipped: its row and column are zeroed
+    and its unknown is 0. Returns (solution shaped like ``b``, skipped mask,
     pivot values as eliminated).
     """
     a = np.asarray(a, dtype=float)
@@ -179,19 +179,15 @@ def fixed_order_elimination(a: np.ndarray, b: np.ndarray):
     ab = np.column_stack((a, b))
     skipped = np.zeros(n, dtype=bool)
     pivots = np.zeros(n)
-    diag_max = float(a.diagonal().max()) if n else 0.0
-    if diag_max <= 0.0:
-        skipped[:] = True
-    else:
-        thresh = PIVOT_RTOL * diag_max
-        for i in range(n):
-            piv = pivots[i] = ab[i, i]
-            if abs(piv) < thresh:
-                skipped[i] = True
-                ab[i, i:] = 0.0
-                ab[i + 1 :, i] = 0.0
-                continue
-            ab[i + 1 :, i:] -= np.outer(ab[i + 1 :, i] / piv, ab[i, i:])
+    thresh = PIVOT_RTOL * float(a.diagonal().max(initial=0.0))
+    for i in range(n):
+        piv = pivots[i] = ab[i, i]
+        if abs(piv) <= thresh:
+            skipped[i] = True
+            ab[i, i:] = 0.0
+            ab[i + 1 :, i] = 0.0
+            continue
+        ab[i + 1 :, i:] -= np.outer(ab[i + 1 :, i] / piv, ab[i, i:])
     x = np.zeros((n, ab.shape[1] - n))
     for i in range(n - 1, -1, -1):
         if not skipped[i]:

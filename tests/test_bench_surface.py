@@ -8,6 +8,7 @@ amolf's names, config fields or state fields that would break a benchmark
 run fails this test instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -117,6 +118,32 @@ def test_run_loops_call_the_recorded_iterate_once_per_iteration(monkeypatch):
     assert [len(log.durations_ns) for log in rounds] == [3, 3, 3, 3]
     assert [log.final_state.iteration for log in rounds] == [3, 3, 3, 3]
     assert (recorder.attempted, recorder.failed) == (8 + 12, 0)
+
+
+def test_bench_ledger_gate_matches_the_trainers(monkeypatch):
+    # run.py's gate re-derives each trial's multiply count from the cost
+    # formulas and amolf's search schedule. 51 amolf iterations include the
+    # searches at iterations 1 and 50.
+    for name in ("instrument", "workloads"):
+        # run.py imports its siblings by these names, as from bench/.
+        monkeypatch.setitem(sys.modules, name, _load(name, monkeypatch))
+    run = _load("run", monkeypatch)
+    # Bench installs its recorder as amolf.experiment.iterate.
+    monkeypatch.setattr(amolf.experiment, "iterate", amolf.experiment.iterate)
+    for workload in run.WORKLOADS.values():
+        small = dataclasses.replace(
+            workload,
+            n_patterns=40,
+            n_hidden=3,
+            iterations=51 if workload.algorithm == "amolf" else 3,
+            instances=1,
+        )
+        bench = run.Bench(np, amolf, small, 0)
+        call = bench.call(0)
+        assert call.result is not None and call.trials
+        for trial in call.trials:
+            total = trial.final_state.ledger.total()
+            assert run.expected_ledger_total(bench, trial, 0) == total
 
 
 def test_output_solve_reports_rank_deficiency_as_a_bool():

@@ -113,24 +113,32 @@ def test_deterministic_bit_identical():
 
 def test_duplicated_column_skips_second_occurrence():
     # Second copy of a column hits a zero pivot after the first eliminates it.
-    rng = np.random.default_rng(5)
-    basis = rng.standard_normal((20, 4))
-    basis = np.hstack((basis, basis[:, [1]]))
-    a = basis.T @ basis
-    y = rng.standard_normal(5)
-    b = a @ y  # consistent rhs
-    report = solve_sym(a, b)
-    assert report.rank_deficient
-    assert report.solution[4] == 0.0
-    assert np.abs(a @ report.solution - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+    # Back substitution subtracts a ±0.0 from the skipped unknown, whose sign
+    # follows the later unknowns; with b and -b each sign shows up.
+    for columns, copy in (([0, 1, 2, 3, 1], 4), ([0, 1, 2, 1, 3], 3)):
+        rng = np.random.default_rng(5)
+        basis = rng.standard_normal((20, 4))[:, columns]
+        a = basis.T @ basis
+        y = rng.standard_normal(5)
+        b = a @ y  # consistent rhs
+        for rhs in (b, -b, np.column_stack((b, -b))):
+            report = solve_sym(a, rhs)
+            assert report.rank_deficient
+            assert report.solution[copy].tobytes() == np.zeros_like(rhs[copy]).tobytes()
+            residual = np.abs(a @ report.solution - rhs).max()
+            assert residual <= 1e-8 * (1.0 + np.abs(rhs).max())
 
 
 def test_pivot_threshold_is_relative_to_the_largest_diagonal():
-    # Threshold 1e-10 * 4: the 2e-10 pivot is skipped, the 8e-10 one kept.
-    a = np.diag([4.0, 2e-10, 8e-10])
-    report = solve_sym(a, np.ones(3))
-    assert report.rank_deficient
-    assert np.array_equal(report.solution, [0.25, 0.0, 1.0 / 8e-10])
+    # Threshold 1e-10 * 4: the 2e-10 pivot is skipped, the 8e-10 one kept,
+    # and a pivot exactly at the threshold is skipped too.
+    for diagonal, solution in (
+        ([4.0, 2e-10, 8e-10], [0.25, 0.0, 1.0 / 8e-10]),
+        ([4.0, 4e-10, 1.0], [0.25, 0.0, 1.0]),
+    ):
+        report = solve_sym(np.diag(diagonal), np.ones(3))
+        assert report.rank_deficient
+        assert np.array_equal(report.solution, solution)
 
 
 def test_zero_matrix_gives_zero_solution():
