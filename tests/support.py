@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from amolf.cost import amolf_group_counts
 from amolf.dataset import Dataset, make_dataset
 from amolf.experiment import TrainingCurve
-from amolf.gradients import gauss_newton_gram, output_deltas
+from amolf.gradients import GN_BLOCK, gauss_newton_gram, output_deltas
 from amolf.linalg import PIVOT_RTOL, pattern_sum, solve_sym
 from amolf.network import ForwardTrace, Mlp, forward, mse
 from amolf.owo import augmented_basis
@@ -317,11 +318,17 @@ def expression_input_hessian(trace) -> np.ndarray:
 
 
 def expression_full_hessian(trace) -> np.ndarray:
+    """The broadcast features whole, their ``pattern_sum`` Grams summed over
+    blocks of ``GN_BLOCK`` patterns in block order, as the kernel sums them."""
     inputs = trace.dataset.inputs
     nv = inputs.shape[0]
     features = expression_fprime_input_features(trace).reshape(nv, -1)
     features = np.hstack((features, trace.activ, inputs))
-    return (2.0 / nv) * pattern_sum(features, features)
+    gram = np.zeros((features.shape[1],) * 2)
+    for p in range(0, nv, GN_BLOCK):
+        block = features[p : p + GN_BLOCK]
+        gram += pattern_sum(block, block)
+    return (2.0 / nv) * gram
 
 
 def expression_grouped_hessian(trace, gw: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -521,6 +528,35 @@ def matrix_relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
     return diff / (1.0 + float(np.abs(expected).max()))
 
 
+# LM's classic accept/reject damping schedule (Marquardt, J. SIAM 11, 1963),
+# transcribed with its own constants, so that a change to the trainer's
+# schedule or to one of its constants shows against it.
+LM_SCHEDULE_START = 1e-2
+LM_SCHEDULE_FACTOR = 10.0
+LM_SCHEDULE_BOUNDS = (1e-12, 1e12)
+LM_SCHEDULE_MAX_SOLVES = 10
+
+
+def lm_schedule_iteration(lam: float, accepted_at: int | None) -> tuple[float, int, bool]:
+    """One LM iteration by the schedule, from damping ``lam``: (the damping
+    after it, the damped solves it ran, whether it stalled). Candidate
+    ``accepted_at`` (0-based) is the first whose error is below the input
+    pass's; ``None`` if none is. The damping is clamped to the bounds
+    first; a rejection grows it tenfold (to the upper bound at most) and an
+    acceptance shrinks it tenfold (to the lower bound at least); a
+    rejection at the upper bound, or the last allowed solve, ends the
+    iteration stalled."""
+    low, high = LM_SCHEDULE_BOUNDS
+    lam = min(max(lam, low), high)
+    for solve in range(LM_SCHEDULE_MAX_SOLVES):
+        if solve == accepted_at:
+            return max(lam / LM_SCHEDULE_FACTOR, low), solve + 1, False
+        if lam >= high:
+            return lam, solve + 1, True
+        lam = min(lam * LM_SCHEDULE_FACTOR, high)
+    return lam, LM_SCHEDULE_MAX_SOLVES, True
+
+
 def fd_second_derivative(f, h: float) -> float:
     """Central second difference of a scalar function at 0."""
     return (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
@@ -597,7 +633,7 @@ def fraction_amolf_search(n: int, nh: int, m: int, nv: int) -> Fraction:
     nu = n + nh + 1
     total = Fraction(nv * nh * (n + 1)) + Fraction(nv * m) * Fraction(niw * (niw + 1), 2)
     trial_eval = Fraction(nv * (nh * (n + 1) + m * nu) + nv * m)
-    for ng in range(1, n + 1):
+    for ng in amolf_group_counts(n):
         nl = ng * nh
         solve = Fraction(nl * (nl + 1)) * (Fraction(2 * nl + 1, 6) + Fraction(5, 2))
         total += Fraction(2 * niw * niw) + solve + Fraction(niw) + trial_eval

@@ -452,15 +452,13 @@ def test_a_trials_last_pass_lives_through_the_next_network_and_no_further(
     assert newest[0]() is None
 
 
-def test_kfold_stops_after_patience_and_reports_the_best_validation_state(monkeypatch):
-    # Each round's validation errors are scripted: iteration 3 improves on
-    # iteration 2 by twice MIN_IMPROVEMENT, iteration 4 on iteration 3 by
-    # half of it, which is no improvement, and iterations 4-6 are the three
-    # non-improving ones that patience=3 allows.
-    best_val = 0.5 * (1.0 - 2 * MIN_IMPROVEMENT)
-    script = [1.0, 0.5, best_val, best_val * (1.0 - MIN_IMPROVEMENT / 2), 2.0, best_val]
-    rounds = [[]]  # the states each round's iterations made
-    tested = []  # (network, test error) of each round
+def _scripted_kfold(monkeypatch, script, **config):
+    """A 3-fold owo-molf ``run_kfold`` whose validation error at iteration
+    i of every round is ``script[i - 1]`` (its last entry after its end).
+    Returns the states each round's iterations made, each round's tested
+    network and its true test error, and the report."""
+    rounds = [[]]
+    tested = []
     pending = []  # a validation error is due
     mse = amolf.experiment.mse
 
@@ -479,15 +477,66 @@ def test_kfold_stops_after_patience_and_reports_the_best_validation_state(monkey
 
     monkeypatch.setattr(amolf.experiment, "iterate", counting_iterate)
     monkeypatch.setattr(amolf.experiment, "mse", scripted_mse)
-    report = run_kfold(gen_matrix_inversion(90, 4), _config(k_folds=3, iterations=20, patience=3))
-    assert [len(states) for states in rounds] == [6, 6, 6, 0]
+    report = run_kfold(gen_matrix_inversion(90, 4), _config(k_folds=3, **config))
+    assert rounds.pop() == []
+    return rounds, tested, report
+
+
+def _assert_kfold_reports(rounds, tested, report, stop, best):
+    """Every round ran ``stop`` iterations and reported the training and test
+    errors of the state after iteration ``best``."""
+    assert [len(states) for states in rounds] == [stop] * 3
     for states, (mlp, test_error), train_error, reported_test in zip(
         rounds, tested, report.train_errors, report.test_errors
     ):
-        best = states[2]
-        assert mlp is best.mlp
-        assert train_error == best.last_error != states[-1].last_error
+        assert mlp is states[best - 1].mlp
+        assert train_error == states[best - 1].last_error
         assert reported_test == test_error
+
+
+def test_kfold_stops_after_patience_and_reports_the_best_validation_state(monkeypatch):
+    # Each round's validation errors are scripted: iteration 3 improves on
+    # iteration 2 by twice MIN_IMPROVEMENT, iteration 4 on iteration 3 by
+    # half of it, which is no improvement, and iterations 4-6 are the three
+    # non-improving ones that patience=3 allows.
+    best_val = 0.5 * (1.0 - 2 * MIN_IMPROVEMENT)
+    script = [1.0, 0.5, best_val, best_val * (1.0 - MIN_IMPROVEMENT / 2), 2.0, best_val]
+    rounds, tested, report = _scripted_kfold(monkeypatch, script, iterations=20, patience=3)
+    _assert_kfold_reports(rounds, tested, report, stop=6, best=3)
+    for states, train_error in zip(rounds, report.train_errors):
+        assert train_error != states[-1].last_error
+
+
+# The threshold 0.5 * (1 - 1e-6), computed as run_kfold computes it from a
+# best validation error of 0.5, and the next float above it.
+_AT_THRESHOLD = 0.5 * (1.0 - 1e-6)
+_OVER_THRESHOLD = float(np.nextafter(_AT_THRESHOLD, 1.0))
+
+
+@pytest.mark.parametrize(
+    "script, patience, stop, best",
+    [
+        # Relative improvements of 1e-5, ten times the minimum, each count.
+        ([1.0, 0.5, 0.5 * (1 - 1e-5), 0.5 * (1 - 1e-5) ** 2], 3, 7, 4),
+        # An error exactly at the threshold improves; one ulp above does not.
+        ([1.0, 0.5, _AT_THRESHOLD, _AT_THRESHOLD * (1 + 1e-7)], 2, 5, 3),
+        ([1.0, 0.5, _OVER_THRESHOLD], 2, 4, 2),
+        # An improvement resets the count of non-improving iterations.
+        ([1.0, 1.0, 1.0, 0.5, 0.6], 3, 7, 4),
+        # Always improving: the iteration cap ends the round.
+        ([2.0**-i for i in range(1, 9)], 2, 8, 8),
+    ],
+    ids=["tenfold-the-minimum", "at-the-threshold", "one-ulp-over", "reset", "capped"],
+)
+def test_kfold_stopping_point_under_the_minimum_improvement_and_patience(
+    script, patience, stop, best, monkeypatch
+):
+    # The minimum relative improvement is 1e-6 and is written out here, not
+    # read from the module, so a change to it moves these stopping points.
+    rounds, tested, report = _scripted_kfold(
+        monkeypatch, script, iterations=8, patience=patience
+    )
+    _assert_kfold_reports(rounds, tested, report, stop=stop, best=best)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import amolf.owo
 import amolf.trainers
 from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean
 from amolf.gradients import (
+    GN_BLOCK,
     backprop,
     curvature_map,
     damped_gauss_newton_step,
@@ -21,7 +22,7 @@ from amolf.gradients import (
     input_weight_gradient,
     pack,
 )
-from amolf.linalg import solve_sym
+from amolf.linalg import pattern_sum, solve_sym
 from amolf.network import ForwardTrace, Mlp, forward, init_net_control, mse
 from amolf.trainers import (
     ALGORITHMS,
@@ -44,6 +45,7 @@ from amolf.trainers import (
 )
 from amolf import cost
 from support import (
+    LM_SCHEDULE_START,
     dense_full_hessian,
     expand_full_hessian,
     expression_fprime_input_features,
@@ -52,6 +54,7 @@ from support import (
     expression_input_hessian,
     grouped_gradient_from_residuals,
     grouped_quadratic_drop,
+    lm_schedule_iteration,
     matrix_relative_error,
     molf_solve,
     near_interpolating_network,
@@ -195,6 +198,26 @@ def test_molf_single_unit_equals_olf():
     z = molf_solve(h, g.input_weights)
     assert z.shape == (1,)
     assert abs(z[0] - olf(trace, g.input_weights)) <= 1e-10
+
+
+@pytest.mark.parametrize("nv", [1, GN_BLOCK - 1, GN_BLOCK, 3 * GN_BLOCK, 3 * GN_BLOCK + 1])
+def test_full_hessian_sums_its_pattern_blocks_in_block_order(nv):
+    # Below one block, at one and three whole blocks, and with a one-pattern
+    # last block, the Gram is the broadcast features' block Grams added in
+    # block order. Within one block that is one pattern_sum over every
+    # pattern; past it the sums associate differently, by rounding only.
+    mlp, d = random_network(np.random.default_rng(nv), 4, 30, 4, nv)
+    trace = forward(mlp, d)
+    gram = gauss_newton_full_hessian(trace)
+    assert same_bits(gram, expression_full_hessian(trace))
+    features = np.hstack(
+        (expression_fprime_input_features(trace).reshape(nv, -1), trace.activ, d.inputs)
+    )
+    whole = (2.0 / nv) * pattern_sum(features, features)
+    if nv <= GN_BLOCK:
+        assert same_bits(gram, whole)
+    else:
+        assert matrix_relative_error(gram, whole) <= 1e-14
 
 
 def test_molf_dual_construction():
@@ -737,10 +760,22 @@ def test_damped_step_skips_the_collinear_basis_like_the_dense_solve():
     assert np.array_equal(step == 0.0, full.solution == 0.0)
 
 
+def _gram_call_bound(nh: int, n1: int) -> float:
+    """Bytes a ``gauss_newton_full_hessian`` call may allocate above what its
+    caller holds: one block of features, the accumulated Gram, one block's
+    Gram, and 0.15 MB for ``pattern_sum``'s 64x64 tile products (2 x 33 kB)
+    and numpy's small objects. No term grows with the pattern count."""
+    width = nh * n1 + nh + n1
+    return GN_BLOCK * width * 8 + 2 * width * width * 8 + 0.15e6
+
+
 def test_lm_step_peak_allocation(monkeypatch):
     # Matrix inversion at the benchmark's size: 2000 patterns, nh=30, four
-    # outputs, 290 weights. The whole step peaks while the Hessian's 3.0 MB
-    # features are alive. After the factored Hessian returns, the candidate's
+    # outputs, 290 weights, 185 feature columns. The Gram call holds one
+    # 256-pattern block of features (0.38 MB) and two 185-column Grams (0.27
+    # MB each) above what the step held when it called it (the pass's f',
+    # 0.48 MB, and its outputs); the features of every pattern at once, 2.96
+    # MB, fail it. After the factored Hessian returns, the candidate's
     # forward pass (1.1 MB) and the 185-column Gram dominate, about 1.24 MB
     # in all; one 290x290 matrix is 0.67 MB, and a dense damped system with
     # solve_sym's working copy of it exceeds 2 MB. A rejected candidate's
@@ -753,9 +788,10 @@ def test_lm_step_peak_allocation(monkeypatch):
     # Damping from the floor forces rejected candidates and retries.
     state = replace(init_state("lm", mlp, data), lm_lambda=LM_LAMBDA_MIN)
     hessian = amolf.trainers.gauss_newton_full_hessian
-    peaks = []
+    peaks, held = [], []
 
     def measured(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
         gram = hessian(*args)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
@@ -769,8 +805,26 @@ def test_lm_step_peak_allocation(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert max(peaks) < 4.5e6
+    held_by_pass = data.n_patterns * (30 + data.n_outputs) * 8  # f' and outputs
+    assert held[0] < held_by_pass + 0.01e6
+    assert peaks[0] - held[0] < _gram_call_bound(30, 5)
     assert peaks[1] < 1.5e6
+
+
+def test_full_hessian_peak_does_not_grow_with_the_pattern_count():
+    # The same bound as the LM step's Gram call, at ten times its patterns:
+    # the features of all 20,000 would be 29.6 MB.
+    data = normalize_zero_mean(gen_matrix_inversion(20_000, 0))
+    trace = forward(init_net_control(data, 30, 0), data)
+    trace.fprime  # the pass's own arrays, computed before the measurement
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gauss_newton_full_hessian(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _gram_call_bound(30, 5)
 
 
 def test_grouped_direct_peak_allocation():
@@ -834,6 +888,69 @@ def test_lm_damping_stays_finite_when_every_step_is_rejected(lm_lambda):
             assert state.lm_lambda <= LM_LAMBDA_MAX
     assert state.lm_lambda == LM_LAMBDA_MAX
     assert np.array_equal(state.mlp.w, mlp.w)
+
+
+def _lm_iterations(state, count, monkeypatch):
+    """The last of ``count`` lm iterations stepped with ``iterate`` from
+    ``state``, and per iteration: the damping it started from, the forward
+    passes it ran (one per damped solve, since the pass it starts from is
+    the one its input state holds), its damping after and its stalled flag."""
+    steps = []
+    counted = amolf.trainers.forward
+
+    def counting_forward(mlp, dataset):
+        steps[-1][1] += 1
+        return counted(mlp, dataset)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(amolf.trainers, "forward", counting_forward)
+        for _ in range(count):
+            steps.append([state.lm_lambda, 0])
+            state = iterate(state)
+            steps[-1] += [state.lm_lambda, state.lm_stalled]
+    return state, [tuple(step) for step in steps]
+
+
+def _assert_lm_schedule(steps):
+    """Each iteration's solve count, damping and stalled flag are the
+    transcribed schedule's, given which candidate was accepted: the last
+    one it ran, unless it stalled."""
+    for lam, solves, lam_after, stalled in steps:
+        expected = lm_schedule_iteration(lam, None if stalled else solves - 1)
+        assert (lam_after, solves, stalled) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lm_damping_follows_the_classic_schedule(seed, monkeypatch):
+    # Matrix inversion from the control initialisation: damping starts at
+    # 1e-2, shrinks tenfold on an accepted candidate and grows tenfold per
+    # rejected one. Started again from below the floor (1e-15, clamped to
+    # 1e-12), the undamped steps overshoot and are rejected.
+    state = _matinv_setup(algo="lm", nh=5, nv=200, seed=seed)
+    assert state.lm_lambda == LM_SCHEDULE_START
+    state, steps = _lm_iterations(state, 8, monkeypatch)
+    state.lm_lambda = 1e-15  # in place: a replace copy holds no pass
+    state, more = _lm_iterations(state, 8, monkeypatch)
+    steps += more
+    _assert_lm_schedule(steps)
+    solves = [step[1] for step in steps]
+    assert 1 in solves and max(solves) > 1  # accepted at once, and after rejections
+    assert not any(step[3] for step in steps)
+
+
+def test_lm_rejecting_every_candidate_runs_the_retry_cap_then_stalls(monkeypatch):
+    # At exact interpolation no candidate's error is below 0, so every one
+    # is rejected: ten solves from 1e-2 end the first iteration stalled at
+    # 1e8, five the second (1e8 up to the 1e12 cap, rejected there) and one
+    # each after, at the cap; the weights never move.
+    rng = np.random.default_rng(20)
+    mlp, d = random_network(rng, 3, 2, 1, 15)
+    exact = make_dataset(d.inputs[:, :-1], forward(mlp, d).output)
+    state, steps = _lm_iterations(init_state("lm", mlp, exact), 4, monkeypatch)
+    _assert_lm_schedule(steps)
+    assert [step[1] for step in steps] == [10, 5, 1, 1]
+    assert all(step[3] for step in steps)
+    assert state.mlp is mlp
 
 
 def test_cg_first_direction_is_gradient():
