@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TRAINERS = "src/amolf/trainers.py"
 EXPERIMENT = "src/amolf/experiment.py"
 GRADIENTS = "src/amolf/gradients.py"
+LINALG = "src/amolf/linalg.py"
 
 # (name, file, old text, new text)
 DEFECTS = [
@@ -113,6 +114,20 @@ DEFECTS = [
         GRADIENTS,
         "for p in range(0, nv, GN_BLOCK):",
         "for p in reversed(range(0, nv, GN_BLOCK)):",
+    ),
+    (
+        "a pivot at the threshold is kept",
+        LINALG,
+        "if abs(pivot) <= thresh:",
+        "if abs(pivot) < thresh:",
+    ),
+    (
+        # Starting the loop itself at row n - 2 changes nothing: row n - 1
+        # subtracts an empty product.
+        "back substitution's sums start one row late",
+        LINALG,
+        "x[j] -= work[j + 1 : n, j] @ x[j + 1 :]",
+        "x[j] -= work[j + 2 : n, j] @ x[j + 2 :]",
     ),
 ]
 

@@ -10,8 +10,10 @@ below ``PIVOT_RTOL`` times the largest diagonal entry is skipped, and its
 unknown is +0.0. This module owns the rule that keeps BLAS threads out of
 the bits: every product in the package that sums over patterns is a
 ``pattern_sum``, and no solve calls LAPACK. ``solve_sym``'s only BLAS calls
-are matrix-vector products, whose bits do not change with the thread count
-at the sizes solved here (a test pins this up to 900 rows).
+are matrix-vector products and, for a vector right-hand side, the dot
+products of its back substitution, which give the one-column product's
+bits. None of them changes its bits with the thread count at the sizes
+solved here (a test pins this up to 900 rows).
 
 It also owns the rule that keeps the kernel choice out of the bits: every
 product of a pattern-sized array with a transposed weight matrix is a
@@ -28,6 +30,7 @@ differently, so those products keep the transposed view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -133,9 +136,19 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     rank-deficient system. A zero matrix skips every pivot.
 
     B may be a vector or a matrix of right-hand sides; the solution matches
-    its shape. Deterministic: identical inputs give bit-identical output.
+    its shape. A vector back-substitutes by dot products, which give the
+    bits of B as one column. Deterministic: identical inputs give
+    bit-identical output.
     """
-    a = check_finite(a, "matrix")
+    # The largest |entry| is NaN or inf exactly when an entry is, so the
+    # symmetry check's scale is also the finiteness check. It runs first,
+    # so a matrix holding a NaN or inf fails as non-finite whatever its
+    # shape. Its buffer then holds |A - Aᵀ|.
+    a = np.asarray(a, dtype=np.float64)
+    buf = np.abs(a)
+    scale = float(buf.max(initial=0.0))
+    if not math.isfinite(scale):
+        raise ValueError("matrix contains non-finite entries")
     b = check_finite(b, "right-hand side")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -145,8 +158,8 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
             f"right-hand side shape {b.shape} incompatible with {n}x{n} matrix"
         )
 
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * (1.0 + scale):
+    np.abs(np.subtract(a, a.T, out=buf), out=buf)
+    if float(buf.max(initial=0.0)) > SYMMETRY_RTOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
 
     # Left-looking LDLᵀ on A stacked over Bᵀ. Column j of the stack becomes
@@ -162,19 +175,20 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     for j in range(n):
         col = work[j:, j]
         col -= work[j:, :j] @ (d[:j] * work[j, :j])
-        if abs(col[0]) <= thresh:
+        pivot = col.item(0)
+        if abs(pivot) <= thresh:
             col[:] = 0.0
             continue
-        d[j] = col[0]
-        col[1:] /= d[j]
+        d[j] = pivot
+        col[1:] /= pivot
 
-    # Back substitution with Lᵀ. A skipped unknown stays +0.0: its column of
-    # L is zero, so it subtracts a ±0.0 from +0.0.
-    x = work[n:].T.copy()
+    # Back substitution with Lᵀ, into an unknown of B's shape: a vector B
+    # takes one dot product a row, with the bits of the one-column product.
+    # A skipped unknown stays +0.0: its column of L is zero, so it subtracts
+    # a ±0.0 from +0.0.
+    x = work[n:].T.copy() if b.ndim == 2 else work[n].copy()
     for j in range(n - 1, -1, -1):
         x[j] -= work[j + 1 : n, j] @ x[j + 1 :]
 
     check_finite(x, "solution")
-    return SolveReport(
-        solution=x[:, 0] if b.ndim == 1 else x, rank_deficient=not d.all()
-    )
+    return SolveReport(solution=x, rank_deficient=not d.all())

@@ -95,7 +95,9 @@ def test_kfold_bytes_independent_of_blas_threads(tmp_path):
 # 150; LM's Schur complement at nh=30 has 150 rows), a 290-row system, whose
 # in-loop matrix-vector products are above OpenBLAS's threaded size, the 900
 # rows owo-newton reaches at 180 hidden units, and a rank-deficient 120-row
-# system.
+# system. A single right-hand side is solved as an (n, 1) column and as a
+# vector, whose back substitution takes dot products instead (amolf's grouped
+# solves, owo-newton's Newton solve and LM's Schur solve pass vectors).
 _SOLVE_SYSTEMS = """
 import sys
 import numpy as np
@@ -104,14 +106,17 @@ rng = np.random.default_rng(0)
 for n, n_rhs, rank in ((35, 4, 35), (116, 1, 116), (150, 1, 150), (290, 1, 290), (900, 1, 900),
                      (120, 1, 90)):
     basis = np.einsum("pr,rn->pn", rng.standard_normal((2 * n, rank)), rng.standard_normal((rank, n)))
-    report = solve_sym(np.einsum("pi,pj->ij", basis, basis), rng.standard_normal((n, n_rhs)))
-    assert report.rank_deficient == (rank < n)
-    sys.stdout.buffer.write(report.solution.tobytes())
+    a = np.einsum("pi,pj->ij", basis, basis)
+    b = rng.standard_normal((n, n_rhs))
+    for rhs in (b, b[:, 0]) if n_rhs == 1 else (b,):
+        report = solve_sym(a, rhs)
+        assert report.rank_deficient == (rank < n)
+        sys.stdout.buffer.write(report.solution.tobytes())
 """
 
 
 def test_solve_sym_bytes_independent_of_blas_threads():
     one = _run(1, ["-c", _SOLVE_SYSTEMS])
-    assert len(one) == 8 * (35 * 4 + 116 + 150 + 290 + 900 + 120)
+    assert len(one) == 8 * (35 * 4 + 2 * (116 + 150 + 290 + 900 + 120))
     for threads in (2, 3):
         assert _run(threads, ["-c", _SOLVE_SYSTEMS]) == one

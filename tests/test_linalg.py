@@ -81,6 +81,14 @@ def test_matches_fixed_order_elimination_on_random_psd(
     zeroed = np.all(report.solution.reshape(n, -1) == 0.0, axis=1)
     assert np.array_equal(zeroed, skipped)
     assert np.abs(report.solution - x_oracle).max() <= 1e-9 * (1.0 + np.abs(x_oracle).max())
+    # A vector right-hand side back-substitutes by dot products, with the
+    # bits of the one-column solve; a skipped unknown is +0.0 in each.
+    v = b if b.ndim == 1 else b[:, 0]
+    vector = solve_sym(a, v).solution
+    column = solve_sym(a, v[:, None]).solution
+    assert vector.tobytes() == column[:, 0].tobytes()
+    for x in (report.solution, vector, column):
+        assert x[skipped].tobytes() == np.zeros_like(x[skipped]).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -201,8 +209,17 @@ def test_rejects_dimension_mismatch():
 def test_rejects_non_finite():
     a = np.eye(2)
     a[0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_sym(a, np.ones(2))
+    # Finiteness is checked first, the matrix's and then the right-hand
+    # side's, so a non-square or non-symmetric matrix, or a right-hand side
+    # of the wrong length, that holds a NaN or inf fails as non-finite.
+    for matrix, rhs, name in (
+        (a, np.ones(2), "matrix"),
+        (np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.ones(2), "matrix"),
+        (np.array([[1.0, 0.5], [0.0, np.inf]]), np.ones(2), "matrix"),
+        (np.eye(2), np.array([np.nan, 1.0, 1.0]), "right-hand side"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            solve_sym(matrix, rhs)
 
 
 def test_report_is_frozen():
