@@ -75,6 +75,12 @@ DEFECTS = [
         "            train_errors.append(best.last_error)",
         "            best = state\n            train_errors.append(best.last_error)",
     ),
+    (
+        "owo-newton steps uphill",
+        TRAINERS,
+        "solve_sym(gauss_newton_input_hessian(trace), gw.ravel())",
+        "solve_sym(gauss_newton_input_hessian(trace), (-gw).ravel())",
+    ),
     ("OLF_FALLBACK 1e-3 -> 1e-2", TRAINERS, "OLF_FALLBACK = 1e-3", "OLF_FALLBACK = 1e-2"),
     (
         "cg's beta halved",

@@ -198,16 +198,6 @@ def olf(trace: ForwardTrace, gw: np.ndarray) -> float:
     return _optimal_step(float((gw * gw).sum()), curvature)
 
 
-def newton_input_step(hessian: np.ndarray, gw: np.ndarray) -> np.ndarray:
-    """Full second-order input-weight change from the input-weight Hessian
-    and gradient, in the shape of the input weights.
-
-    Singular Hessians fall back to pivot skipping: excluded weights simply
-    do not move.
-    """
-    return solve_sym(hessian, gw.ravel()).solution.reshape(gw.shape)
-
-
 def fletcher_reeves_direction(
     gradient: np.ndarray,
     previous_direction: np.ndarray | None = None,
@@ -377,11 +367,12 @@ def owo_bp_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
 
 
 def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
-    """Full second-order input-weight step, then the output-weight solve."""
+    """Full second-order input-weight step, then the output-weight solve; a
+    pivot the solve skips (a singular Hessian) leaves its weight where it is."""
     mlp = trace.mlp
     gw = input_weight_gradient(trace)
-    hessian = gauss_newton_input_hessian(trace)
-    stepped = replace(mlp, w=mlp.w + newton_input_step(hessian, gw))
+    dw = solve_sym(gauss_newton_input_hessian(trace), gw.ravel()).solution.reshape(gw.shape)
+    stepped = replace(mlp, w=mlp.w + dw)
     solved = output_weight_step(forward(stepped, state.dataset))
     return solved, cost.mult_owo_newton(*_dims(state)), {}
 

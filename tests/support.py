@@ -395,6 +395,13 @@ def molf_solve(hessian: np.ndarray, gw: np.ndarray) -> np.ndarray:
     return solve_sym(ha, ga).solution
 
 
+def newton_step(hessian: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """The full second-order input-weight change H⁻¹·g, in the shape of the
+    input weights: the solve ``owo_newton_step`` takes, so a pivot it skips
+    leaves its weight unmoved."""
+    return solve_sym(hessian, gw.ravel()).solution.reshape(gw.shape)
+
+
 def single_group_partition(n_hidden: int, n_augmented: int) -> np.ndarray:
     """One group per hidden unit (one step size per unit): with equal
     curvature everywhere, build_partition keeps every unit's inputs in

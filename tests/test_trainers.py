@@ -40,7 +40,6 @@ from amolf.trainers import (
     initial_group_search,
     iterate,
     lm_step,
-    newton_input_step,
     olf,
 )
 from amolf import cost
@@ -52,6 +51,7 @@ from support import (
     expression_full_hessian,
     expression_grouped_hessian,
     expression_input_hessian,
+    gauss_elimination_solve,
     grouped_gradient_from_residuals,
     grouped_quadratic_drop,
     lm_schedule_iteration,
@@ -59,10 +59,12 @@ from support import (
     molf_solve,
     near_interpolating_network,
     nested_split_chain,
+    newton_step,
     quadratic_line_minimum,
     random_network,
     random_spd,
     rank_partition,
+    relative_max_error,
     same_bits,
     single_group_partition,
 )
@@ -279,14 +281,23 @@ def test_molf_zero_gradient_gives_zero_steps():
     assert np.array_equal(molf_solve(h, g.input_weights), np.zeros(mlp.n_hidden))
 
 
-def test_newton_step_identity_hessian():
-    rng = np.random.default_rng(10)
-    g = rng.standard_normal(6)
-    assert np.allclose(newton_input_step(np.eye(6), g.reshape(2, 3)), g.reshape(2, 3))
+def test_owo_newton_first_iteration_leaves_input_weights():
+    # The starting network's output weights are zero, so its input-weight
+    # gradient and Hessian are zero and every pivot of the solve is skipped.
+    state = _matinv_setup(algo="owo-newton", nh=4, nv=300, seed=10)
+    assert same_bits(iterate(state).mlp.w, state.mlp.w)
 
 
-def test_newton_step_zero_gradient():
-    assert np.array_equal(newton_input_step(np.eye(6), np.zeros((2, 3))), np.zeros((2, 3)))
+def test_owo_newton_later_iterations_solve_their_input_hessian():
+    state = iterate(_matinv_setup(algo="owo-newton", nh=4, nv=300, seed=10))
+    for _ in range(3):
+        trace = forward(state.mlp, state.dataset)
+        gw = input_weight_gradient(trace)
+        expected = gauss_elimination_solve(gauss_newton_input_hessian(trace), gw.ravel())
+        stepped = iterate(state)
+        dw = stepped.mlp.w - state.mlp.w
+        assert relative_max_error(dw, expected.reshape(gw.shape)) <= 1e-6
+        state = stepped
 
 
 def test_newton_step_near_quadratic_captures_gap():
@@ -295,7 +306,7 @@ def test_newton_step_near_quadratic_captures_gap():
     trace = forward(mlp, d)
     g = backprop(trace)
     h = gauss_newton_input_hessian(trace)
-    dw = newton_input_step(h, g.input_weights)
+    dw = newton_step(h, g.input_weights)
     e0 = mse(mlp, d)
     e1 = mse(replace(mlp, w=mlp.w + dw), d)
     grid = np.linspace(0.0, 2.0, 401)
@@ -364,7 +375,7 @@ def test_grouped_step_all_singletons_is_newton():
     g = backprop(trace)
     h = gauss_newton_input_hessian(trace)
     gw = g.input_weights
-    dw_newton = newton_input_step(h, gw)
+    dw_newton = newton_step(h, gw)
     group = build_partition(curvature_map(trace), d.n_inputs + 1)
     ha, ga = assemble_grouped_from_hessian(h, gw, group)
     z = solve_sym(ha, ga).solution
