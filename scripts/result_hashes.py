@@ -27,6 +27,12 @@ all on zero-mean matrix-inversion data:
   continued for 3 more on other data with ``replace(state, dataset=other)``.
   An amolf and an owo-bp run stepped alternately for 6 iterations each
   take their own passes.
+
+Last come owo-molf and amolf runs of 12 iterations (nh=4, amolf search
+period 4) on 600 seeded patterns of 16 inputs whose three targets are sines
+of random mixes of them, hashed like the stepped runs. Their 17 augmented
+inputs are above ``linalg.UNTRANSPOSED_MAX_INNER``, matinv's 5 below it, so
+the hashes cover both sides of that rule, at one group and at more.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from amolf.dataset import gen_matrix_inversion, normalize_zero_mean  # noqa: E402
+from amolf.dataset import gen_matrix_inversion, make_dataset, normalize_zero_mean  # noqa: E402
 from amolf.experiment import ExperimentConfig, run_kfold, run_training  # noqa: E402
 from amolf.network import init_net_control  # noqa: E402
 from amolf.trainers import ALGORITHMS, init_state, iterate  # noqa: E402
@@ -79,8 +85,8 @@ def _steps(state, count: int) -> list:
     return states
 
 
-def _start(algo: str, data, seed: int = 0):
-    mlp = init_net_control(data, 8, seed)
+def _start(algo: str, data, seed: int = 0, n_hidden: int = 8):
+    mlp = init_net_control(data, n_hidden, seed)
     return init_state(algo, mlp, data, **({"search_period": 4} if algo == "amolf" else {}))
 
 
@@ -121,6 +127,12 @@ def main() -> None:
         for states in runs:
             states.append(iterate(states[-1]))  # each run takes its own pass
     print(f"alternate amolf owo-bp {_state_digest(runs[0] + runs[1])}", flush=True)
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((600, 16))
+    wide = make_dataset(raw, np.sin(raw @ rng.standard_normal((16, 3))))
+    for algo in ("owo-molf", "amolf"):
+        run = _steps(_start(algo, wide, n_hidden=4), 12)
+        print(f"wide {algo} {_state_digest(run)}", flush=True)
 
 
 if __name__ == "__main__":

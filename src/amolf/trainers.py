@@ -52,8 +52,9 @@ the input-weight Hessian. A search iteration does so for every candidate
 count, grouping by that Hessian's diagonal (the per-weight curvature), and
 the winning candidate's step is the iteration's step. amolf's other
 iterations and every owo-molf iteration take ``_grouped_step``, which
-reads its one system directly off per-pattern sums, grouped by
-``curvature_map`` when there is more than one group. Both are
+reads its one system directly off per-pattern sums: at one group (one
+step size per unit) straight off f'·(x·gwᵀ), with no group map, and at
+more through a grouping by ``curvature_map``. Both are
 ``gradients.gauss_newton_gram``, a ``linalg.pattern_sum`` Gram whose bits
 do not depend on BLAS threads.
 
@@ -88,7 +89,7 @@ from .gradients import (
     pack,
     unpack,
 )
-from .linalg import check_count, solve_sym
+from .linalg import check_count, solve_sym, weight_product
 from .network import ForwardTrace, Mlp, forward
 from .owo import output_weight_step
 
@@ -156,7 +157,11 @@ def assemble_grouped_direct(
     f'·(x·t), and the matching negative gradient.
     """
     t, ga = _grouped_gradient(gw, group)
-    delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
+    nh, n1, ng = t.shape
+    # The reshape copies t's transpose to C order at two or more groups and
+    # is a view (gwᵀ) at one, as np.tensordot's was: the product's bits hold.
+    delta_net = trace.dataset.inputs @ t.transpose(1, 0, 2).reshape(n1, nh * ng)
+    delta_net = delta_net.reshape(-1, nh, ng)
     # One product per group, no stride-0 broadcast: see the gradients docstring.
     for c in range(delta_net.shape[2]):
         np.multiply(delta_net[:, :, c], trace.fprime, out=delta_net[:, :, c])
@@ -379,13 +384,25 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
 
 def _grouped_step(trace: ForwardTrace, gw: np.ndarray, n_groups: int) -> ForwardTrace:
     """The forward pass of the grouped input-weight step at ``n_groups``
-    groups, its system read off per-pattern sums."""
-    # One group holds all of a unit's inputs in any order, so its partition
-    # does not depend on the curvature.
-    curvature = np.zeros_like(trace.mlp.w) if n_groups == 1 else curvature_map(trace)
-    group = build_partition(curvature, n_groups)
-    ha, ga = assemble_grouped_direct(trace, gw, group)
-    stepped = apply_grouped_step(trace.mlp, gw, group, solve_sym(ha, ga).solution)
+    groups, its system read off per-pattern sums.
+
+    One group is one step size per unit, with net change x·gwᵀ: its system
+    is read off f'·(x·gwᵀ) and the per-unit sums of gw², with no group map.
+    Its bits are the general path's at one group, whose product is by the
+    transposed view gwᵀ; ``weight_product`` keeps that view's bits, which a
+    C-contiguous copy of gwᵀ loses from 16 augmented inputs on.
+    """
+    mlp = trace.mlp
+    if n_groups == 1:
+        features = weight_product(trace.dataset.inputs, gw)
+        features *= trace.fprime
+        ha = gauss_newton_gram(mlp, features[:, :, None])
+        z = solve_sym(ha, (gw * gw).sum(axis=1)).solution
+        stepped = replace(mlp, w=mlp.w + z[:, None] * gw)
+    else:
+        group = build_partition(curvature_map(trace), n_groups)
+        ha, ga = assemble_grouped_direct(trace, gw, group)
+        stepped = apply_grouped_step(mlp, gw, group, solve_sym(ha, ga).solution)
     return forward(stepped, trace.dataset)
 
 

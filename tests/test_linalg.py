@@ -110,6 +110,24 @@ def test_vector_rhs_shape():
     assert np.abs(a @ x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
 
 
+@pytest.mark.parametrize("skip", [False, True])
+def test_one_column_rhs_keeps_its_shape_and_the_vector_bits(skip):
+    # An (n, 1) right-hand side back-substitutes through the vector's dot
+    # products and comes back as a column, with a skipped unknown at +0.0.
+    rng = np.random.default_rng(5)
+    a = random_spd(rng, 30)
+    if skip:
+        a[:, 7] = a[7] = 0.0
+    b = rng.standard_normal(30)
+    vector = solve_sym(a, b)
+    column = solve_sym(a, b[:, None])
+    assert column.solution.shape == (30, 1)
+    assert column.solution.tobytes() == vector.solution.tobytes()
+    assert column.rank_deficient == vector.rank_deficient == skip
+    if skip:
+        assert column.solution[7].tobytes() == np.zeros(1).tobytes()
+
+
 def test_deterministic_bit_identical():
     rng = np.random.default_rng(11)
     a = random_spd(rng, 7)

@@ -383,6 +383,45 @@ def test_grouped_step_all_singletons_is_newton():
     assert matrix_relative_error(stepped.w - mlp.w, dw_newton) <= 1e-6
 
 
+def _one_group_trace(case, nh, activation):
+    """The pass after two owo-molf iterations (the starting network's output
+    weights, hence its gradient, are zero) on matinv (2000 patterns) or on
+    120 seeded patterns of ``case`` inputs with three sine targets."""
+    if case == "matinv":
+        data = normalize_zero_mean(gen_matrix_inversion(2000, 0))
+    else:
+        rng = np.random.default_rng(case)
+        raw = rng.standard_normal((120, case))
+        data = make_dataset(raw, np.sin(raw @ rng.standard_normal((case, 3))))
+    state = init_state("owo-molf", init_net_control(data, nh, 0, activation), data)
+    state = iterate(iterate(state))
+    return forward(state.mlp, data)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+@pytest.mark.parametrize("case, nh", [("matinv", 30), ("matinv", 1), (2, 4), (16, 4)])
+def test_one_group_step_has_the_bits_of_the_grouped_path(case, nh, activation):
+    # At one group the step builds its system without a group map; its
+    # network has the bytes of the general path's partition, assembly,
+    # solve and update. 16 inputs cross UNTRANSPOSED_MAX_INNER, and their
+    # 17 squared gradients per unit sum more than 8 terms. A gradient
+    # holding -0.0, in one entry and in a whole row (whose pivot is
+    # skipped), is checked too.
+    trace = _one_group_trace(case, nh, activation)
+    gw = input_weight_gradient(trace)
+    assert gw.all()
+    signed_zeros = gw.copy()
+    signed_zeros[-1, 0] = -0.0
+    signed_zeros[0] = -0.0
+    for g in (gw, signed_zeros):
+        group = single_group_partition(*g.shape)
+        ha, ga = assemble_grouped_direct(trace, g, group)
+        general = apply_grouped_step(trace.mlp, g, group, solve_sym(ha, ga).solution)
+        stepped = amolf.trainers._grouped_step(trace, g, 1).mlp
+        for name in ("w", "woh", "woi"):
+            assert same_bits(getattr(stepped, name), getattr(general, name)), name
+
+
 def test_quadratic_surrogate_monotone_under_splitting():
     rng = np.random.default_rng(14)
     for seed in range(5):
@@ -1343,9 +1382,10 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     # candidate and none of its own network, whose pass the last iteration left
     # on its state, and reuses the winner's for the output solve, and groups
     # by its Hessian's diagonal, not by ``curvature_map``; an adapting
-    # iteration assembles and solves its one grouped system, runs the
-    # stepped network forward once, and reads the curvature once if it has
-    # more than one group. Checked on matinv's 4 inputs and on 2 and 6.
+    # iteration solves its one grouped system, runs the stepped network
+    # forward once, and, if it has more than one group, reads the curvature
+    # once and assembles through the group map once (one group builds its
+    # system without one). Checked on matinv's 4 inputs and on 2 and 6.
     solves, assemblies, forwards, curvatures = [], [], [], []
     counted_solve = amolf.trainers.solve_sym
     counted_assemble = amolf.trainers.assemble_grouped_direct
@@ -1393,7 +1433,8 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
             if searched:
                 assert counted == (0, candidates + 1, candidates, 0)
             else:
-                assert counted == (1, 2, 1, int(state.amolf.n_groups > 1))
+                more = int(state.amolf.n_groups > 1)
+                assert counted == (more, 2, 1, more)
         last_group_counts.append(state.amolf.n_groups)
     # So iteration 4 read the curvature on matinv and on 6 inputs; on 2
     # inputs it may have halved back to one group.
