@@ -10,10 +10,10 @@ below ``PIVOT_RTOL`` times the largest diagonal entry is skipped, and its
 unknown is +0.0. This module owns the rule that keeps BLAS threads out of
 the bits: every product in the package that sums over patterns is a
 ``pattern_sum``, and no solve calls LAPACK. ``solve_sym``'s only BLAS calls
-are matrix-vector products and, for a vector or one-column right-hand
-side, the dot products of its back substitution, which give the
-one-column product's bits. None of them changes its bits with the thread
-count at the sizes solved here (a test pins this up to 900 rows).
+are matrix-vector products and, for a vector right-hand side, the dot
+products of its back substitution, which give the one-column product's
+bits. None of them changes its bits with the thread count at the sizes
+solved here (a test pins this up to 900 rows).
 
 It also owns the rule that keeps the kernel choice out of the bits: every
 product of a pattern-sized array with a transposed weight matrix is a
@@ -136,9 +136,9 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     rank-deficient system. A zero matrix skips every pivot.
 
     B may be a vector or a matrix of right-hand sides; the solution matches
-    its shape. A vector and a one-column B back-substitute by the same dot
-    products, which give the bits of B as one column. Deterministic:
-    identical inputs give bit-identical output.
+    its shape. A vector back-substitutes by dot products, which give the
+    bits of B as one column. Deterministic: identical inputs give
+    bit-identical output.
     """
     # The largest |entry| is NaN or inf exactly when an entry is, so the
     # symmetry check's scale is also the finiteness check. It runs first,
@@ -182,13 +182,13 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
         d[j] = pivot
         col[1:] /= pivot
 
-    # Back substitution with Lᵀ: a vector, or a B of one column, takes one
-    # dot product a row, with the bits of the one-column product; a B of
-    # more columns takes one vector-matrix product a row. A skipped unknown
-    # stays +0.0: its column of L is zero, so it subtracts a ±0.0 from +0.0.
-    x = work[n:].T.copy() if b.ndim == 2 and b.shape[1] != 1 else work[n].copy()
+    # Back substitution with Lᵀ, into an unknown of B's shape: a vector B
+    # takes one dot product a row, with the bits of the one-column product.
+    # A skipped unknown stays +0.0: its column of L is zero, so it subtracts
+    # a ±0.0 from +0.0.
+    x = work[n:].T.copy() if b.ndim == 2 else work[n].copy()
     for j in range(n - 1, -1, -1):
-        x[j] -= np.dot(work[j + 1 : n, j], x[j + 1 :])
+        x[j] -= work[j + 1 : n, j] @ x[j + 1 :]
 
     check_finite(x, "solution")
-    return SolveReport(solution=x.reshape(b.shape), rank_deficient=not d.all())
+    return SolveReport(solution=x, rank_deficient=not d.all())

@@ -157,11 +157,7 @@ def assemble_grouped_direct(
     f'·(x·t), and the matching negative gradient.
     """
     t, ga = _grouped_gradient(gw, group)
-    nh, n1, ng = t.shape
-    # The reshape copies t's transpose to C order at two or more groups and
-    # is a view (gwᵀ) at one, as np.tensordot's was: the product's bits hold.
-    delta_net = trace.dataset.inputs @ t.transpose(1, 0, 2).reshape(n1, nh * ng)
-    delta_net = delta_net.reshape(-1, nh, ng)
+    delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
     # One product per group, no stride-0 broadcast: see the gradients docstring.
     for c in range(delta_net.shape[2]):
         np.multiply(delta_net[:, :, c], trace.fprime, out=delta_net[:, :, c])

@@ -86,6 +86,7 @@ def test_matches_fixed_order_elimination_on_random_psd(
     v = b if b.ndim == 1 else b[:, 0]
     vector = solve_sym(a, v).solution
     column = solve_sym(a, v[:, None]).solution
+    assert column.shape == (n, 1)
     assert vector.tobytes() == column[:, 0].tobytes()
     for x in (report.solution, vector, column):
         assert x[skipped].tobytes() == np.zeros_like(x[skipped]).tobytes()
@@ -108,24 +109,6 @@ def test_vector_rhs_shape():
     x = solve_sym(a, b).solution
     assert x.shape == (5,)
     assert np.abs(a @ x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
-
-
-@pytest.mark.parametrize("skip", [False, True])
-def test_one_column_rhs_keeps_its_shape_and_the_vector_bits(skip):
-    # An (n, 1) right-hand side back-substitutes through the vector's dot
-    # products and comes back as a column, with a skipped unknown at +0.0.
-    rng = np.random.default_rng(5)
-    a = random_spd(rng, 30)
-    if skip:
-        a[:, 7] = a[7] = 0.0
-    b = rng.standard_normal(30)
-    vector = solve_sym(a, b)
-    column = solve_sym(a, b[:, None])
-    assert column.solution.shape == (30, 1)
-    assert column.solution.tobytes() == vector.solution.tobytes()
-    assert column.rank_deficient == vector.rank_deficient == skip
-    if skip:
-        assert column.solution[7].tobytes() == np.zeros(1).tobytes()
 
 
 def test_deterministic_bit_identical():
