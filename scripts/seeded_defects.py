@@ -110,6 +110,12 @@ DEFECTS = [
         "MIN_IMPROVEMENT = 1e-3",
     ),
     (
+        "k-fold validates on the test fold",
+        EXPERIMENT,
+        "mse(state.mlp, val_data)",
+        "mse(state.mlp, test_data)",
+    ),
+    (
         "k-fold improvement strictly below the threshold",
         EXPERIMENT,
         "if val_error <= best_val * (1.0 - MIN_IMPROVEMENT):",

@@ -169,7 +169,7 @@ def solve_sym(a: np.ndarray, b: np.ndarray) -> SolveReport:
     # at zero, which drops the unknown from every later column, as
     # eliminating it would. A kept pivot exceeds the threshold, which is at
     # least 0, so the zeros of D are the skips.
-    work = np.vstack((a, b.T if b.ndim == 2 else b[None, :]))
+    work = np.vstack((a, b.T))
     d = np.zeros(n)
     thresh = PIVOT_RTOL * float(a.diagonal().max(initial=0.0))
     for j in range(n):

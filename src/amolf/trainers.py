@@ -93,7 +93,8 @@ from .linalg import check_count, solve_sym, weight_product
 from .network import ForwardTrace, Mlp, forward
 from .owo import output_weight_step
 
-# Step-size fallback when the directional curvature is numerically zero.
+# Step size when the directional curvature is at or under CURVATURE_FLOOR;
+# cg restarts from the gradient when its last squared norm is at or under it.
 OLF_FALLBACK = 1e-3
 CURVATURE_FLOOR = 1e-12
 LM_MAX_RETRIES = 10
@@ -204,9 +205,9 @@ def fletcher_reeves_direction(
     previous_direction: np.ndarray | None = None,
     previous_norm_sq: float | None = None,
 ) -> np.ndarray:
-    """Conjugate direction update: the fresh negative gradient plus the ratio
-    of successive squared gradient norms times the previous direction. The
-    first call (no history) returns the gradient itself."""
+    """Conjugate direction update: the fresh negative gradient plus the ratio of
+    successive squared gradient norms times the previous direction. It restarts
+    from the gradient with no history or a previous squared norm <= CURVATURE_FLOOR."""
     if (
         previous_direction is None
         or previous_norm_sq is None

@@ -146,6 +146,7 @@ def test_outputs_and_error_match_their_expressions_bit_for_bit(activation):
     assert same_bits(linear_output(mlp, d, activ), expression_linear_output(mlp, d, activ))
     assert same_bits(trace.fprime, EXPRESSION_ACTIVATIONS[activation][1](trace.activ))
     assert same_bits(trace.error, expression_output_mse(d, trace.output))
+    assert same_bits(mse(mlp, d), trace.error)
     # Any outputs, not only a network's: the kernel behind ``error``.
     output = extreme_array(rng, trace.output.shape)
     assert same_bits(_output_error(d, output), expression_output_mse(d, output))
