@@ -142,16 +142,28 @@ DEFECTS = [
         "x[j] -= work[j + 2 : n, j] @ x[j + 2 :]",
     ),
     (
-        "the one-group step drops its f' scaling",
+        "the grouped step drops its f' scaling",
         TRAINERS,
-        "        features *= trace.fprime\n",
-        "",
+        "        np.multiply(delta_net[:, :, c], trace.fprime, out=delta_net[:, :, c])\n",
+        "        pass\n",
     ),
     (
-        "the one-group step sums gw, not gw * gw",
+        "the grouped step sums gw, not gw * gw",
         TRAINERS,
-        "solve_sym(ha, (gw * gw).sum(axis=1))",
-        "solve_sym(ha, gw.sum(axis=1))",
+        "(t * gw[:, :, None]).sum(axis=1).ravel()",
+        "t.sum(axis=1).ravel()",
+    ),
+    (
+        "the grouped product flattened group-major",
+        TRAINERS,
+        "t.transpose(1, 0, 2).reshape(n1, -1).T",
+        "t.transpose(1, 2, 0).reshape(n1, -1).T",
+    ),
+    (
+        "one group partitions by curvature",
+        TRAINERS,
+        "group = np.zeros(gw.shape, dtype=np.intp)",
+        "group = build_partition(curvature_map(trace), 1)",
     ),
 ]
 

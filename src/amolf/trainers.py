@@ -52,11 +52,11 @@ the input-weight Hessian. A search iteration does so for every candidate
 count, grouping by that Hessian's diagonal (the per-weight curvature), and
 the winning candidate's step is the iteration's step. amolf's other
 iterations and every owo-molf iteration take ``_grouped_step``, which
-reads its one system directly off per-pattern sums: at one group (one
-step size per unit) straight off f'·(x·gwᵀ), with no group map, and at
-more through a grouping by ``curvature_map``. Both are
-``gradients.gauss_newton_gram``, a ``linalg.pattern_sum`` Gram whose bits
-do not depend on BLAS threads.
+reads its one system directly off per-pattern sums, the
+``gradients.gauss_newton_gram`` of f'·(x·t), a ``linalg.pattern_sum`` Gram
+whose bits do not depend on BLAS threads. Its grouping is by
+``curvature_map`` at two or more groups; one group (one step size per
+unit) is the all-zero map, which reads no curvature.
 
 LM keeps only its accept/reject damping schedule here. The factored
 Hessian over every weight (``gradients.gauss_newton_full_hessian``) and
@@ -145,7 +145,7 @@ def apply_grouped_step(mlp: Mlp, gw: np.ndarray, group: np.ndarray, z: np.ndarra
     """Update every input weight once: weight (k, n) moves by its group's
     step size times its own negative gradient ``gw(k, n)``."""
     z = z.reshape(gw.shape[0], -1)
-    return replace(mlp, w=mlp.w + np.take_along_axis(z, group, axis=1) * gw)
+    return replace(mlp, w=mlp.w + z[np.arange(len(z))[:, None], group] * gw)
 
 
 def assemble_grouped_direct(
@@ -158,9 +158,15 @@ def assemble_grouped_direct(
     f'·(x·t), and the matching negative gradient.
     """
     t, ga = _grouped_gradient(gw, group)
-    delta_net = np.tensordot(trace.dataset.inputs, t, axes=([1], [1]))  # (nv, nh, ng)
+    nh, n1, ng = t.shape
+    # Column k * ng + c is unit k's group c. The (n1, nh * ng) operand is a
+    # C-order copy of t at two or more groups and the view gwᵀ at one; its
+    # layout picks weight_product's kernel, and with it the bits.
+    delta_net = weight_product(
+        trace.dataset.inputs, t.transpose(1, 0, 2).reshape(n1, -1).T
+    ).reshape(-1, nh, ng)
     # One product per group, no stride-0 broadcast: see the gradients docstring.
-    for c in range(delta_net.shape[2]):
+    for c in range(ng):
         np.multiply(delta_net[:, :, c], trace.fprime, out=delta_net[:, :, c])
     return gauss_newton_gram(trace.mlp, delta_net), ga
 
@@ -381,25 +387,14 @@ def owo_newton_step(state: TrainerState, trace: ForwardTrace) -> StepResult:
 
 def _grouped_step(trace: ForwardTrace, gw: np.ndarray, n_groups: int) -> ForwardTrace:
     """The forward pass of the grouped input-weight step at ``n_groups``
-    groups, its system read off per-pattern sums.
-
-    One group is one step size per unit, with net change x·gwᵀ: its system
-    is read off f'·(x·gwᵀ) and the per-unit sums of gw², with no group map.
-    Its bits are the general path's at one group, whose product is by the
-    transposed view gwᵀ; ``weight_product`` keeps that view's bits, which a
-    C-contiguous copy of gwᵀ loses from 16 augmented inputs on.
-    """
-    mlp = trace.mlp
+    groups, its system read off per-pattern sums. One group is the all-zero
+    group map, which needs no curvature."""
     if n_groups == 1:
-        features = weight_product(trace.dataset.inputs, gw)
-        features *= trace.fprime
-        ha = gauss_newton_gram(mlp, features[:, :, None])
-        z = solve_sym(ha, (gw * gw).sum(axis=1)).solution
-        stepped = replace(mlp, w=mlp.w + z[:, None] * gw)
+        group = np.zeros(gw.shape, dtype=np.intp)
     else:
         group = build_partition(curvature_map(trace), n_groups)
-        ha, ga = assemble_grouped_direct(trace, gw, group)
-        stepped = apply_grouped_step(mlp, gw, group, solve_sym(ha, ga).solution)
+    ha, ga = assemble_grouped_direct(trace, gw, group)
+    stepped = apply_grouped_step(trace.mlp, gw, group, solve_sym(ha, ga).solution)
     return forward(stepped, trace.dataset)
 
 

@@ -9,7 +9,7 @@ import amolf.experiment
 import amolf.network
 import amolf.trainers
 from amolf import cost
-from amolf.dataset import gen_matrix_inversion, kfold_split, normalize_zero_mean
+from amolf.dataset import gen_matrix_inversion, kfold_split, normalize_zero_mean, take
 from amolf.experiment import (
     MIN_IMPROVEMENT,
     ExperimentConfig,
@@ -565,6 +565,35 @@ def test_kfold_refuses_a_non_finite_error_naming_its_round(
         run_kfold(gen_matrix_inversion(90, 4), _config(k_folds=3, iterations=1))
     assert states
     assert all(state._trace is None for state in states)
+
+
+def test_kfold_validates_on_the_validation_fold_and_tests_on_the_test_fold(monkeypatch):
+    # Every mse call is recorded with the bytes of the data it reads. Each
+    # round's validation calls (one per iteration: the patience outlasts the
+    # iterations) read the fold ``plan.split`` names for validation, and its
+    # one test call the fold it names for testing.
+    mse = amolf.experiment.mse
+    calls = []
+
+    def recording_mse(mlp, data):
+        calls.append((data.inputs.tobytes(), data.targets.tobytes()))
+        return mse(mlp, data)
+
+    monkeypatch.setattr(amolf.experiment, "mse", recording_mse)
+    dataset = gen_matrix_inversion(90, 4)
+    config = _config(k_folds=3, iterations=4)
+    run_kfold(dataset, config)
+    data = normalize_zero_mean(dataset)
+    plan = kfold_split(data, config.k_folds, config.seed)
+    expected = []
+    for round_index in range(1, config.k_folds + 1):
+        _, validation, test = (
+            (fold.inputs.tobytes(), fold.targets.tobytes())
+            for fold in (take(data, idx) for idx in plan.split(round_index))
+        )
+        assert validation != test
+        expected += [validation] * config.iterations + [test]
+    assert calls == expected
 
 
 def test_readme_library_use_runs_as_written():

@@ -241,7 +241,9 @@ def test_weight_product_has_the_bits_of_the_transposed_product():
     # This also checks the size rule on the installed OpenBLAS: where its
     # untransposed kernel rounds apart at a shape the rule lets through
     # (more than one row, inner dimension <= UNTRANSPOSED_MAX_INNER), the
-    # shape is listed.
+    # shape is listed. Each ``w`` is checked C-ordered and as the transpose
+    # of a C-order matrix (F-ordered), the layout the grouped assembly
+    # passes at two or more groups.
     rng = np.random.default_rng(0)
     differ = []
     for rows in WEIGHT_PRODUCT_ROWS:
@@ -249,8 +251,9 @@ def test_weight_product_has_the_bits_of_the_transposed_product():
             a = rng.standard_normal((rows, inner))
             for width in WEIGHT_PRODUCT_WIDTHS:
                 w = rng.standard_normal((width, inner))
-                if weight_product(a, w).tobytes() != (a @ w.T).tobytes():
-                    differ.append((rows, inner, width))
+                for order, wo in (("C", w), ("F", np.ascontiguousarray(w.T).T)):
+                    if weight_product(a, wo).tobytes() != (a @ wo.T).tobytes():
+                        differ.append((rows, inner, width, order))
     assert differ == []
 
 

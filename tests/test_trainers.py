@@ -1382,10 +1382,10 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
     # candidate and none of its own network, whose pass the last iteration left
     # on its state, and reuses the winner's for the output solve, and groups
     # by its Hessian's diagonal, not by ``curvature_map``; an adapting
-    # iteration solves its one grouped system, runs the stepped network
-    # forward once, and, if it has more than one group, reads the curvature
-    # once and assembles through the group map once (one group builds its
-    # system without one). Checked on matinv's 4 inputs and on 2 and 6.
+    # iteration assembles through the group map once, solves its one grouped
+    # system, runs the stepped network forward once, and, if it has more
+    # than one group, reads the curvature once (one group's map is all
+    # zeros). Checked on matinv's 4 inputs and on 2 and 6.
     solves, assemblies, forwards, curvatures = [], [], [], []
     counted_solve = amolf.trainers.solve_sym
     counted_assemble = amolf.trainers.assemble_grouped_direct
@@ -1434,7 +1434,7 @@ def test_a_search_iteration_does_its_work_once(monkeypatch):
                 assert counted == (0, candidates + 1, candidates, 0)
             else:
                 more = int(state.amolf.n_groups > 1)
-                assert counted == (more, 2, 1, more)
+                assert counted == (1, 2, 1, more)
         last_group_counts.append(state.amolf.n_groups)
     # So iteration 4 read the curvature on matinv and on 6 inputs; on 2
     # inputs it may have halved back to one group.
